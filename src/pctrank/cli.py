@@ -14,7 +14,9 @@ import sys
 
 from . import __version__
 from .errors import BoundaryAmbiguityError, ConfigError, DataError
-from .indicators import compare_rules, compute_indicators
+# compute_indicators is not called here, but perfbench/tracing.py rebinds it in
+# this namespace.
+from .indicators import compare_rules, compute_indicators, fold_indicators  # noqa: F401
 from .io import (
     DEFAULT_PRECISION,
     partition_by_group,
@@ -244,16 +246,11 @@ def _run(args) -> str:
             fmt=args.format, precision=precision,
         )
 
-    # indicators: reuse the attributions computed above through compute_indicators
-    results = []
-    for key in sorted(sets):
-        ranked = rank(sets[key])
-        results.append(
-            (key, compute_indicators(
-                ranked, scheme, rule,
-                rounding=rounding, policy=policy, midpoint_route=midpoint_route,
-            ))
-        )
+    # indicators: fold the attributions computed above
+    results = [
+        (key, fold_indicators(ranked, scheme, rule, attributions))
+        for key, ranked, attributions in batches
+    ]
     return render_indicators(results, scheme, fmt=args.format, precision=precision)
 
 

@@ -19,6 +19,7 @@ from .scoring import (
     MidpointRoute,
     RoundingMode,
     attribute_all,
+    tie_group_attributions,
 )
 
 
@@ -34,27 +35,34 @@ class ClassCounts:
         return sum(self.counts, start=Fraction(0))
 
 
+def _add_mass(
+    counts: list[Fraction], attribution: Attribution, scheme: PRScheme, weight: int = 1
+) -> None:
+    """Add `weight` copies of one attribution's class mass to `counts`."""
+    if isinstance(attribution, FractionalAttribution):
+        if len(attribution.fractions) != scheme.k:
+            raise ValueError(
+                f"attribution for {attribution.doc_id!r} has "
+                f"{len(attribution.fractions)} fractions but the scheme has "
+                f"{scheme.k} classes"
+            )
+        for i, fraction in enumerate(attribution.fractions):
+            if fraction:
+                counts[i] += weight * fraction
+    else:
+        if not (1 <= attribution.class_index <= scheme.k):
+            raise ValueError(
+                f"attribution for {attribution.doc_id!r} names class "
+                f"{attribution.class_index}, outside this scheme"
+            )
+        counts[attribution.class_index - 1] += weight
+
+
 def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> ClassCounts:
     """Total per-class mass across documents (one attribution per document)."""
     counts = [Fraction(0)] * scheme.k
     for attribution in attributions:
-        if isinstance(attribution, FractionalAttribution):
-            if len(attribution.fractions) != scheme.k:
-                raise ValueError(
-                    f"attribution for {attribution.doc_id!r} has "
-                    f"{len(attribution.fractions)} fractions but the scheme has "
-                    f"{scheme.k} classes"
-                )
-            for i, fraction in enumerate(attribution.fractions):
-                if fraction:
-                    counts[i] += fraction
-        else:
-            if not (1 <= attribution.class_index <= scheme.k):
-                raise ValueError(
-                    f"attribution for {attribution.doc_id!r} names class "
-                    f"{attribution.class_index}, outside this scheme"
-                )
-            counts[attribution.class_index - 1] += 1
+        _add_mass(counts, attribution, scheme)
     return ClassCounts(scheme, tuple(counts))
 
 
@@ -124,10 +132,30 @@ def compute_indicators(
     attributions = attribute_all(
         ranked, scheme, rule, rounding=rounding, policy=policy, midpoint_route=midpoint_route
     )
-    counts = class_counts(attributions, scheme)
-    total = i3(counts)
-    scores = {a.doc_id: per_doc_score(a, scheme) for a in attributions}
-    pp = pp_top(counts, ranked.n) if scheme.k == 2 else None
+    return fold_indicators(ranked, scheme, rule, attributions)
+
+
+def fold_indicators(
+    ranked: RankedSet,
+    scheme: PRScheme,
+    rule: CountingRule,
+    attributions: Sequence[Attribution],
+) -> IndicatorResult:
+    """The indicator set from `attribute_all(ranked, scheme, rule, ...)`.
+
+    The members of a tie group share one attribution, so each group is folded
+    once: its class mass counts group-size times, and its members share one
+    per-document score.
+    """
+    counts = [Fraction(0)] * scheme.k
+    scores: dict[str, Fraction] = {}
+    for group, members in tie_group_attributions(ranked, attributions):
+        head = members[0]
+        _add_mass(counts, head, scheme, group.size)
+        scores.update(dict.fromkeys(group.member_ids, per_doc_score(head, scheme)))
+    totals = ClassCounts(scheme, tuple(counts))
+    total = i3(totals)
+    pp = pp_top(totals, ranked.n) if scheme.k == 2 else None
     return IndicatorResult(
         scheme.name, rule, ranked.n, total, r_indicator(total, ranked.n), pp, scores
     )
@@ -211,7 +239,7 @@ def compare_rules(
     Classes are assigned under the 'lower' policy so the comparison can proceed
     across the very boundary cases it exists to surface; each hit is still
     flagged with the boundary it sat on. Fractional counts are attached for
-    reference.
+    reference: n times each class width.
     """
     per_rule = {
         rule: attribute_all(
@@ -224,27 +252,32 @@ def compare_rules(
         )
         for rule in POINT_RULES
     }
+    # Tie group members share their attributions, so each group is judged by
+    # its first member's.
+    heads = {
+        rule: [members[0] for _, members in tie_group_attributions(ranked, per_rule[rule])]
+        for rule in POINT_RULES
+    }
     flags: list[BoundaryFlag] = []
     for rule in POINT_RULES:
-        for attribution in per_rule[rule]:
-            if attribution.ambiguous:
-                interval = ranked.interval_of[attribution.doc_id]
-                flags.append(
+        for group, head in zip(ranked.groups, heads[rule]):
+            if head.ambiguous:
+                interval = ranked.interval_of[head.doc_id]
+                flags += [
                     BoundaryFlag(
-                        rule,
-                        attribution.doc_id,
-                        attribution.quantile,
-                        attribution.boundary_hit,
-                        interval.low,
-                        interval.high,
+                        rule, doc_id, head.quantile, head.boundary_hit,
+                        interval.low, interval.high,
                     )
-                )
+                    for doc_id in group.member_ids
+                ]
     disagreements: list[RuleDisagreement] = []
-    for position, doc_id in enumerate(ranked.doc_ids_in_rank_order()):
-        classes = {rule: per_rule[rule][position].class_index for rule in POINT_RULES}
+    for index, group in enumerate(ranked.groups):
+        classes = {rule: heads[rule][index].class_index for rule in POINT_RULES}
         if len(set(classes.values())) > 1:
-            disagreements.append(RuleDisagreement(doc_id, classes))
-    fractional = class_counts(
-        attribute_all(ranked, scheme, CountingRule.FRACTIONAL), scheme
-    )
+            disagreements += [
+                RuleDisagreement(doc_id, dict(classes)) for doc_id in group.member_ids
+            ]
+    # Tie group intervals tile [0, 1], so the fractional mass of class k is
+    # exactly n times its width.
+    fractional = ClassCounts(scheme, tuple(ranked.n * cls.width for cls in scheme.classes))
     return AmbiguityReport(scheme, tuple(flags), tuple(disagreements), fractional)

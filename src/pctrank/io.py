@@ -43,6 +43,7 @@ from .scoring import (
     MidpointRoute,
     PointAttribution,
     RoundingMode,
+    tie_group_attributions,
 )
 
 SCHEMA_VERSION = "1"
@@ -102,7 +103,7 @@ def read_records(source: str | Path | TextIO) -> list[CitationRecord]:
     else is delimited text with a header row naming the columns id, citations
     and optionally group, delimited by comma or tab (sniffed from the header).
     """
-    text = _read_text(source)
+    text = _read_text(source).removeprefix("\ufeff")
     stripped = text.lstrip()
     if not stripped:
         raise DataError("input is empty")
@@ -112,10 +113,20 @@ def read_records(source: str | Path | TextIO) -> list[CitationRecord]:
 
 
 def partition_by_group(records: Sequence[CitationRecord]) -> dict[str, DocumentSet]:
-    """One DocumentSet per group key; records without a group go to "default"."""
+    """One DocumentSet per group key; records without a group go to "default".
+
+    Records without a group and records naming the group "default" would
+    merge silently, so that mix is rejected.
+    """
     buckets: dict[str, list[CitationRecord]] = {}
     for record in records:
         buckets.setdefault(record.group or DEFAULT_GROUP, []).append(record)
+    members = buckets.get(DEFAULT_GROUP, ())
+    if any(not r.group for r in members) and any(r.group for r in members):
+        raise DataError(
+            f"group {DEFAULT_GROUP!r} is named explicitly, but it is also the group "
+            "of rows without one; rename the group or give every row a group"
+        )
     return {key: DocumentSet(tuple(buckets[key])) for key in sorted(buckets)}
 
 
@@ -125,15 +136,18 @@ def _read_text(source: str | Path | TextIO) -> str:
     if source == "-":
         return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        # newline="" keeps line endings inside quoted csv fields as written.
+        with open(source, newline="") as handle:
+            return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read input {source}: {exc}") from None
 
 
 def _records_from_delimited(text: str) -> list[CitationRecord]:
-    lines = text.splitlines()
-    delimiter = "\t" if "\t" in lines[0] else ","
-    rows = csv.reader(lines, delimiter=delimiter)
+    stream = io.StringIO(text, newline="")
+    delimiter = "\t" if "\t" in stream.readline() else ","
+    stream.seek(0)
+    rows = csv.reader(stream, delimiter=delimiter)
     header = [cell.strip().lower() for cell in next(rows)]
     unknown = [name for name in header if name not in _KNOWN_COLUMNS]
     if unknown:
@@ -146,7 +160,10 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
 
     records: list[CitationRecord] = []
     seen: dict[str, int] = {}
-    for line_no, row in enumerate(rows, start=2):
+    last_line = rows.line_num
+    for row in rows:
+        # A quoted newline makes a row span lines; report the row's first one.
+        line_no, last_line = last_line + 1, rows.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
@@ -276,46 +293,47 @@ def render_attributions(
 
 
 def _render_fractional(batches, scheme, fmt, precision) -> str:
+    # Tie group members share their interval, score and fractions, so each
+    # group's strings are formatted once and reused for its members.
     class_labels = [f"f_{i}" for i in range(1, scheme.k + 1)]
     if fmt == "csv":
         header = ["id", "citations", "group", "interval_low", "interval_high", "score"]
         header += class_labels
         rows = []
         for group_key, ranked, attributions in batches:
-            citations = _citations_of(ranked)
-            for attribution in attributions:
-                interval = ranked.interval_of[attribution.doc_id]
-                rows.append(
-                    [
-                        attribution.doc_id,
-                        str(citations[attribution.doc_id]),
-                        group_key,
-                        format_fraction(interval.low),
-                        format_fraction(interval.high),
-                        format_fraction(per_doc_score(attribution, scheme)),
-                    ]
-                    + [format_fraction(f) for f in attribution.fractions]
-                )
+            for group, members in tie_group_attributions(ranked, attributions):
+                interval = ranked.interval_of[group.member_ids[0]]
+                shared = [
+                    str(group.citations),
+                    group_key,
+                    format_fraction(interval.low),
+                    format_fraction(interval.high),
+                    format_fraction(per_doc_score(members[0], scheme)),
+                ] + [format_fraction(f) for f in members[0].fractions]
+                rows += [[attribution.doc_id, *shared] for attribution in members]
         return _csv_text(header, rows)
     if fmt == "json":
         groups = []
         for group_key, ranked, attributions in batches:
-            citations = _citations_of(ranked)
             documents = []
-            for attribution in attributions:
-                interval = ranked.interval_of[attribution.doc_id]
-                documents.append(
+            for group, members in tie_group_attributions(ranked, attributions):
+                interval = ranked.interval_of[group.member_ids[0]]
+                bounds = {
+                    "low": format_fraction(interval.low),
+                    "high": format_fraction(interval.high),
+                }
+                score = format_fraction(per_doc_score(members[0], scheme))
+                fractions = [format_fraction(f) for f in members[0].fractions]
+                documents += [
                     {
                         "id": attribution.doc_id,
-                        "citations": citations[attribution.doc_id],
-                        "interval": {
-                            "low": format_fraction(interval.low),
-                            "high": format_fraction(interval.high),
-                        },
-                        "score": format_fraction(per_doc_score(attribution, scheme)),
-                        "fractions": [format_fraction(f) for f in attribution.fractions],
+                        "citations": group.citations,
+                        "interval": bounds,
+                        "score": score,
+                        "fractions": fractions,
                     }
-                )
+                    for attribution in members
+                ]
             groups.append({"group": group_key, "n": ranked.n, "documents": documents})
         return _json_text(
             {
@@ -329,20 +347,16 @@ def _render_fractional(batches, scheme, fmt, precision) -> str:
     # table
     sections = []
     for group_key, ranked, attributions in batches:
-        citations = _citations_of(ranked)
         rows = []
-        for attribution in attributions:
-            interval = ranked.interval_of[attribution.doc_id]
-            rows.append(
-                [
-                    attribution.doc_id,
-                    str(citations[attribution.doc_id]),
-                    f"[{format_fraction(interval.low)}, {format_fraction(interval.high)}]",
-                    interval_percent_str(interval.low, interval.high),
-                    _exact_and_decimal(per_doc_score(attribution, scheme), precision),
-                ]
-                + [format_fraction(f) for f in attribution.fractions]
-            )
+        for group, members in tie_group_attributions(ranked, attributions):
+            interval = ranked.interval_of[group.member_ids[0]]
+            shared = [
+                str(group.citations),
+                f"[{format_fraction(interval.low)}, {format_fraction(interval.high)}]",
+                interval_percent_str(interval.low, interval.high),
+                _exact_and_decimal(per_doc_score(members[0], scheme), precision),
+            ] + [format_fraction(f) for f in members[0].fractions]
+            rows += [[attribution.doc_id, *shared] for attribution in members]
         lines = [
             f"# group={group_key} n={ranked.n} scheme={scheme.name} rule=fractional"
         ]

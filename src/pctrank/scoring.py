@@ -13,11 +13,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BoundaryAmbiguityError
 from .model import PRScheme
-from .ranking import QuantileInterval, RankedSet
+from .ranking import QuantileInterval, RankedSet, TieGroup
 
 
 class CountingRule(Enum):
@@ -104,16 +104,19 @@ def _interval(ranked: RankedSet, doc_id: str) -> QuantileInterval:
         raise KeyError(f"unknown document id {doc_id!r}") from None
 
 
-def point_quantile(doc_id: str, ranked: RankedSet, rule: CountingRule) -> Fraction:
-    """The single quantile a point rule assigns to a document."""
-    if rule is CountingRule.FRACTIONAL:
-        raise ValueError("the fractional rule has no point quantile; use fractional_attribution")
-    interval = _interval(ranked, doc_id)
+def _rule_point(interval: QuantileInterval, rule: CountingRule) -> Fraction:
     if rule is CountingRule.COUNT_WORSE:
         return interval.low
     if rule is CountingRule.COUNT_WORSE_OR_EQUAL:
         return interval.high
-    return interval.midpoint
+    if rule is CountingRule.MIDPOINT:
+        return interval.midpoint
+    raise ValueError("the fractional rule has no point quantile; use fractional_attribution")
+
+
+def point_quantile(doc_id: str, ranked: RankedSet, rule: CountingRule) -> Fraction:
+    """The single quantile a point rule assigns to a document."""
+    return _rule_point(_interval(ranked, doc_id), rule)
 
 
 def to_percentile(q: Fraction, mode: RoundingMode) -> int | Fraction:
@@ -160,6 +163,55 @@ def classify_point(
     return PointClassification(bisect_right(lowers, q), False, None)
 
 
+def _point_fields(
+    interval: QuantileInterval,
+    scheme: PRScheme,
+    rule: CountingRule,
+    rounding: RoundingMode,
+    policy: BoundaryPolicy,
+    midpoint_route: MidpointRoute,
+) -> tuple:
+    """Every PointAttribution field after doc_id, for a point rule applied to
+    one quantile interval."""
+    quantile = _rule_point(interval, rule)
+    percentile: int | None = None
+    endpoint_percentiles: tuple[int, int] | None = None
+    effective = quantile
+    if rounding is not RoundingMode.NONE:
+        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
+            p_low = to_percentile(interval.low, rounding)
+            p_high = to_percentile(interval.high, rounding)
+            endpoint_percentiles = (p_low, p_high)
+            percentile = to_percentile(Fraction(p_low + p_high, 200), rounding)
+        else:
+            percentile = to_percentile(quantile, rounding)
+        effective = Fraction(percentile, 100)
+    decision = classify_point(effective, scheme, policy)
+    return (
+        quantile,
+        percentile,
+        decision.class_index,
+        decision.ambiguous,
+        decision.boundary_hit,
+        endpoint_percentiles,
+    )
+
+
+def _fractions(interval: QuantileInterval, scheme: PRScheme) -> tuple[Fraction, ...]:
+    """Overlap of one quantile interval with each class, over its width."""
+    fractions = [Fraction(0)] * scheme.k
+    lowers = scheme.lower_bounds
+    # Only classes with lower <= interval.low < ... < interval.high can overlap.
+    start = bisect_right(lowers, interval.low) - 1
+    stop = bisect_left(lowers, interval.high)
+    for i in range(start, stop):
+        cls = scheme.classes[i]
+        overlap = min(interval.high, cls.upper) - max(interval.low, cls.lower)
+        if overlap > 0:
+            fractions[i] = overlap / interval.width
+    return tuple(fractions)
+
+
 def point_attribution(
     doc_id: str,
     ranked: RankedSet,
@@ -177,30 +229,10 @@ def point_attribution(
     route, which applies to the midpoint rule only, first rounds both interval
     ends to percentiles and then rounds their middle the same way.
     """
-    quantile = point_quantile(doc_id, ranked, rule)
-    percentile: int | None = None
-    endpoint_percentiles: tuple[int, int] | None = None
-    effective = quantile
-    if rounding is not RoundingMode.NONE:
-        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
-            interval = _interval(ranked, doc_id)
-            p_low = to_percentile(interval.low, rounding)
-            p_high = to_percentile(interval.high, rounding)
-            endpoint_percentiles = (p_low, p_high)
-            percentile = to_percentile(Fraction(p_low + p_high, 200), rounding)
-        else:
-            percentile = to_percentile(quantile, rounding)
-        effective = Fraction(percentile, 100)
-    decision = classify_point(effective, scheme, policy)
-    return PointAttribution(
-        doc_id,
-        quantile,
-        percentile,
-        decision.class_index,
-        decision.ambiguous,
-        decision.boundary_hit,
-        endpoint_percentiles,
+    fields = _point_fields(
+        _interval(ranked, doc_id), scheme, rule, rounding, policy, midpoint_route
     )
+    return PointAttribution(doc_id, *fields)
 
 
 def fractional_attribution(
@@ -212,18 +244,7 @@ def fractional_attribution(
     modes and boundary policies play no part: a shared endpoint has zero
     length, so nothing is ever ambiguous and the fractions sum to exactly 1.
     """
-    interval = _interval(ranked, doc_id)
-    fractions = [Fraction(0)] * scheme.k
-    lowers = scheme.lower_bounds
-    # Only classes with lower <= interval.low < ... < interval.high can overlap.
-    start = bisect_right(lowers, interval.low) - 1
-    stop = bisect_left(lowers, interval.high)
-    for i in range(start, stop):
-        cls = scheme.classes[i]
-        overlap = min(interval.high, cls.upper) - max(interval.low, cls.lower)
-        if overlap > 0:
-            fractions[i] = overlap / interval.width
-    return FractionalAttribution(doc_id, tuple(fractions))
+    return FractionalAttribution(doc_id, _fractions(_interval(ranked, doc_id), scheme))
 
 
 def attribute_all(
@@ -237,24 +258,36 @@ def attribute_all(
 ) -> list[Attribution]:
     """Attribute every document, in rank order (ids sorted inside tie groups).
 
-    rounding, policy and midpoint_route only apply to point rules; the
-    fractional rule ignores them.
+    The members of a tie group share one interval, so each group is attributed
+    once and its members' attributions share that payload (under the
+    fractional rule, one `fractions` tuple). rounding, policy and
+    midpoint_route only apply to point rules; the fractional rule ignores them.
     """
     out: list[Attribution] = []
     for group in ranked.groups:
-        for doc_id in group.member_ids:
-            if rule is CountingRule.FRACTIONAL:
-                out.append(fractional_attribution(doc_id, ranked, scheme))
-            else:
-                out.append(
-                    point_attribution(
-                        doc_id,
-                        ranked,
-                        scheme,
-                        rule,
-                        rounding=rounding,
-                        policy=policy,
-                        midpoint_route=midpoint_route,
-                    )
-                )
+        interval = _interval(ranked, group.member_ids[0])
+        if rule is CountingRule.FRACTIONAL:
+            fractions = _fractions(interval, scheme)
+            out += [FractionalAttribution(doc_id, fractions) for doc_id in group.member_ids]
+        else:
+            fields = _point_fields(interval, scheme, rule, rounding, policy, midpoint_route)
+            out += [PointAttribution(doc_id, *fields) for doc_id in group.member_ids]
     return out
+
+
+def tie_group_attributions(
+    ranked: RankedSet, attributions: Sequence[Attribution]
+) -> Iterator[tuple[TieGroup, Sequence[Attribution]]]:
+    """Each tie group of `ranked` with its members' attributions.
+
+    `attributions` must be attribute_all's output for `ranked`: rank order,
+    one per document, with every member of a group sharing its payload.
+    """
+    if len(attributions) != ranked.n:
+        raise ValueError(
+            f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
+        )
+    position = 0
+    for group in ranked.groups:
+        yield group, attributions[position:position + group.size]
+        position += group.size

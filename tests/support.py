@@ -1,11 +1,20 @@
-"""Shared test helpers: an independent overlap oracle and random generators."""
+"""Shared test helpers: reference oracles and random generators."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from pctrank import CitationRecord, DocumentSet, PRScheme, scheme_from_boundaries
+from pctrank import (
+    CitationRecord,
+    CountingRule,
+    DocumentSet,
+    PRScheme,
+    RankedSet,
+    fractional_attribution,
+    point_attribution,
+    scheme_from_boundaries,
+)
 
 
 def overlap_fractions_oracle(
@@ -28,6 +37,20 @@ def overlap_fractions_oracle(
                 break
     width = high - low
     return [piece / width for piece in acc]
+
+
+def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **options):
+    """Reference for attribute_all: every document attributed on its own,
+    in rank order, through the per-document functions."""
+    if rule is CountingRule.FRACTIONAL:
+        return [
+            fractional_attribution(doc_id, ranked, scheme)
+            for doc_id in ranked.doc_ids_in_rank_order()
+        ]
+    return [
+        point_attribution(doc_id, ranked, scheme, rule, **options)
+        for doc_id in ranked.doc_ids_in_rank_order()
+    ]
 
 
 def make_distinct(n: int, prefix: str = "d") -> DocumentSet:

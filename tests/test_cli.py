@@ -117,6 +117,27 @@ class TestAttribute:
         assert [g["n"] for g in payload["groups"]] == [3, 2]
 
 
+class TestInputEdgeCases:
+    def test_quoted_newline_in_an_id_survives(self, run, tmp_path):
+        path = tmp_path / "newline.csv"
+        path.write_bytes(b'id,citations\r\n"a\nb",1\r\n"c\r\nd",2\r\n')
+        code, out, _ = run(
+            ["attribute", "--scheme", "top50", "--input", str(path), "--format", "json"]
+        )
+        assert code == EXIT_OK
+        documents = json.loads(out)["groups"][0]["documents"]
+        assert [d["id"] for d in documents] == ["a\nb", "c\r\nd"]
+
+    def test_byte_order_mark_before_the_header(self, run, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff".encode() + FIVE_CSV.encode())
+        code, out, _ = run(
+            ["indicators", "--scheme", "pr6", "--input", str(path), "--format", "csv"]
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("default,5,pr6,fractional,191/20,")
+
+
 class TestBoundaryHandling:
     MID = ["--rule", "midpoint"]
 
@@ -307,6 +328,14 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert out == ""
         assert "input error" in err and "line 2" in err
+
+    def test_explicit_default_group_clashes_with_ungrouped_rows(self, run, tmp_path):
+        path = tmp_path / "clash.csv"
+        path.write_text("id,citations,group\na,1,default\nb,2,\n")
+        code, out, err = run(["indicators", "--scheme", "top50", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "'default'" in err
 
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(

@@ -1,0 +1,186 @@
+"""Seeded property tests: the per-tie-group paths against the per-document
+reference in support.attribute_each."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from pctrank import (
+    POINT_RULES,
+    BoundaryAmbiguityError,
+    BoundaryPolicy,
+    CitationRecord,
+    CountingRule,
+    DocumentSet,
+    MidpointRoute,
+    RoundingMode,
+    attribute_all,
+    builtin_scheme,
+    class_counts,
+    compare_rules,
+    compute_indicators,
+    i3,
+    per_doc_score,
+    pp_top,
+    rank,
+    render_attributions,
+    scheme_from_boundaries,
+)
+from support import (
+    attribute_each,
+    make_distinct,
+    make_tied,
+    random_document_set,
+    random_scheme,
+)
+
+POINT_OPTIONS = [
+    dict(rounding=rounding, policy=policy, midpoint_route=route)
+    for rounding in RoundingMode
+    for route in MidpointRoute
+    for policy in (BoundaryPolicy.LOWER, BoundaryPolicy.UPPER)
+]
+
+
+def tie_heavy_set(rng: random.Random, max_n: int = 200) -> DocumentSet:
+    """Up to max_n documents over a handful of citation counts."""
+    n = rng.randint(max_n // 2, max_n)
+    top = rng.randint(0, 6)
+    return DocumentSet(
+        tuple(CitationRecord(f"h{i:03d}", rng.randint(0, top)) for i in range(n))
+    )
+
+
+def cases():
+    """(ranked set, scheme) pairs: small random sets, tie-heavy sets up to
+    n=200, and the edge sizes n=1 and one tie group of size n."""
+    rng = random.Random(20120516)
+    out = [(rank(random_document_set(rng)), random_scheme(rng)) for _ in range(60)]
+    for _ in range(8):
+        scheme = rng.choice(
+            [random_scheme(rng), builtin_scheme("pr6"), builtin_scheme("pr100")]
+        )
+        out.append((rank(tie_heavy_set(rng)), scheme))
+    for name in ("top50", "pr6", "pr100"):
+        out.append((rank(make_distinct(1)), builtin_scheme(name)))
+    out.append((rank(make_tied(200)), builtin_scheme("pr100")))
+    out.append((rank(make_tied(1)), builtin_scheme("pr100")))
+    return out
+
+
+CASES = cases()
+IDS = [f"n{ranked.n}-k{scheme.k}-{i}" for i, (ranked, scheme) in enumerate(CASES)]
+
+
+def rule_options(rule: CountingRule) -> list[dict]:
+    return [{}] if rule is CountingRule.FRACTIONAL else POINT_OPTIONS
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_attribute_all_matches_the_per_document_path(ranked, scheme):
+    for rule in CountingRule:
+        for options in rule_options(rule):
+            assert attribute_all(ranked, scheme, rule, **options) == attribute_each(
+                ranked, scheme, rule, **options
+            )
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_error_policy_refuses_exactly_when_the_per_document_path_does(ranked, scheme):
+    for rule in POINT_RULES:
+        for rounding in RoundingMode:
+            for route in MidpointRoute:
+                options = dict(
+                    rounding=rounding, policy=BoundaryPolicy.ERROR, midpoint_route=route
+                )
+                try:
+                    expected = attribute_each(ranked, scheme, rule, **options)
+                except BoundaryAmbiguityError:
+                    with pytest.raises(BoundaryAmbiguityError):
+                        attribute_all(ranked, scheme, rule, **options)
+                else:
+                    assert attribute_all(ranked, scheme, rule, **options) == expected
+
+
+def one_hot_schemes(scheme):
+    """The scheme once per class, weighting that class 1 and every other 0,
+    so that I3 reads off one class count."""
+    for index in range(scheme.k):
+        weights = [Fraction(int(i == index)) for i in range(scheme.k)]
+        yield index, scheme_from_boundaries("one-hot", scheme.boundaries, weights)
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_compute_indicators_matches_the_summed_oracle(ranked, scheme):
+    for rule in CountingRule:
+        options = {} if rule is CountingRule.FRACTIONAL else POINT_OPTIONS[0]
+        reference = attribute_each(ranked, scheme, rule, **options)
+        counts = class_counts(reference, scheme)
+        result = compute_indicators(ranked, scheme, rule, **options)
+        assert result.i3 == i3(counts)
+        assert result.r == i3(counts) / ranked.n
+        assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
+        assert result.per_doc_scores == {
+            a.doc_id: per_doc_score(a, scheme) for a in reference
+        }
+        for index, one_hot in one_hot_schemes(scheme):
+            folded = compute_indicators(ranked, one_hot, rule, **options)
+            assert folded.i3 == counts.counts[index]
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_compare_rules_matches_the_per_document_path(ranked, scheme):
+    for rounding in RoundingMode:
+        for route in MidpointRoute:
+            report = compare_rules(ranked, scheme, rounding=rounding, midpoint_route=route)
+            per_rule = {
+                rule: attribute_each(
+                    ranked, scheme, rule,
+                    rounding=rounding, policy=BoundaryPolicy.LOWER, midpoint_route=route,
+                )
+                for rule in POINT_RULES
+            }
+            flags = [
+                (rule, a.doc_id, a.quantile, a.boundary_hit)
+                for rule in POINT_RULES
+                for a in per_rule[rule]
+                if a.ambiguous
+            ]
+            assert [(f.rule, f.doc_id, f.quantile, f.boundary) for f in report.flags] == flags
+            disagreements = []
+            for position, doc_id in enumerate(ranked.doc_ids_in_rank_order()):
+                classes = {rule: per_rule[rule][position].class_index for rule in POINT_RULES}
+                if len(set(classes.values())) > 1:
+                    disagreements.append((doc_id, classes))
+            assert [(d.doc_id, d.classes) for d in report.disagreements] == disagreements
+    fractional = class_counts(attribute_each(ranked, scheme, CountingRule.FRACTIONAL), scheme)
+    assert report.fractional_counts == fractional
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES[-12:], ids=IDS[-12:])
+def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
+    reference = attribute_each(ranked, scheme, CountingRule.FRACTIONAL)
+    citations = {record.doc_id: record.citations for record in ranked.source.records}
+    expected = []
+    for a in reference:
+        interval = ranked.interval_of[a.doc_id]
+        expected.append(
+            [a.doc_id, str(citations[a.doc_id]), "g", str(interval.low), str(interval.high),
+             str(per_doc_score(a, scheme))] + [str(f) for f in a.fractions]
+        )
+    batches = [("g", ranked, attribute_all(ranked, scheme, CountingRule.FRACTIONAL))]
+    text = render_attributions(batches, scheme, CountingRule.FRACTIONAL, fmt="csv")
+    assert list(csv.reader(io.StringIO(text)))[1:] == expected
+    text = render_attributions(batches, scheme, CountingRule.FRACTIONAL, fmt="json")
+    documents = json.loads(text)["groups"][0]["documents"]
+    assert [
+        [d["id"], str(d["citations"]), "g", d["interval"]["low"], d["interval"]["high"],
+         d["score"], *d["fractions"]]
+        for d in documents
+    ] == expected

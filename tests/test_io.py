@@ -118,6 +118,25 @@ class TestReadRecords:
         assert message.startswith("line 4:")
         assert "first seen on line 2" in message
 
+    def test_quoted_newline_stays_in_the_id(self):
+        text = 'id,citations\n"a\nb",1\n"c\r\nd",2\n'
+        records = read_records(io.StringIO(text, newline=""))
+        assert [r.doc_id for r in records] == ["a\nb", "c\r\nd"]
+
+    def test_line_numbers_count_the_lines_a_quoted_newline_spans(self):
+        text = 'id,citations\n"a\nb",1\nc,x\n'
+        with pytest.raises(DataError) as err:
+            read_records(io.StringIO(text))
+        assert str(err.value).startswith("line 4:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeffid,citations\na,1\n", '\ufeff[{"id": "a", "citations": 1}]'],
+    )
+    def test_leading_byte_order_mark_is_ignored(self, text):
+        records = read_records(io.StringIO(text))
+        assert [(r.doc_id, r.citations) for r in records] == [("a", 1)]
+
     @pytest.mark.parametrize(
         "payload,fragment",
         [
@@ -149,6 +168,16 @@ class TestPartitionByGroup:
         assert list(sets) == ["alpha", "beta", "default"]
         assert sets["alpha"].n == 2
         assert sets["default"].n == 2
+
+    def test_explicit_default_group_alone_is_kept(self):
+        records = read_records(io.StringIO("id,citations,group\na,1,default\nb,2,default\n"))
+        assert partition_by_group(records)["default"].n == 2
+
+    def test_explicit_default_group_beside_ungrouped_rows_is_rejected(self):
+        records = read_records(io.StringIO("id,citations,group\na,1,default\nb,2,\n"))
+        with pytest.raises(DataError) as err:
+            partition_by_group(records)
+        assert "'default'" in str(err.value)
 
 
 class TestDisplayStrings:
