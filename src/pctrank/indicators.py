@@ -17,7 +17,9 @@ from .scoring import (
     CountingRule,
     FractionalAttribution,
     MidpointRoute,
+    PointAttribution,
     RoundingMode,
+    _Grid,
     attribute_all,
     tie_group_attributions,
 )
@@ -35,10 +37,8 @@ class ClassCounts:
         return sum(self.counts, start=Fraction(0))
 
 
-def _add_mass(
-    counts: list[Fraction], attribution: Attribution, scheme: PRScheme, weight: int = 1
-) -> None:
-    """Add `weight` copies of one attribution's class mass to `counts`."""
+def _check(attribution: Attribution, scheme: PRScheme) -> None:
+    """Refuse an attribution that does not fit the scheme."""
     if isinstance(attribution, FractionalAttribution):
         if len(attribution.fractions) != scheme.k:
             raise ValueError(
@@ -46,24 +46,31 @@ def _add_mass(
                 f"{len(attribution.fractions)} fractions but the scheme has "
                 f"{scheme.k} classes"
             )
-        for i, fraction in enumerate(attribution.fractions):
-            if fraction:
-                counts[i] += weight * fraction
-    else:
-        if not (1 <= attribution.class_index <= scheme.k):
-            raise ValueError(
-                f"attribution for {attribution.doc_id!r} names class "
-                f"{attribution.class_index}, outside this scheme"
-            )
-        counts[attribution.class_index - 1] += weight
+    elif not (1 <= attribution.class_index <= scheme.k):
+        raise ValueError(
+            f"attribution for {attribution.doc_id!r} names class "
+            f"{attribution.class_index}, outside this scheme"
+        )
 
 
 def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> ClassCounts:
     """Total per-class mass across documents (one attribution per document)."""
     counts = [Fraction(0)] * scheme.k
     for attribution in attributions:
-        _add_mass(counts, attribution, scheme)
+        _check(attribution, scheme)
+        if isinstance(attribution, FractionalAttribution):
+            for i, fraction in enumerate(attribution.fractions):
+                if fraction:
+                    counts[i] += fraction
+        else:
+            counts[attribution.class_index - 1] += 1
     return ClassCounts(scheme, tuple(counts))
+
+
+def _fractional_counts(scheme: PRScheme, n: int) -> ClassCounts:
+    """Fractional class counts of n ranked documents. Tie group intervals tile
+    [0, 1], so the fractional mass of class k is exactly n times its width."""
+    return ClassCounts(scheme, tuple(n * cls.width for cls in scheme.classes))
 
 
 def i3(counts: ClassCounts) -> Fraction:
@@ -84,7 +91,8 @@ def per_doc_score(attribution: Attribution, scheme: PRScheme) -> Fraction:
             )
         return sum(
             (fraction * cls.weight
-             for fraction, cls in zip(attribution.fractions, scheme.classes)),
+             for fraction, cls in zip(attribution.fractions, scheme.classes)
+             if fraction),
             start=Fraction(0),
         )
     return scheme.classes[attribution.class_index - 1].weight
@@ -143,17 +151,23 @@ def fold_indicators(
 ) -> IndicatorResult:
     """The indicator set from `attribute_all(ranked, scheme, rule, ...)`.
 
-    The members of a tie group share one attribution, so each group is folded
-    once: its class mass counts group-size times, and its members share one
-    per-document score.
+    The members of a tie group share one attribution, so each group is checked
+    and folded once and its members share one per-document score. Point-rule
+    class counts are tallied as integers; fractional ones follow from the
+    closed form n times class width.
     """
-    counts = [Fraction(0)] * scheme.k
+    tallies = [0] * scheme.k
     scores: dict[str, Fraction] = {}
     for group, members in tie_group_attributions(ranked, attributions):
         head = members[0]
-        _add_mass(counts, head, scheme, group.size)
+        _check(head, scheme)
+        if isinstance(head, PointAttribution):
+            tallies[head.class_index - 1] += group.size
         scores.update(dict.fromkeys(group.member_ids, per_doc_score(head, scheme)))
-    totals = ClassCounts(scheme, tuple(counts))
+    if rule is CountingRule.FRACTIONAL:
+        totals = _fractional_counts(scheme, ranked.n)
+    else:
+        totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
     total = i3(totals)
     pp = pp_top(totals, ranked.n) if scheme.k == 2 else None
     return IndicatorResult(
@@ -241,43 +255,31 @@ def compare_rules(
     flagged with the boundary it sat on. Fractional counts are attached for
     reference: n times each class width.
     """
-    per_rule = {
-        rule: attribute_all(
-            ranked,
-            scheme,
-            rule,
-            rounding=rounding,
-            policy=BoundaryPolicy.LOWER,
-            midpoint_route=midpoint_route,
-        )
-        for rule in POINT_RULES
-    }
-    # Tie group members share their attributions, so each group is judged by
-    # its first member's.
-    heads = {
-        rule: [members[0] for _, members in tie_group_attributions(ranked, per_rule[rule])]
-        for rule in POINT_RULES
-    }
-    flags: list[BoundaryFlag] = []
-    for rule in POINT_RULES:
-        for group, head in zip(ranked.groups, heads[rule]):
-            if head.ambiguous:
-                interval = ranked.interval_of[head.doc_id]
-                flags += [
-                    BoundaryFlag(
-                        rule, doc_id, head.quantile, head.boundary_hit,
-                        interval.low, interval.high,
-                    )
+    grid = _Grid(scheme, ranked.n)
+    flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
+    disagreements: list[RuleDisagreement] = []
+    for group in ranked.groups:
+        classes = []
+        for rule in POINT_RULES:
+            a, scale, _, class_index, boundary, _ = grid.point(
+                group, rule, rounding, BoundaryPolicy.LOWER, midpoint_route
+            )
+            classes.append(class_index)
+            if boundary is not None:
+                interval = ranked.interval_of[group.member_ids[0]]
+                quantile = Fraction(a, scale)
+                flags[rule] += [
+                    BoundaryFlag(rule, doc_id, quantile, boundary, interval.low, interval.high)
                     for doc_id in group.member_ids
                 ]
-    disagreements: list[RuleDisagreement] = []
-    for index, group in enumerate(ranked.groups):
-        classes = {rule: heads[rule][index].class_index for rule in POINT_RULES}
-        if len(set(classes.values())) > 1:
+        if len(set(classes)) > 1:
             disagreements += [
-                RuleDisagreement(doc_id, dict(classes)) for doc_id in group.member_ids
+                RuleDisagreement(doc_id, dict(zip(POINT_RULES, classes)))
+                for doc_id in group.member_ids
             ]
-    # Tie group intervals tile [0, 1], so the fractional mass of class k is
-    # exactly n times its width.
-    fractional = ClassCounts(scheme, tuple(ranked.n * cls.width for cls in scheme.classes))
-    return AmbiguityReport(scheme, tuple(flags), tuple(disagreements), fractional)
+    return AmbiguityReport(
+        scheme,
+        tuple(flag for rule in POINT_RULES for flag in flags[rule]),
+        tuple(disagreements),
+        _fractional_counts(scheme, ranked.n),
+    )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import re
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -76,7 +75,8 @@ def decimal_str(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
 def percent_str(value: Fraction, decimals: int = PERCENT_DECIMALS) -> str:
     """Quantile rendered as a percentage, trimmed ("2/5" -> "40%", "1/3" -> "33.33%")."""
     scale = 10 ** decimals
-    units = math.floor(value * 100 * scale + Fraction(1, 2))
+    p, q = value.numerator, value.denominator
+    units = (200 * scale * p + q) // (2 * q)  # half-up rounding of 100*scale*value
     whole, part = divmod(units, scale)
     if part:
         digits = f"{part:0{decimals}d}".rstrip("0")
@@ -258,10 +258,6 @@ def _scheme_payload(scheme: PRScheme) -> dict:
     return scheme_to_document(scheme)
 
 
-def _citations_of(ranked: RankedSet) -> dict[str, int]:
-    return {record.doc_id: record.citations for record in ranked.source.records}
-
-
 def _percentile_exact(attribution: PointAttribution) -> Fraction:
     """The percentile value an attribution used: the rounded integer, or the
     exact unrounded 100*q when no rounding applied."""
@@ -368,45 +364,53 @@ def _render_fractional(batches, scheme, fmt, precision) -> str:
 
 
 def _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, precision) -> str:
+    # Tie group members share their interval and classification, so each
+    # group's cells are formatted once and reused for its members.
     show_endpoints = (
         rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
     )
 
-    def base_cells(group_key, ranked, citations, attribution, exact_only):
-        interval = ranked.interval_of[attribution.doc_id]
-        weight = scheme.classes[attribution.class_index - 1].weight
-        percentile = _percentile_exact(attribution)
+    def shared_cells(group_key, group, interval, head, exact_only):
+        """The cells of a row after the id, shared by a tie group's members."""
+        weight = scheme.classes[head.class_index - 1].weight
+        percentile = _percentile_exact(head)
         if exact_only:
             cells = [
-                attribution.doc_id,
-                str(citations[attribution.doc_id]),
+                str(group.citations),
                 group_key,
                 format_fraction(interval.low),
                 format_fraction(interval.high),
-                format_fraction(attribution.quantile),
+                format_fraction(head.quantile),
                 format_fraction(percentile),
             ]
         else:
             cells = [
-                attribution.doc_id,
-                str(citations[attribution.doc_id]),
+                str(group.citations),
                 f"[{format_fraction(interval.low)}, {format_fraction(interval.high)}]",
                 interval_percent_str(interval.low, interval.high),
-                f"{format_fraction(attribution.quantile)} ({percent_str(attribution.quantile)})",
+                f"{format_fraction(head.quantile)} ({percent_str(head.quantile)})",
                 decimal_str(percentile, precision)
-                if attribution.percentile is None
-                else str(attribution.percentile),
+                if head.percentile is None
+                else str(head.percentile),
             ]
         if show_endpoints:
-            pair = attribution.endpoint_percentiles
+            pair = head.endpoint_percentiles
             cells.append("" if pair is None else f"{pair[0]}/{pair[1]}")
         cells += [
-            str(attribution.class_index),
+            str(head.class_index),
             format_fraction(weight),
-            "true" if attribution.ambiguous else "false",
-            "" if attribution.boundary_hit is None else format_fraction(attribution.boundary_hit),
+            "true" if head.ambiguous else "false",
+            "" if head.boundary_hit is None else format_fraction(head.boundary_hit),
         ]
         return cells
+
+    def rows_of(group_key, ranked, attributions, exact_only):
+        rows = []
+        for group, members in tie_group_attributions(ranked, attributions):
+            interval = ranked.interval_of[group.member_ids[0]]
+            shared = shared_cells(group_key, group, interval, members[0], exact_only)
+            rows += [[attribution.doc_id, *shared] for attribution in members]
+        return rows
 
     if fmt in ("csv", "table"):
         header = (
@@ -420,15 +424,11 @@ def _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, 
         if fmt == "csv":
             rows = []
             for group_key, ranked, attributions in batches:
-                citations = _citations_of(ranked)
-                rows += [
-                    base_cells(group_key, ranked, citations, a, True) for a in attributions
-                ]
+                rows += rows_of(group_key, ranked, attributions, True)
             return _csv_text(header, rows)
         sections = []
         for group_key, ranked, attributions in batches:
-            citations = _citations_of(ranked)
-            rows = [base_cells(group_key, ranked, citations, a, False) for a in attributions]
+            rows = rows_of(group_key, ranked, attributions, False)
             meta = (
                 f"# group={group_key} n={ranked.n} scheme={scheme.name} rule={rule.value}"
                 f" rounding={rounding.value} route={midpoint_route.value}"
@@ -440,30 +440,29 @@ def _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, 
     # json
     groups = []
     for group_key, ranked, attributions in batches:
-        citations = _citations_of(ranked)
         documents = []
-        for attribution in attributions:
-            interval = ranked.interval_of[attribution.doc_id]
-            entry = {
-                "id": attribution.doc_id,
-                "citations": citations[attribution.doc_id],
+        for group, members in tie_group_attributions(ranked, attributions):
+            head = members[0]
+            interval = ranked.interval_of[group.member_ids[0]]
+            shared = {
+                "citations": group.citations,
                 "interval": {
                     "low": format_fraction(interval.low),
                     "high": format_fraction(interval.high),
                 },
-                "quantile": format_fraction(attribution.quantile),
-                "percentile": format_fraction(_percentile_exact(attribution)),
-                "class": attribution.class_index,
-                "weight": format_fraction(scheme.classes[attribution.class_index - 1].weight),
-                "ambiguous": attribution.ambiguous,
+                "quantile": format_fraction(head.quantile),
+                "percentile": format_fraction(_percentile_exact(head)),
+                "class": head.class_index,
+                "weight": format_fraction(scheme.classes[head.class_index - 1].weight),
+                "ambiguous": head.ambiguous,
                 "boundary": None
-                if attribution.boundary_hit is None
-                else format_fraction(attribution.boundary_hit),
+                if head.boundary_hit is None
+                else format_fraction(head.boundary_hit),
             }
             if show_endpoints:
-                pair = attribution.endpoint_percentiles
-                entry["endpoint_percentiles"] = None if pair is None else list(pair)
-            documents.append(entry)
+                pair = head.endpoint_percentiles
+                shared["endpoint_percentiles"] = None if pair is None else list(pair)
+            documents += [{"id": attribution.doc_id, **shared} for attribution in members]
         groups.append({"group": group_key, "n": ranked.n, "documents": documents})
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -247,6 +247,98 @@ def fractional_attribution(
     return FractionalAttribution(doc_id, _fractions(_interval(ranked, doc_id), scheme))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _Grid:
+    """A scheme's boundaries and a ranked set's quantiles on one integer grid.
+
+    With D the lcm of the boundary denominators, boundary b_j is the integer
+    cut c_j = b_j*D. A quantile a/s lies below, on or above b_j as a*D
+    compares with c_j*s, so each point scale s gets its list of scaled cuts.
+    A tie group spanning ranks r_low..r_high of n is the span
+    [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
+    1/(n*D). Rounded percentiles p are points at scale 100.
+    """
+
+    def __init__(self, scheme: PRScheme, n: int):
+        self.scheme = scheme
+        self.n = n
+        self.d = math.lcm(*(b.denominator for b in scheme.boundaries))
+        cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
+        self.edges = {scale: [c * scale for c in cuts] for scale in (n, 2 * n, 100)}
+
+    def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
+        """classify_point for the quantile a/scale: (class index, boundary hit)."""
+        edges = self.edges[scale]
+        k = self.scheme.k
+        x = a * self.d
+        idx = bisect_left(edges, x, 0, k)
+        if idx < k and edges[idx] == x:
+            if idx == 0:
+                return 1, None
+            boundary = self.scheme.lower_bounds[idx]
+            if policy is BoundaryPolicy.ERROR:
+                raise BoundaryAmbiguityError(boundary)
+            return (idx if policy is BoundaryPolicy.LOWER else idx + 1), boundary
+        return idx, None
+
+    def point(
+        self,
+        group: TieGroup,
+        rule: CountingRule,
+        rounding: RoundingMode,
+        policy: BoundaryPolicy,
+        midpoint_route: MidpointRoute,
+    ) -> tuple:
+        """A point rule on one tie group, as _point_fields decides it:
+        (a, scale, percentile, class index, boundary hit, endpoint
+        percentiles), where the rule's quantile is a/scale."""
+        n = self.n
+        if rule is CountingRule.COUNT_WORSE:
+            a, scale = group.rank_low - 1, n
+        elif rule is CountingRule.COUNT_WORSE_OR_EQUAL:
+            a, scale = group.rank_high, n
+        else:  # midpoint
+            a, scale = group.rank_low - 1 + group.rank_high, 2 * n
+        if rounding is RoundingMode.NONE:
+            return (a, scale, None, *self.classify(a, scale, policy), None)
+        endpoint_percentiles = None
+        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
+            endpoint_percentiles = (
+                _rounded_percent(group.rank_low - 1, n, rounding),
+                _rounded_percent(group.rank_high, n, rounding),
+            )
+            percentile = _rounded_percent(sum(endpoint_percentiles), 200, rounding)
+        else:
+            percentile = _rounded_percent(a, scale, rounding)
+        return (a, scale, percentile, *self.classify(percentile, 100, policy),
+                endpoint_percentiles)
+
+    def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
+        """_fractions for one tie group's interval."""
+        edges = self.edges[self.n]
+        k = self.scheme.k
+        low = (group.rank_low - 1) * self.d
+        high = group.rank_high * self.d
+        width = high - low
+        fractions = [_ZERO] * k
+        for i in range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k)):
+            overlap = min(high, edges[i + 1]) - max(low, edges[i])
+            fractions[i] = _ONE if overlap == width else Fraction(overlap, width)
+        return tuple(fractions)
+
+
+def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:
+    """to_percentile(a/scale, mode) for an integer mode."""
+    if mode is RoundingMode.FLOOR:
+        return 100 * a // scale
+    if mode is RoundingMode.CEIL:
+        return -(-100 * a // scale)
+    return (200 * a + scale) // (2 * scale)
+
+
 def attribute_all(
     ranked: RankedSet,
     scheme: PRScheme,
@@ -260,17 +352,23 @@ def attribute_all(
 
     The members of a tie group share one interval, so each group is attributed
     once and its members' attributions share that payload (under the
-    fractional rule, one `fractions` tuple). rounding, policy and
-    midpoint_route only apply to point rules; the fractional rule ignores them.
+    fractional rule, one `fractions` tuple). Groups are classified on an
+    integer grid; Fractions are made only for the values returned. rounding,
+    policy and midpoint_route only apply to point rules; the fractional rule
+    ignores them.
     """
+    grid = _Grid(scheme, ranked.n)
     out: list[Attribution] = []
     for group in ranked.groups:
-        interval = _interval(ranked, group.member_ids[0])
         if rule is CountingRule.FRACTIONAL:
-            fractions = _fractions(interval, scheme)
+            fractions = grid.fractions(group)
             out += [FractionalAttribution(doc_id, fractions) for doc_id in group.member_ids]
         else:
-            fields = _point_fields(interval, scheme, rule, rounding, policy, midpoint_route)
+            a, scale, percentile, class_index, boundary, endpoints = grid.point(
+                group, rule, rounding, policy, midpoint_route
+            )
+            fields = (Fraction(a, scale), percentile, class_index, boundary is not None,
+                      boundary, endpoints)
             out += [PointAttribution(doc_id, *fields) for doc_id in group.member_ids]
     return out
 

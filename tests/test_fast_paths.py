@@ -59,7 +59,9 @@ def tie_heavy_set(rng: random.Random, max_n: int = 200) -> DocumentSet:
 
 def cases():
     """(ranked set, scheme) pairs: small random sets, tie-heavy sets up to
-    n=200, and the edge sizes n=1 and one tie group of size n."""
+    n=200, the edge sizes n=1 and one tie group of size n, and two schemes
+    off the integer pattern of random_scheme: non-integer weights, and large
+    coprime boundary denominators whose lcm no n here divides."""
     rng = random.Random(20120516)
     out = [(rank(random_document_set(rng)), random_scheme(rng)) for _ in range(60)]
     for _ in range(8):
@@ -71,6 +73,23 @@ def cases():
         out.append((rank(make_distinct(1)), builtin_scheme(name)))
     out.append((rank(make_tied(200)), builtin_scheme("pr100")))
     out.append((rank(make_tied(1)), builtin_scheme("pr100")))
+    halves = scheme_from_boundaries(
+        "non-integer-weights",
+        builtin_scheme("pr6").boundaries,
+        [Fraction(1, 2), Fraction(7, 3), Fraction(0), Fraction(5, 4), Fraction(1),
+         Fraction(11, 6)],
+    )
+    out.append((rank(tie_heavy_set(rng)), halves))
+    coprime = scheme_from_boundaries(
+        "coprime",
+        [Fraction(0), Fraction(1, 7), Fraction(5, 11), Fraction(12, 13),
+         Fraction(9972, 9973), Fraction(1)],
+        [Fraction(w) for w in (1, 2, 3, 4, 5)],
+    )
+    # 154 = 2*7*11 puts some points exactly on 1/7 and 5/11.
+    out.append((rank(make_distinct(154)), coprime))
+    tied = DocumentSet(tuple(CitationRecord(f"w{i:03d}", i % 9) for i in range(200)))
+    out.append((rank(tied), coprime))
     return out
 
 
@@ -163,24 +182,64 @@ def test_compare_rules_matches_the_per_document_path(ranked, scheme):
     assert report.fractional_counts == fractional
 
 
-@pytest.mark.parametrize("ranked,scheme", CASES[-12:], ids=IDS[-12:])
-def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
-    reference = attribute_each(ranked, scheme, CountingRule.FRACTIONAL)
-    citations = {record.doc_id: record.citations for record in ranked.source.records}
-    expected = []
-    for a in reference:
-        interval = ranked.interval_of[a.doc_id]
-        expected.append(
-            [a.doc_id, str(citations[a.doc_id]), "g", str(interval.low), str(interval.high),
-             str(per_doc_score(a, scheme))] + [str(f) for f in a.fractions]
+RENDER_OPTIONS = [
+    (CountingRule.FRACTIONAL, {}),
+    *(
+        (rule, dict(rounding=rounding, policy=policy, midpoint_route=route))
+        for rule in POINT_RULES
+        for rounding, policy, route in (
+            (RoundingMode.NONE, BoundaryPolicy.LOWER, MidpointRoute.EXACT),
+            (RoundingMode.HALF_UP, BoundaryPolicy.UPPER, MidpointRoute.ENDPOINTS),
         )
-    batches = [("g", ranked, attribute_all(ranked, scheme, CountingRule.FRACTIONAL))]
-    text = render_attributions(batches, scheme, CountingRule.FRACTIONAL, fmt="csv")
-    assert list(csv.reader(io.StringIO(text)))[1:] == expected
-    text = render_attributions(batches, scheme, CountingRule.FRACTIONAL, fmt="json")
-    documents = json.loads(text)["groups"][0]["documents"]
-    assert [
-        [d["id"], str(d["citations"]), "g", d["interval"]["low"], d["interval"]["high"],
-         d["score"], *d["fractions"]]
-        for d in documents
-    ] == expected
+    ),
+]
+
+
+def per_document_row(a, ranked, citations, scheme, rule, options) -> list[str]:
+    """One csv row of render_attributions, formatted from one attribution."""
+    interval = ranked.interval_of[a.doc_id]
+    row = [a.doc_id, str(citations[a.doc_id]), "g", str(interval.low), str(interval.high)]
+    if rule is CountingRule.FRACTIONAL:
+        return row + [str(per_doc_score(a, scheme))] + [str(f) for f in a.fractions]
+    percentile = a.quantile * 100 if a.percentile is None else a.percentile
+    row += [str(a.quantile), str(percentile)]
+    if rule is CountingRule.MIDPOINT and options["midpoint_route"] is MidpointRoute.ENDPOINTS:
+        pair = a.endpoint_percentiles
+        row.append("" if pair is None else f"{pair[0]}/{pair[1]}")
+    weight = scheme.classes[a.class_index - 1].weight
+    boundary = "" if a.boundary_hit is None else str(a.boundary_hit)
+    return row + [str(a.class_index), str(weight), str(a.ambiguous).lower(), boundary]
+
+
+def json_document_row(d: dict, rule: CountingRule) -> list[str]:
+    """A json document of render_attributions, laid out as its csv row."""
+    row = [d["id"], str(d["citations"]), "g", d["interval"]["low"], d["interval"]["high"]]
+    if rule is CountingRule.FRACTIONAL:
+        return row + [d["score"], *d["fractions"]]
+    row += [d["quantile"], d["percentile"]]
+    if "endpoint_percentiles" in d:
+        pair = d["endpoint_percentiles"]
+        row.append("" if pair is None else f"{pair[0]}/{pair[1]}")
+    boundary = "" if d["boundary"] is None else d["boundary"]
+    return row + [str(d["class"]), d["weight"], str(d["ambiguous"]).lower(), boundary]
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES[-15:], ids=IDS[-15:])
+def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
+    """csv and json attribute rows, under the fractional and every point rule,
+    formatted once per tie group, match rows formatted document by document."""
+    citations = {record.doc_id: record.citations for record in ranked.source.records}
+    for rule, options in RENDER_OPTIONS:
+        reference = attribute_each(ranked, scheme, rule, **options)
+        expected = [
+            per_document_row(a, ranked, citations, scheme, rule, options) for a in reference
+        ]
+        batches = [("g", ranked, attribute_all(ranked, scheme, rule, **options))]
+        for fmt in ("csv", "json"):
+            text = render_attributions(batches, scheme, rule, fmt=fmt, **options)
+            if fmt == "csv":
+                rows = list(csv.reader(io.StringIO(text)))[1:]
+            else:
+                documents = json.loads(text)["groups"][0]["documents"]
+                rows = [json_document_row(d, rule) for d in documents]
+            assert rows == expected

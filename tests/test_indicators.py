@@ -26,6 +26,7 @@ from pctrank import (
     theoretical_total,
     topx_scheme,
 )
+from pctrank.indicators import fold_indicators
 from support import make_distinct, make_tied
 
 F = Fraction
@@ -170,6 +171,16 @@ class TestComputeIndicators:
         assert result.per_doc_scores["d8"] == F(2356, 25)
         assert result.per_doc_scores["d8"] / result.n == F(589, 50)
 
+    def test_fold_rejects_attributions_that_do_not_fit_the_scheme(self):
+        pr6 = builtin_scheme("pr6")
+        ranked = rank(make_distinct(1))
+        short = FractionalAttribution("d1", (F(1),) + (F(0),) * 4)
+        with pytest.raises(ValueError, match="5 fractions but the scheme has 6"):
+            fold_indicators(ranked, pr6, FRAC, [short])
+        outside = PointAttribution("d1", F(1), None, 7, False, None)
+        with pytest.raises(ValueError, match="names class 7, outside this scheme"):
+            fold_indicators(ranked, pr6, CWE, [outside])
+
 
 class TestGroupedIndicators:
     @pytest.fixture
@@ -242,3 +253,19 @@ class TestCompareRules:
             f.rule is MID and f.doc_id == "d8" and f.boundary == F(93, 100)
             for f in report.flags
         )
+
+
+def test_hundred_thousand_documents_in_one_tie_group_under_pr100():
+    n = 100_000
+    pr100 = builtin_scheme("pr100")
+    ranked = rank(make_tied(n))
+    attributions = attribute_all(ranked, pr100, FRAC)
+    shared = attributions[0].fractions
+    assert all(a.fractions is shared for a in attributions)
+    assert shared == (F(1, 100),) * 100
+    result = compute_indicators(ranked, pr100, FRAC)
+    assert result.i3 == theoretical_total(pr100, n) == 5_050_000
+    assert result.r == F(101, 2)
+    report = compare_rules(ranked, pr100)
+    assert report.flag_counts == {CW: 0, CWE: 0, MID: n}
+    assert all(f.quantile == f.boundary == F(1, 2) for f in report.flags)

@@ -217,6 +217,7 @@ class TestDisplayStrings:
             (F(1001, 2000), "50.05%"),
             (F(0), "0%"),
             (F(1), "100%"),
+            (F(1, 20000), "0.01%"),  # an exact half of the last digit rounds up
         ],
     )
     def test_percent(self, value, expected):
