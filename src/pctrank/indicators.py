@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from .errors import SchemeError
 from .model import DocumentSet, PRScheme
-from .ranking import RankedSet, rank
+from .ranking import RankedSet, interval_for, rank
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -152,10 +152,12 @@ def fold_indicators(
     """The indicator set from `attribute_all(ranked, scheme, rule, ...)`.
 
     The members of a tie group share one attribution, so each group is checked
-    and folded once and its members share one per-document score. Point-rule
-    class counts are tallied as integers; fractional ones follow from the
-    closed form n times class width.
+    and folded once and its members share one per-document score, taken on
+    the integer grid under the fractional rule. Point-rule class counts are
+    tallied as integers; fractional ones follow from the closed form n times
+    class width.
     """
+    grid = _Grid(scheme, ranked.n)
     tallies = [0] * scheme.k
     scores: dict[str, Fraction] = {}
     for group, members in tie_group_attributions(ranked, attributions):
@@ -163,7 +165,10 @@ def fold_indicators(
         _check(head, scheme)
         if isinstance(head, PointAttribution):
             tallies[head.class_index - 1] += group.size
-        scores.update(dict.fromkeys(group.member_ids, per_doc_score(head, scheme)))
+            score = scheme.classes[head.class_index - 1].weight
+        else:
+            score = grid.score(group)
+        scores.update(dict.fromkeys(group.member_ids, score))
     if rule is CountingRule.FRACTIONAL:
         totals = _fractional_counts(scheme, ranked.n)
     else:
@@ -260,13 +265,14 @@ def compare_rules(
     disagreements: list[RuleDisagreement] = []
     for group in ranked.groups:
         classes = []
+        interval = None
         for rule in POINT_RULES:
             a, scale, _, class_index, boundary, _ = grid.point(
                 group, rule, rounding, BoundaryPolicy.LOWER, midpoint_route
             )
             classes.append(class_index)
             if boundary is not None:
-                interval = ranked.interval_of[group.member_ids[0]]
+                interval = interval or interval_for(group, ranked.n)
                 quantile = Fraction(a, scale)
                 flags[rule] += [
                     BoundaryFlag(rule, doc_id, quantile, boundary, interval.low, interval.high)

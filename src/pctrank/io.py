@@ -11,19 +11,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .errors import DataError
-from .indicators import (
-    AmbiguityReport,
-    IndicatorResult,
-    per_doc_score,
-)
+from .indicators import AmbiguityReport, IndicatorResult
 from .model import (
     CitationRecord,
     DocumentSet,
@@ -38,10 +35,10 @@ from .scoring import (
     Attribution,
     BoundaryPolicy,
     CountingRule,
-    FractionalAttribution,
     MidpointRoute,
     PointAttribution,
     RoundingMode,
+    _Grid,
     tie_group_attributions,
 )
 
@@ -266,6 +263,45 @@ def _percentile_exact(attribution: PointAttribution) -> Fraction:
     return 100 * attribution.quantile
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """format_fraction(Fraction(p, q)) for p >= 0 and q > 0, from the integers."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _fraction_cells(fractions: Sequence[Fraction]) -> list[str]:
+    """format_fraction of each fraction; most are zero and skip the call."""
+    return [format_fraction(f) if f else "0" for f in fractions]
+
+
+_json_str = json.encoder.encode_basestring_ascii
+# In json.dumps(indent=2) output of an attribute payload, a document opens at
+# _DOC, its fields sit at _FIELD and their list or object items at _ITEM; a
+# group's "documents" list is empty in the envelope until they are spliced in.
+_DOC = "\n" + " " * 8
+_FIELD = "\n" + " " * 10
+_ITEM = "\n" + " " * 12
+_EMPTY_DOCUMENTS = '\n      "documents": []'
+
+
+def _json_items(items: Iterable[str], open_: str = "[", close: str = "]") -> str:
+    """A non-empty JSON list (or object) whose item texts sit at _ITEM."""
+    return open_ + _ITEM + f",{_ITEM}".join(items) + _FIELD + close
+
+
+def _json_with_documents(payload: dict, documents: list[str]) -> str:
+    """_json_text(payload) with the i-th group's empty "documents" list
+    holding the documents in documents[i] (comma-joined JSON text).
+
+    Strings are escaped and every structural newline is followed by its
+    indent, so the empty list is found exactly at the group level."""
+    pieces = _json_text(payload).split(_EMPTY_DOCUMENTS)
+    out = [pieces[0]]
+    for text, piece in zip(documents, pieces[1:], strict=True):
+        out += ['\n      "documents": [', text, "\n      ]", piece]
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # attribute rendering
 
@@ -283,111 +319,67 @@ def render_attributions(
     fmt: str = "table",
     precision: int = DEFAULT_PRECISION,
 ) -> str:
-    if rule is CountingRule.FRACTIONAL:
-        return _render_fractional(batches, scheme, fmt, precision)
-    return _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, precision)
+    """Attributions as csv, json or a table per group, one row or document
+    per attribution. Tie group members share their interval and attribution,
+    so each group's cells (or its JSON text after "id") are formatted once
+    and reused for its members. rounding, policy and midpoint_route are
+    shown for point rules only."""
+    fractional = rule is CountingRule.FRACTIONAL
+    show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
 
-
-def _render_fractional(batches, scheme, fmt, precision) -> str:
-    # Tie group members share their interval, score and fractions, so each
-    # group's strings are formatted once and reused for its members.
-    class_labels = [f"f_{i}" for i in range(1, scheme.k + 1)]
-    if fmt == "csv":
-        header = ["id", "citations", "group", "interval_low", "interval_high", "score"]
-        header += class_labels
-        rows = []
-        for group_key, ranked, attributions in batches:
-            for group, members in tie_group_attributions(ranked, attributions):
-                interval = ranked.interval_of[group.member_ids[0]]
-                shared = [
-                    str(group.citations),
-                    group_key,
-                    format_fraction(interval.low),
-                    format_fraction(interval.high),
-                    format_fraction(per_doc_score(members[0], scheme)),
-                ] + [format_fraction(f) for f in members[0].fractions]
-                rows += [[attribution.doc_id, *shared] for attribution in members]
-        return _csv_text(header, rows)
-    if fmt == "json":
-        groups = []
-        for group_key, ranked, attributions in batches:
-            documents = []
-            for group, members in tie_group_attributions(ranked, attributions):
-                interval = ranked.interval_of[group.member_ids[0]]
-                bounds = {
-                    "low": format_fraction(interval.low),
-                    "high": format_fraction(interval.high),
-                }
-                score = format_fraction(per_doc_score(members[0], scheme))
-                fractions = [format_fraction(f) for f in members[0].fractions]
-                documents += [
-                    {
-                        "id": attribution.doc_id,
-                        "citations": group.citations,
-                        "interval": bounds,
-                        "score": score,
-                        "fractions": fractions,
-                    }
-                    for attribution in members
-                ]
-            groups.append({"group": group_key, "n": ranked.n, "documents": documents})
-        return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "attribute",
-                "scheme": _scheme_payload(scheme),
-                "rule": CountingRule.FRACTIONAL.value,
-                "groups": groups,
-            }
-        )
-    # table
-    sections = []
-    for group_key, ranked, attributions in batches:
-        rows = []
-        for group, members in tie_group_attributions(ranked, attributions):
-            interval = ranked.interval_of[group.member_ids[0]]
-            shared = [
-                str(group.citations),
-                f"[{format_fraction(interval.low)}, {format_fraction(interval.high)}]",
-                interval_percent_str(interval.low, interval.high),
-                _exact_and_decimal(per_doc_score(members[0], scheme), precision),
-            ] + [format_fraction(f) for f in members[0].fractions]
-            rows += [[attribution.doc_id, *shared] for attribution in members]
-        lines = [
-            f"# group={group_key} n={ranked.n} scheme={scheme.name} rule=fractional"
-        ]
-        lines += _render_table(
-            ["id", "citations", "interval", "percent", "score"] + class_labels, rows
-        )
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections) + "\n"
-
-
-def _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, precision) -> str:
-    # Tie group members share their interval and classification, so each
-    # group's cells are formatted once and reused for its members.
-    show_endpoints = (
-        rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
-    )
-
-    def shared_cells(group_key, group, interval, head, exact_only):
-        """The cells of a row after the id, shared by a tie group's members."""
-        weight = scheme.classes[head.class_index - 1].weight
-        percentile = _percentile_exact(head)
-        if exact_only:
-            cells = [
-                str(group.citations),
-                group_key,
-                format_fraction(interval.low),
-                format_fraction(interval.high),
-                format_fraction(head.quantile),
-                format_fraction(percentile),
-            ]
+    def shared(group_key, n, grid, group, head):
+        """The cells of a row after the id (csv, table), or the JSON text of
+        a document after its id, shared by a tie group's members."""
+        low, high = _ratio_str(group.rank_low - 1, n), _ratio_str(group.rank_high, n)
+        if fmt == "json":
+            # format_fraction strings ("p/q") need no escaping.
+            interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
+            text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
+            if fractional:
+                fractions = _json_items(f'"{f}"' for f in _fraction_cells(head.fractions))
+                text += (
+                    f',{_FIELD}"score": "{format_fraction(grid.score(group))}"'
+                    f',{_FIELD}"fractions": {fractions}'
+                )
+            else:
+                weight = scheme.classes[head.class_index - 1].weight
+                boundary = head.boundary_hit
+                text += (
+                    f',{_FIELD}"quantile": "{format_fraction(head.quantile)}"'
+                    f',{_FIELD}"percentile": "{format_fraction(_percentile_exact(head))}"'
+                    f',{_FIELD}"class": {head.class_index}'
+                    f',{_FIELD}"weight": "{format_fraction(weight)}"'
+                    f',{_FIELD}"ambiguous": {"true" if head.ambiguous else "false"}'
+                    f',{_FIELD}"boundary": '
+                    + ("null" if boundary is None else f'"{format_fraction(boundary)}"')
+                )
+                if show_endpoints:
+                    pair = head.endpoint_percentiles
+                    text += f',{_FIELD}"endpoint_percentiles": ' + (
+                        "null" if pair is None else _json_items(map(str, pair))
+                    )
+            return text + _DOC + "}"
+        if fmt == "csv":
+            cells = [str(group.citations), group_key, low, high]
         else:
             cells = [
                 str(group.citations),
-                f"[{format_fraction(interval.low)}, {format_fraction(interval.high)}]",
-                interval_percent_str(interval.low, interval.high),
+                f"[{low}, {high}]",
+                interval_percent_str(
+                    Fraction(group.rank_low - 1, n), Fraction(group.rank_high, n)
+                ),
+            ]
+        if fractional:
+            score = grid.score(group)
+            cells.append(
+                format_fraction(score) if fmt == "csv" else _exact_and_decimal(score, precision)
+            )
+            return cells + _fraction_cells(head.fractions)
+        percentile = _percentile_exact(head)
+        if fmt == "csv":
+            cells += [format_fraction(head.quantile), format_fraction(percentile)]
+        else:
+            cells += [
                 f"{format_fraction(head.quantile)} ({percent_str(head.quantile)})",
                 decimal_str(percentile, precision)
                 if head.percentile is None
@@ -396,86 +388,75 @@ def _render_point(batches, scheme, rule, rounding, policy, midpoint_route, fmt, 
         if show_endpoints:
             pair = head.endpoint_percentiles
             cells.append("" if pair is None else f"{pair[0]}/{pair[1]}")
-        cells += [
+        return cells + [
             str(head.class_index),
-            format_fraction(weight),
+            format_fraction(scheme.classes[head.class_index - 1].weight),
             "true" if head.ambiguous else "false",
             "" if head.boundary_hit is None else format_fraction(head.boundary_hit),
         ]
-        return cells
 
-    def rows_of(group_key, ranked, attributions, exact_only):
-        rows = []
+    def members_of(group_key, ranked, attributions):
+        """Rows (csv, table) or JSON document texts, in rank order."""
+        grid = _Grid(scheme, ranked.n) if fractional else None
+        out = []
         for group, members in tie_group_attributions(ranked, attributions):
-            interval = ranked.interval_of[group.member_ids[0]]
-            shared = shared_cells(group_key, group, interval, members[0], exact_only)
-            rows += [[attribution.doc_id, *shared] for attribution in members]
-        return rows
+            cells = shared(group_key, ranked.n, grid, group, members[0])
+            if fmt == "json":
+                out += [f'{_DOC}{{{_FIELD}"id": {_json_str(a.doc_id)}{cells}' for a in members]
+            else:
+                out += [[a.doc_id, *cells] for a in members]
+        return out
 
-    if fmt in ("csv", "table"):
-        header = (
-            ["id", "citations", "group", "interval_low", "interval_high", "quantile", "percentile"]
-            if fmt == "csv"
-            else ["id", "citations", "interval", "percent", "quantile", "percentile"]
-        )
+    if fractional:
+        settings = {"rule": rule.value}
+        meta = "rule=fractional"
+    else:
+        settings = {
+            "rule": rule.value,
+            "rounding": rounding.value,
+            "midpoint_route": midpoint_route.value,
+        }
+        meta = f"rule={rule.value} rounding={rounding.value} route={midpoint_route.value}"
+        if policy is not None:
+            meta += f" boundary={policy.value}"
+
+    if fmt == "json":
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "attribute",
+            "scheme": _scheme_payload(scheme),
+            **settings,
+            "groups": [
+                {"group": group_key, "n": ranked.n, "documents": []}
+                for group_key, ranked, _ in batches
+            ],
+        }
+        if policy is not None and not fractional:
+            payload["boundary_policy"] = policy.value
+        documents = [",".join(members_of(*batch)) for batch in batches]
+        return _json_with_documents(payload, documents)
+
+    if fmt == "csv":
+        header = ["id", "citations", "group", "interval_low", "interval_high"]
+    else:
+        header = ["id", "citations", "interval", "percent"]
+    if fractional:
+        header += ["score"] + [f"f_{i}" for i in range(1, scheme.k + 1)]
+    else:
+        header += ["quantile", "percentile"]
         if show_endpoints:
             header.append("endpoint_pcts")
         header += ["class", "weight", "ambiguous", "boundary"]
-        if fmt == "csv":
-            rows = []
-            for group_key, ranked, attributions in batches:
-                rows += rows_of(group_key, ranked, attributions, True)
-            return _csv_text(header, rows)
-        sections = []
-        for group_key, ranked, attributions in batches:
-            rows = rows_of(group_key, ranked, attributions, False)
-            meta = (
-                f"# group={group_key} n={ranked.n} scheme={scheme.name} rule={rule.value}"
-                f" rounding={rounding.value} route={midpoint_route.value}"
-            )
-            if policy is not None:
-                meta += f" boundary={policy.value}"
-            sections.append("\n".join([meta] + _render_table(header, rows)))
-        return "\n\n".join(sections) + "\n"
-    # json
-    groups = []
-    for group_key, ranked, attributions in batches:
-        documents = []
-        for group, members in tie_group_attributions(ranked, attributions):
-            head = members[0]
-            interval = ranked.interval_of[group.member_ids[0]]
-            shared = {
-                "citations": group.citations,
-                "interval": {
-                    "low": format_fraction(interval.low),
-                    "high": format_fraction(interval.high),
-                },
-                "quantile": format_fraction(head.quantile),
-                "percentile": format_fraction(_percentile_exact(head)),
-                "class": head.class_index,
-                "weight": format_fraction(scheme.classes[head.class_index - 1].weight),
-                "ambiguous": head.ambiguous,
-                "boundary": None
-                if head.boundary_hit is None
-                else format_fraction(head.boundary_hit),
-            }
-            if show_endpoints:
-                pair = head.endpoint_percentiles
-                shared["endpoint_percentiles"] = None if pair is None else list(pair)
-            documents += [{"id": attribution.doc_id, **shared} for attribution in members]
-        groups.append({"group": group_key, "n": ranked.n, "documents": documents})
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "attribute",
-        "scheme": _scheme_payload(scheme),
-        "rule": rule.value,
-        "rounding": rounding.value,
-        "midpoint_route": midpoint_route.value,
-        "groups": groups,
-    }
-    if policy is not None:
-        payload["boundary_policy"] = policy.value
-    return _json_text(payload)
+    if fmt == "csv":
+        return _csv_text(header, [row for batch in batches for row in members_of(*batch)])
+    sections = [
+        "\n".join(
+            [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
+            + _render_table(header, members_of(group_key, ranked, attributions))
+        )
+        for group_key, ranked, attributions in batches
+    ]
+    return "\n\n".join(sections) + "\n"
 
 
 # ---------------------------------------------------------------------------

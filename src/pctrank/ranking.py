@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 
 from .model import DocumentSet
@@ -53,11 +54,19 @@ class RankedSet:
 
     source: DocumentSet
     groups: tuple[TieGroup, ...]
-    interval_of: dict[str, QuantileInterval]
 
     @property
     def n(self) -> int:
         return self.source.n
+
+    @cached_property
+    def interval_of(self) -> dict[str, QuantileInterval]:
+        """Each document's quantile interval, in rank order, built on first
+        access. The members of a tie group share one interval object."""
+        interval_of: dict[str, QuantileInterval] = {}
+        for group in self.groups:
+            interval_of.update(dict.fromkeys(group.member_ids, interval_for(group, self.n)))
+        return interval_of
 
     def doc_ids_in_rank_order(self) -> list[str]:
         """Ascending by citations, ids sorted inside each tie group."""
@@ -74,23 +83,17 @@ def interval_for(group: TieGroup, n: int) -> QuantileInterval:
 
 
 def rank(document_set: DocumentSet) -> RankedSet:
-    """Sort ascending by citation count and attach each tie group's interval.
+    """Sort ascending by citation count and split into tie groups.
 
-    Tied documents form one group with one shared interval. Member ids are
-    sorted, so the result is identical for any permutation of the input
-    records.
+    Tied documents form one group with one rank span, hence one shared
+    interval. Member ids are sorted, so the result is identical for any
+    permutation of the input records.
     """
     ordered = sorted(document_set.records, key=lambda record: record.citations)
-    n = document_set.n
     groups: list[TieGroup] = []
-    interval_of: dict[str, QuantileInterval] = {}
     next_rank = 1
     for citations, members in groupby(ordered, key=lambda record: record.citations):
         ids = tuple(sorted(member.doc_id for member in members))
-        group = TieGroup(citations, ids, next_rank, next_rank + len(ids) - 1)
-        next_rank = group.rank_high + 1
-        interval = interval_for(group, n)
-        for doc_id in ids:
-            interval_of[doc_id] = interval
-        groups.append(group)
-    return RankedSet(document_set, tuple(groups), interval_of)
+        groups.append(TieGroup(citations, ids, next_rank, next_rank + len(ids) - 1))
+        next_rank += len(ids)
+    return RankedSet(document_set, tuple(groups))

@@ -259,7 +259,9 @@ class _Grid:
     compares with c_j*s, so each point scale s gets its list of scaled cuts.
     A tie group spanning ranks r_low..r_high of n is the span
     [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
-    1/(n*D). Rounded percentiles p are points at scale 100.
+    1/(n*D). Rounded percentiles p are points at scale 100. Class weights
+    sit over their common denominator, so a group's fractional score is one
+    integer ratio.
     """
 
     def __init__(self, scheme: PRScheme, n: int):
@@ -268,6 +270,9 @@ class _Grid:
         self.d = math.lcm(*(b.denominator for b in scheme.boundaries))
         cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
         self.edges = {scale: [c * scale for c in cuts] for scale in (n, 2 * n, 100)}
+        # Class weights over their common denominator: weight_i = units[i]/w_den.
+        self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
+        self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
 
     def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
         """classify_point for the quantile a/scale: (class index, boundary hit)."""
@@ -316,18 +321,34 @@ class _Grid:
         return (a, scale, percentile, *self.classify(percentile, 100, policy),
                 endpoint_percentiles)
 
-    def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
-        """_fractions for one tie group's interval."""
+    def span(self, group: TieGroup) -> tuple[int, int, range]:
+        """A tie group's interval [low, high] on the grid (against the cuts
+        scaled by n) and the positions of the classes it overlaps."""
         edges = self.edges[self.n]
         k = self.scheme.k
         low = (group.rank_low - 1) * self.d
         high = group.rank_high * self.d
+        return low, high, range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k))
+
+    def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
+        """_fractions for one tie group's interval."""
+        low, high, classes = self.span(group)
+        edges = self.edges[self.n]
         width = high - low
-        fractions = [_ZERO] * k
-        for i in range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k)):
+        fractions = [_ZERO] * self.scheme.k
+        for i in classes:
             overlap = min(high, edges[i + 1]) - max(low, edges[i])
             fractions[i] = _ONE if overlap == width else Fraction(overlap, width)
         return tuple(fractions)
+
+    def score(self, group: TieGroup) -> Fraction:
+        """The per-document score of a tie group's members under the
+        fractional rule: the overlap-weighted sum of the class weights."""
+        low, high, classes = self.span(group)
+        edges = self.edges[self.n]
+        units = self.units
+        weighted = sum((min(high, edges[i + 1]) - max(low, edges[i])) * units[i] for i in classes)
+        return Fraction(weighted, (high - low) * self.w_den)
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:

@@ -53,6 +53,17 @@ def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **op
     ]
 
 
+def first_difference(actual: str | bytes, expected: str | bytes) -> str:
+    """The first line where two long texts differ. Asserting on a boolean
+    with this message keeps a failure fast, where pytest's own diff of two
+    long texts can take minutes."""
+    got, want = actual.splitlines(), expected.splitlines()
+    for number, (line, wanted) in enumerate(zip(got, want), start=1):
+        if line != wanted:
+            return f"line {number}: got {line!r}, expected {wanted!r}"
+    return f"got {len(got)} lines, expected {len(want)}"
+
+
 def make_distinct(n: int, prefix: str = "d") -> DocumentSet:
     """n documents with citation counts 1..n; zero-padded ids follow rank order."""
     pad = len(str(n))

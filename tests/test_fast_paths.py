@@ -25,6 +25,7 @@ from pctrank import (
     class_counts,
     compare_rules,
     compute_indicators,
+    fractional_attribution,
     i3,
     per_doc_score,
     pp_top,
@@ -32,8 +33,10 @@ from pctrank import (
     render_attributions,
     scheme_from_boundaries,
 )
+from pctrank.scoring import _Grid
 from support import (
     attribute_each,
+    first_difference,
     make_distinct,
     make_tied,
     random_document_set,
@@ -243,3 +246,59 @@ def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
                 documents = json.loads(text)["groups"][0]["documents"]
                 rows = [json_document_row(d, rule) for d in documents]
             assert rows == expected
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_grid_score_matches_the_per_document_score(ranked, scheme):
+    grid = _Grid(scheme, ranked.n)
+    for group in ranked.groups:
+        reference = fractional_attribution(group.member_ids[0], ranked, scheme)
+        assert grid.score(group) == per_doc_score(reference, scheme)
+
+
+def assert_dumps_layout(text: str) -> dict:
+    """text is exactly what json.dumps(indent=2) writes for its own content."""
+    payload = json.loads(text)
+    expected = json.dumps(payload, indent=2) + "\n"
+    same = text == expected
+    assert same, first_difference(text, expected)
+    return payload
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES[-15:], ids=IDS[-15:])
+def test_attribute_json_is_laid_out_as_json_dumps(ranked, scheme):
+    for rule, options in RENDER_OPTIONS:
+        batches = [("g", ranked, attribute_all(ranked, scheme, rule, **options))]
+        assert_dumps_layout(render_attributions(batches, scheme, rule, fmt="json", **options))
+
+
+AWKWARD_IDS = ['q"uote', "back\\slash", "tab\there", "new\nline", "café", "grin😀", "plain"]
+
+
+def test_attribute_json_escapes_ids_and_group_keys():
+    """Quotes, backslashes, control characters, non-ASCII and a character
+    outside the BMP (written as a surrogate pair) in ids, the group key and
+    the scheme name survive the per-group JSON text."""
+    records = tuple(
+        CitationRecord(doc_id, citations)
+        for doc_id, citations in zip(AWKWARD_IDS, (0, 0, 1, 2, 2, 2, 5))
+    )
+    ranked = rank(DocumentSet(records))
+    scheme = scheme_from_boundaries(
+        "naïve ✓", [Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)],
+        [Fraction(1, 2), Fraction(0), Fraction(7, 3)],
+    )
+    key = 'grüp "\\\t\n😀'
+    for rule, options in RENDER_OPTIONS:
+        attributions = attribute_all(ranked, scheme, rule, **options)
+        batches = [(key, ranked, attributions), ("plain", ranked, attributions)]
+        text = render_attributions(batches, scheme, rule, fmt="json", **options)
+        assert text.isascii()
+        assert "\\ud83d\\ude00" in text
+        payload = assert_dumps_layout(text)
+        assert payload["scheme"]["name"] == "naïve ✓"
+        assert [group["group"] for group in payload["groups"]] == [key, "plain"]
+        for group in payload["groups"]:
+            ids = [document["id"] for document in group["documents"]]
+            assert ids == ranked.doc_ids_in_rank_order()
+            assert sorted(ids) == sorted(AWKWARD_IDS)

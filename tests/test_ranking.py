@@ -8,13 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pctrank import (
+    BoundaryPolicy,
     CitationRecord,
+    CountingRule,
     DocumentSet,
     QuantileInterval,
     TieGroup,
+    attribute_all,
+    builtin_scheme,
+    compare_rules,
     interval_for,
     rank,
+    render_attributions,
 )
+from pctrank.indicators import fold_indicators
 from support import make_distinct, make_tied, random_document_set
 
 F = Fraction
@@ -109,6 +116,30 @@ class TestRank:
         )
         ranked = rank(DocumentSet(records))
         assert ranked.interval_of["b"].width == F(2, 4)
+
+
+class TestLazyIntervals:
+    def test_intervals_are_built_on_first_access(self):
+        ranked = rank(make_distinct(4))
+        assert "interval_of" not in ranked.__dict__
+        assert ranked.interval_of["d2"] == QuantileInterval(F(1, 4), F(1, 2))
+        assert ranked.interval_of is ranked.interval_of
+
+    def test_cli_path_consumers_leave_the_intervals_unbuilt(self):
+        # 20 documents under pr6: points land on 1/2, 3/4, 9/10 and 19/20.
+        ranked = rank(make_distinct(20))
+        scheme = builtin_scheme("pr6")
+        report = compare_rules(ranked, scheme)
+        assert report.flags
+        assert (report.flags[0].interval_low, report.flags[0].interval_high) == (
+            F(10, 20), F(11, 20)
+        )
+        for rule in CountingRule:
+            attributions = attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
+            fold_indicators(ranked, scheme, rule, attributions)
+            for fmt in ("csv", "json", "table"):
+                render_attributions([("g", ranked, attributions)], scheme, rule, fmt=fmt)
+        assert "interval_of" not in ranked.__dict__
 
 
 class TestRankProperties:
