@@ -123,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default table; csv/json carry exact p/q values)",
     )
-    io_common.add_argument(
+
+    # Only attribute and indicators print decimals.
+    precision_config = argparse.ArgumentParser(add_help=False)
+    precision_config.add_argument(
         "--precision", type=int, default=None,
         help=f"significant digits for decimal renderings "
              f"(default {DEFAULT_PRECISION}; env {PRECISION_ENV})",
@@ -163,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "attribute",
-        parents=[io_common, scheme_required, rule_config, rounding_config],
+        parents=[io_common, precision_config, scheme_required, rule_config, rounding_config],
         help="per-document class attribution",
     )
     subparsers.add_parser(
         "indicators",
-        parents=[io_common, scheme_required, rule_config, rounding_config],
+        parents=[io_common, precision_config, scheme_required, rule_config, rounding_config],
         help="I3, R and PP per group",
     )
     subparsers.add_parser(
@@ -187,23 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
     schemes_parser.add_argument(
         "--format", choices=("table", "csv", "json"), default="table"
     )
-    schemes_parser.add_argument("--precision", type=int, default=None)
     return parser
 
 
 def _run(args) -> str:
-    precision = _resolve_precision(args)
-
     if args.command == "schemes":
         if args.scheme is None:
             names = list(BUILTIN_SCHEME_NAMES) + ["topx(1/10)"]
             return render_scheme_list(
                 [resolve_scheme(name) for name in names], fmt=args.format
             )
-        return render_scheme_detail(
-            resolve_scheme(args.scheme), fmt=args.format, precision=precision
-        )
+        return render_scheme_detail(resolve_scheme(args.scheme), fmt=args.format)
 
+    precision = None if args.command == "report" else _resolve_precision(args)
     scheme = resolve_scheme(args.scheme)
     sets = partition_by_group(read_records(args.input))
     rounding = RoundingMode(args.rounding)
@@ -220,8 +219,7 @@ def _run(args) -> str:
             )
         return render_report(
             batches, scheme,
-            rounding=rounding, midpoint_route=midpoint_route,
-            fmt=args.format, precision=precision,
+            rounding=rounding, midpoint_route=midpoint_route, fmt=args.format,
         )
 
     rule = CountingRule(args.rule)

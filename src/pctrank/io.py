@@ -25,7 +25,6 @@ from .model import (
     CitationRecord,
     DocumentSet,
     PRScheme,
-    format_fraction,
     scheme_to_document,
     theoretical_total,
 )
@@ -49,6 +48,7 @@ PERCENT_DECIMALS = 2
 
 _CITATIONS_RE = re.compile(r"^[0-9]+$")
 _KNOWN_COLUMNS = ("id", "citations", "group")
+_KNOWN_FIELDS = frozenset(_KNOWN_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def interval_percent_str(low: Fraction, high: Fraction) -> str:
 
 
 def _exact_and_decimal(value: Fraction, precision: int) -> str:
-    return f"{format_fraction(value)} ({decimal_str(value, precision)})"
+    return f"{value} ({decimal_str(value, precision)})"
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +95,11 @@ def _exact_and_decimal(value: Fraction, precision: int) -> str:
 def read_records(source: str | Path | TextIO) -> list[CitationRecord]:
     """Read citation records from delimited text or a JSON document.
 
-    `source` is a path, "-" for stdin, or an open text stream. A leading '['
-    or '{' marks JSON (a list of records or {"documents": [...]}); anything
-    else is delimited text with a header row naming the columns id, citations
-    and optionally group, delimited by comma or tab (sniffed from the header).
+    `source` is a path, "-" for stdin, or an open text stream. Files and
+    stdin must hold UTF-8. A leading '[' or '{' marks JSON (a list of records
+    or {"documents": [...]}); anything else is delimited text with a header row
+    naming the columns id, citations and optionally group, delimited by comma
+    or tab (sniffed from the header).
     """
     text = _read_text(source).removeprefix("\ufeff")
     stripped = text.lstrip()
@@ -130,14 +131,18 @@ def partition_by_group(records: Sequence[CitationRecord]) -> dict[str, DocumentS
 def _read_text(source: str | Path | TextIO) -> str:
     if hasattr(source, "read"):
         return source.read()
-    if source == "-":
-        return sys.stdin.read()
     try:
+        if source == "-":
+            # Decoded here, not by the locale; a stream without bytes is read as text.
+            stdin = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         # newline="" keeps line endings inside quoted csv fields as written.
-        with open(source, newline="") as handle:
+        with open(source, encoding="utf-8", newline="") as handle:
             return handle.read()
     except OSError as exc:
         raise DataError(f"cannot read input {source}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input {source} is not valid UTF-8 at byte offset {exc.start}") from None
 
 
 def _records_from_delimited(text: str) -> list[CitationRecord]:
@@ -199,26 +204,29 @@ def _records_from_json(text: str) -> list[CitationRecord]:
         raise DataError('JSON input must be a list of records or {"documents": [...]}')
     records: list[CitationRecord] = []
     seen: set[str] = set()
-    for pos, row in enumerate(rows, start=1):
-        where = f"document {pos}"
-        if not isinstance(row, dict):
-            raise DataError(f"{where}: expected an object")
-        unknown = sorted(set(row) - set(_KNOWN_COLUMNS))
-        if unknown:
-            raise DataError(f"{where}: unknown field(s): {', '.join(unknown)}")
-        doc_id = row.get("id")
-        if not isinstance(doc_id, str) or not doc_id:
-            raise DataError(f"{where}: id must be a non-empty string")
-        if doc_id in seen:
-            raise DataError(f"{where}: duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-        citations = row.get("citations")
-        if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
-            raise DataError(f"{where}: citations must be a non-negative integer")
-        group = row.get("group")
-        if group is not None and not isinstance(group, str):
-            raise DataError(f"{where}: group must be a string when present")
-        records.append(CitationRecord(doc_id, citations, group or None))
+    try:
+        for pos, row in enumerate(rows, start=1):
+            if not isinstance(row, dict):
+                raise DataError("expected an object")
+            if not _KNOWN_FIELDS.issuperset(row):
+                unknown = sorted(set(row) - _KNOWN_FIELDS)
+                raise DataError(f"unknown field(s): {', '.join(unknown)}")
+            doc_id = row.get("id")
+            if not isinstance(doc_id, str) or not doc_id:
+                raise DataError("id must be a non-empty string")
+            if doc_id in seen:
+                raise DataError(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            citations = row.get("citations")
+            if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
+                raise DataError("citations must be a non-negative integer")
+            group = row.get("group")
+            if group is not None and not isinstance(group, str):
+                raise DataError("group must be a string when present")
+            records.append(CitationRecord(doc_id, citations, group or None))
+    except DataError as exc:
+        # The location is formatted only for the row that failed.
+        raise DataError(f"document {pos}: {exc}") from None
     if not records:
         raise DataError("no documents in input")
     return records
@@ -239,6 +247,10 @@ def _render_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
+def _table_or_none(header: list[str], rows: list[list[str]]) -> list[str]:
+    return _render_table(header, rows) if rows else ["  none"]
+
+
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -247,12 +259,23 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+def _sections(sections: Iterable[list[str]]) -> str:
+    """Table output: the lines of each section, a blank line between sections."""
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _scheme_payload(scheme: PRScheme) -> dict:
-    return scheme_to_document(scheme)
+def _envelope(command: str, scheme: PRScheme, **fields) -> dict:
+    """The top level of the attribute, indicators and report JSON."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "scheme": scheme_to_document(scheme),
+        **fields,
+    }
 
 
 def _percentile_exact(attribution: PointAttribution) -> Fraction:
@@ -264,14 +287,14 @@ def _percentile_exact(attribution: PointAttribution) -> Fraction:
 
 
 def _ratio_str(p: int, q: int) -> str:
-    """format_fraction(Fraction(p, q)) for p >= 0 and q > 0, from the integers."""
+    """str(Fraction(p, q)) for p >= 0 and q > 0, from the integers."""
     g = math.gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _fraction_cells(fractions: Sequence[Fraction]) -> list[str]:
-    """format_fraction of each fraction; most are zero and skip the call."""
-    return [format_fraction(f) if f else "0" for f in fractions]
+    """str of each fraction; most are zero and skip the call."""
+    return [str(f) if f else "0" for f in fractions]
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -332,26 +355,26 @@ def render_attributions(
         a document after its id, shared by a tie group's members."""
         low, high = _ratio_str(group.rank_low - 1, n), _ratio_str(group.rank_high, n)
         if fmt == "json":
-            # format_fraction strings ("p/q") need no escaping.
+            # Fraction strings ("p/q") need no escaping.
             interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
             text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
             if fractional:
                 fractions = _json_items(f'"{f}"' for f in _fraction_cells(head.fractions))
                 text += (
-                    f',{_FIELD}"score": "{format_fraction(grid.score(group))}"'
+                    f',{_FIELD}"score": "{grid.score(group)}"'
                     f',{_FIELD}"fractions": {fractions}'
                 )
             else:
                 weight = scheme.classes[head.class_index - 1].weight
                 boundary = head.boundary_hit
                 text += (
-                    f',{_FIELD}"quantile": "{format_fraction(head.quantile)}"'
-                    f',{_FIELD}"percentile": "{format_fraction(_percentile_exact(head))}"'
+                    f',{_FIELD}"quantile": "{head.quantile}"'
+                    f',{_FIELD}"percentile": "{_percentile_exact(head)}"'
                     f',{_FIELD}"class": {head.class_index}'
-                    f',{_FIELD}"weight": "{format_fraction(weight)}"'
+                    f',{_FIELD}"weight": "{weight}"'
                     f',{_FIELD}"ambiguous": {"true" if head.ambiguous else "false"}'
                     f',{_FIELD}"boundary": '
-                    + ("null" if boundary is None else f'"{format_fraction(boundary)}"')
+                    + ("null" if boundary is None else f'"{boundary}"')
                 )
                 if show_endpoints:
                     pair = head.endpoint_percentiles
@@ -371,16 +394,14 @@ def render_attributions(
             ]
         if fractional:
             score = grid.score(group)
-            cells.append(
-                format_fraction(score) if fmt == "csv" else _exact_and_decimal(score, precision)
-            )
+            cells.append(str(score) if fmt == "csv" else _exact_and_decimal(score, precision))
             return cells + _fraction_cells(head.fractions)
         percentile = _percentile_exact(head)
         if fmt == "csv":
-            cells += [format_fraction(head.quantile), format_fraction(percentile)]
+            cells += [str(head.quantile), str(percentile)]
         else:
             cells += [
-                f"{format_fraction(head.quantile)} ({percent_str(head.quantile)})",
+                f"{head.quantile} ({percent_str(head.quantile)})",
                 decimal_str(percentile, precision)
                 if head.percentile is None
                 else str(head.percentile),
@@ -390,9 +411,9 @@ def render_attributions(
             cells.append("" if pair is None else f"{pair[0]}/{pair[1]}")
         return cells + [
             str(head.class_index),
-            format_fraction(scheme.classes[head.class_index - 1].weight),
+            str(scheme.classes[head.class_index - 1].weight),
             "true" if head.ambiguous else "false",
-            "" if head.boundary_hit is None else format_fraction(head.boundary_hit),
+            "" if head.boundary_hit is None else str(head.boundary_hit),
         ]
 
     def members_of(group_key, ranked, attributions):
@@ -407,32 +428,16 @@ def render_attributions(
                 out += [[a.doc_id, *cells] for a in members]
         return out
 
-    if fractional:
-        settings = {"rule": rule.value}
-        meta = "rule=fractional"
-    else:
-        settings = {
-            "rule": rule.value,
-            "rounding": rounding.value,
-            "midpoint_route": midpoint_route.value,
-        }
-        meta = f"rule={rule.value} rounding={rounding.value} route={midpoint_route.value}"
-        if policy is not None:
-            meta += f" boundary={policy.value}"
+    settings = {"rule": rule.value}
+    if not fractional:
+        settings.update(rounding=rounding.value, midpoint_route=midpoint_route.value)
+    shown_policy = {} if fractional or policy is None else {"boundary_policy": policy.value}
 
     if fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "attribute",
-            "scheme": _scheme_payload(scheme),
-            **settings,
-            "groups": [
-                {"group": group_key, "n": ranked.n, "documents": []}
-                for group_key, ranked, _ in batches
-            ],
-        }
-        if policy is not None and not fractional:
-            payload["boundary_policy"] = policy.value
+        payload = _envelope("attribute", scheme, **settings, groups=[
+            {"group": group_key, "n": ranked.n, "documents": []}
+            for group_key, ranked, _ in batches
+        ], **shown_policy)
         documents = [",".join(members_of(*batch)) for batch in batches]
         return _json_with_documents(payload, documents)
 
@@ -449,18 +454,23 @@ def render_attributions(
         header += ["class", "weight", "ambiguous", "boundary"]
     if fmt == "csv":
         return _csv_text(header, [row for batch in batches for row in members_of(*batch)])
-    sections = [
-        "\n".join(
-            [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
-            + _render_table(header, members_of(group_key, ranked, attributions))
-        )
+    meta = f"rule={rule.value}"
+    if not fractional:
+        meta += f" rounding={rounding.value} route={midpoint_route.value}"
+    if shown_policy:
+        meta += f" boundary={policy.value}"
+    return _sections(
+        [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
+        + _render_table(header, members_of(group_key, ranked, attributions))
         for group_key, ranked, attributions in batches
-    ]
-    return "\n\n".join(sections) + "\n"
+    )
 
 
 # ---------------------------------------------------------------------------
 # indicators rendering
+
+_INDICATOR_COLUMNS = ("i3", "r", "pp", "theoretical", "difference")
+
 
 def render_indicators(
     batches: Sequence[tuple[str, IndicatorResult]],
@@ -469,78 +479,48 @@ def render_indicators(
     fmt: str = "table",
     precision: int = DEFAULT_PRECISION,
 ) -> str:
-    def totals(result: IndicatorResult) -> tuple[Fraction, Fraction]:
-        expected = theoretical_total(scheme, result.n)
-        return expected, result.i3 - expected
-
-    if fmt == "csv":
-        header = ["group", "n", "scheme", "rule", "i3", "r", "pp", "theoretical", "difference"]
-        rows = []
-        for group_key, result in batches:
-            expected, difference = totals(result)
-            rows.append(
-                [
-                    group_key,
-                    str(result.n),
-                    result.scheme_name,
-                    result.rule.value,
-                    format_fraction(result.i3),
-                    format_fraction(result.r),
-                    "" if result.pp is None else format_fraction(result.pp),
-                    format_fraction(expected),
-                    format_fraction(difference),
-                ]
-            )
-        return _csv_text(header, rows)
-    if fmt == "json":
-        groups = []
-        for group_key, result in batches:
-            expected, difference = totals(result)
-            groups.append(
-                {
-                    "group": group_key,
-                    "n": result.n,
-                    "i3": format_fraction(result.i3),
-                    "r": format_fraction(result.r),
-                    "pp": None if result.pp is None else format_fraction(result.pp),
-                    "theoretical": format_fraction(expected),
-                    "difference": format_fraction(difference),
-                }
-            )
-        rule = batches[0][1].rule.value if batches else None
-        return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "indicators",
-                "scheme": _scheme_payload(scheme),
-                "rule": rule,
-                "groups": groups,
-            }
-        )
-    header = ["group", "n", "i3", "r", "pp", "theoretical", "difference"]
-    rows = []
+    """I3, R, PP, the theoretical I3 and I3's difference from it per group.
+    pp is None for schemes without two classes: null in json, blank in csv
+    and "-" in the table."""
+    rule = batches[0][1].rule.value if batches else None
+    groups = []
     for group_key, result in batches:
-        expected, difference = totals(result)
-        rows.append(
-            [
-                group_key,
-                str(result.n),
-                _exact_and_decimal(result.i3, precision),
-                _exact_and_decimal(result.r, precision),
-                "-" if result.pp is None else _exact_and_decimal(result.pp, precision),
-                _exact_and_decimal(expected, precision),
-                format_fraction(difference),
-            ]
-        )
-    rule = batches[0][1].rule.value if batches else "-"
-    meta = f"# scheme={scheme.name} rule={rule}"
-    return "\n".join([meta] + _render_table(header, rows)) + "\n"
+        expected = theoretical_total(scheme, result.n)
+        values = (result.i3, result.r, result.pp, expected, result.i3 - expected)
+        groups.append((group_key, result, values))
+    if fmt == "json":
+        return _json_text(_envelope("indicators", scheme, rule=rule, groups=[
+            {"group": group_key, "n": result.n,
+             **{c: None if v is None else str(v) for c, v in zip(_INDICATOR_COLUMNS, values)}}
+            for group_key, result, values in groups
+        ]))
+    if fmt == "csv":
+        # csv.writer writes None as "" and a Fraction or int as its str.
+        return _csv_text(["group", "n", "scheme", "rule", *_INDICATOR_COLUMNS], [
+            [group_key, result.n, result.scheme_name, result.rule.value, *values]
+            for group_key, result, values in groups
+        ])
+    rows = [
+        [group_key, str(result.n),
+         *("-" if v is None else _exact_and_decimal(v, precision) for v in values[:-1]),
+         str(values[-1])]
+        for group_key, result, values in groups
+    ]
+    table = _render_table(["group", "n", *_INDICATOR_COLUMNS], rows)
+    return _sections([[f"# scheme={scheme.name} rule={rule or '-'}", *table]])
 
 
 # ---------------------------------------------------------------------------
 # report rendering
 
 ReportBatch = tuple[str, RankedSet, AmbiguityReport]
+
+# A disagreement's class under each point rule, in POINT_RULES order.
+_CLASS_COLUMNS = ("class_count_worse", "class_count_worse_or_equal", "class_midpoint")
+_REPORT_COLUMNS = (
+    "group", "record", "rule", "id", "interval_low", "interval_high", "quantile", "boundary",
+    *_CLASS_COLUMNS, "class_index", "count",
+)
 
 
 def render_report(
@@ -550,236 +530,125 @@ def render_report(
     rounding: RoundingMode = RoundingMode.NONE,
     midpoint_route: MidpointRoute = MidpointRoute.EXACT,
     fmt: str = "table",
-    precision: int = DEFAULT_PRECISION,
 ) -> str:
-    if fmt == "csv":
-        header = [
-            "group",
-            "record",
-            "rule",
-            "id",
-            "interval_low",
-            "interval_high",
-            "quantile",
-            "boundary",
-            "class_count_worse",
-            "class_count_worse_or_equal",
-            "class_midpoint",
-            "class_index",
-            "count",
+    """Boundary hits, cross-rule class disagreements and fractional class
+    counts per group. Each flag and disagreement is built once, as a dict
+    keyed by csv columns, and every layout reads it."""
+    groups = []
+    for group_key, ranked, report in batches:
+        flags = [
+            {"rule": flag.rule.value, "id": flag.doc_id,
+             "interval_low": str(flag.interval_low), "interval_high": str(flag.interval_high),
+             "quantile": str(flag.quantile), "boundary": str(flag.boundary)}
+            for flag in report.flags
         ]
-        rows = []
-        for group_key, _ranked, report in batches:
-            for flag in report.flags:
-                rows.append(
-                    [
-                        group_key,
-                        "flag",
-                        flag.rule.value,
-                        flag.doc_id,
-                        format_fraction(flag.interval_low),
-                        format_fraction(flag.interval_high),
-                        format_fraction(flag.quantile),
-                        format_fraction(flag.boundary),
-                        "", "", "", "", "",
-                    ]
-                )
-            for disagreement in report.disagreements:
-                rows.append(
-                    [
-                        group_key,
-                        "disagreement",
-                        "",
-                        disagreement.doc_id,
-                        "", "", "", "",
-                        str(disagreement.classes[CountingRule.COUNT_WORSE]),
-                        str(disagreement.classes[CountingRule.COUNT_WORSE_OR_EQUAL]),
-                        str(disagreement.classes[CountingRule.MIDPOINT]),
-                        "", "",
-                    ]
-                )
-            for index, count in enumerate(report.fractional_counts.counts, start=1):
-                rows.append(
-                    [
-                        group_key,
-                        "fractional_count",
-                        "", "", "", "", "", "", "", "", "",
-                        str(index),
-                        format_fraction(count),
-                    ]
-                )
-        return _csv_text(header, rows)
+        disagreements = [
+            {"id": d.doc_id, **dict(zip(_CLASS_COLUMNS, map(d.classes.get, POINT_RULES)))}
+            for d in report.disagreements
+        ]
+        counts = [str(count) for count in report.fractional_counts.counts]
+        flag_counts = {rule.value: count for rule, count in report.flag_counts.items()}
+        groups.append((group_key, ranked.n, report, flags, disagreements, counts, flag_counts))
+
+    if fmt == "csv":
+        records = []
+        for group_key, _, _, flags, disagreements, counts, _ in groups:
+            records += [{"group": group_key, "record": "flag", **flag} for flag in flags]
+            records += [{"group": group_key, "record": "disagreement", **d} for d in disagreements]
+            records += [
+                {"group": group_key, "record": "fractional_count", "class_index": i, "count": c}
+                for i, c in enumerate(counts, start=1)
+            ]
+        rows = [[record.get(col, "") for col in _REPORT_COLUMNS] for record in records]
+        return _csv_text(list(_REPORT_COLUMNS), rows)
     if fmt == "json":
-        groups = []
-        for group_key, ranked, report in batches:
-            groups.append(
+        rules = [rule.value for rule in POINT_RULES]
+        return _json_text(_envelope(
+            "report", scheme, rounding=rounding.value, midpoint_route=midpoint_route.value,
+            groups=[
                 {
                     "group": group_key,
-                    "n": ranked.n,
+                    "n": n,
                     "flags": [
-                        {
-                            "rule": flag.rule.value,
-                            "id": flag.doc_id,
-                            "quantile": format_fraction(flag.quantile),
-                            "boundary": format_fraction(flag.boundary),
-                            "interval": {
-                                "low": format_fraction(flag.interval_low),
-                                "high": format_fraction(flag.interval_high),
-                            },
-                        }
-                        for flag in report.flags
+                        {"rule": f["rule"], "id": f["id"], "quantile": f["quantile"],
+                         "boundary": f["boundary"],
+                         "interval": {"low": f["interval_low"], "high": f["interval_high"]}}
+                        for f in flags
                     ],
                     "disagreements": [
-                        {
-                            "id": disagreement.doc_id,
-                            "classes": {
-                                rule.value: disagreement.classes[rule]
-                                for rule in POINT_RULES
-                            },
-                        }
-                        for disagreement in report.disagreements
+                        {"id": d["id"], "classes": dict(zip(rules, map(d.get, _CLASS_COLUMNS)))}
+                        for d in disagreements
                     ],
-                    "fractional_class_counts": [
-                        format_fraction(c) for c in report.fractional_counts.counts
-                    ],
-                    "summary": {
-                        "flag_counts": {
-                            rule.value: count
-                            for rule, count in report.flag_counts.items()
-                        },
-                        "disagreements": len(report.disagreements),
-                    },
+                    "fractional_class_counts": counts,
+                    "summary": {"flag_counts": flag_counts, "disagreements": len(disagreements)},
                 }
-            )
-        return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "report",
-                "scheme": _scheme_payload(scheme),
-                "rounding": rounding.value,
-                "midpoint_route": midpoint_route.value,
-                "groups": groups,
-            }
-        )
+                for group_key, n, _, flags, disagreements, counts, flag_counts in groups
+            ],
+        ))
     sections = []
-    for group_key, ranked, report in batches:
-        lines = [
-            f"# group={group_key} n={ranked.n} scheme={scheme.name}"
-            f" rounding={rounding.value} route={midpoint_route.value}"
+    for group_key, n, report, flags, disagreements, counts, flag_counts in groups:
+        flag_rows = [
+            [f["rule"], f["id"], f"[{f['interval_low']}, {f['interval_high']}]",
+             interval_percent_str(flag.interval_low, flag.interval_high),
+             f["quantile"], f["boundary"]]
+            for f, flag in zip(flags, report.flags)
         ]
-        lines.append("boundary hits:")
-        if report.flags:
-            rows = [
-                [
-                    flag.rule.value,
-                    flag.doc_id,
-                    f"[{format_fraction(flag.interval_low)}, {format_fraction(flag.interval_high)}]",
-                    interval_percent_str(flag.interval_low, flag.interval_high),
-                    format_fraction(flag.quantile),
-                    format_fraction(flag.boundary),
-                ]
-                for flag in report.flags
-            ]
-            lines += _render_table(
-                ["rule", "id", "interval", "percent", "quantile", "boundary"], rows
-            )
-        else:
-            lines.append("  none")
-        lines.append("class disagreements:")
-        if report.disagreements:
-            rows = [
-                [
-                    disagreement.doc_id,
-                    str(disagreement.classes[CountingRule.COUNT_WORSE]),
-                    str(disagreement.classes[CountingRule.COUNT_WORSE_OR_EQUAL]),
-                    str(disagreement.classes[CountingRule.MIDPOINT]),
-                ]
-                for disagreement in report.disagreements
-            ]
-            lines += _render_table(
-                ["id", "count-worse", "count-worse-or-equal", "midpoint"], rows
-            )
-        else:
-            lines.append("  none")
-        counts_text = ", ".join(
-            format_fraction(c) for c in report.fractional_counts.counts
-        )
-        lines.append(f"fractional class counts: {counts_text}")
-        flag_summary = ", ".join(
-            f"{rule.value}={count}" for rule, count in report.flag_counts.items()
-        )
-        lines.append(
-            f"summary: flags [{flag_summary}], disagreements {len(report.disagreements)}"
-        )
-        sections.append("\n".join(lines))
-    return "\n\n".join(sections) + "\n"
+        disagreement_rows = [[*map(str, d.values())] for d in disagreements]
+        flag_summary = ", ".join(f"{rule}={count}" for rule, count in flag_counts.items())
+        sections.append([
+            f"# group={group_key} n={n} scheme={scheme.name}"
+            f" rounding={rounding.value} route={midpoint_route.value}",
+            "boundary hits:",
+            *_table_or_none(
+                ["rule", "id", "interval", "percent", "quantile", "boundary"], flag_rows
+            ),
+            "class disagreements:",
+            *_table_or_none(["id", *(rule.value for rule in POINT_RULES)], disagreement_rows),
+            f"fractional class counts: {', '.join(counts)}",
+            f"summary: flags [{flag_summary}], disagreements {len(disagreements)}",
+        ])
+    return _sections(sections)
 
 
 # ---------------------------------------------------------------------------
 # scheme rendering
 
-def render_scheme_detail(
-    scheme: PRScheme, *, fmt: str = "table", precision: int = DEFAULT_PRECISION
-) -> str:
+_SCHEME_CLASS_FIELDS = ("index", "lower", "upper", "weight")
+
+
+def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
+    """A scheme's classes: index, bounds and weight of each."""
+    rows = [(cls.index, str(cls.lower), str(cls.upper), str(cls.weight)) for cls in scheme.classes]
     if fmt == "csv":
-        header = ["index", "lower", "upper", "weight"]
-        rows = [
-            [str(cls.index), format_fraction(cls.lower), format_fraction(cls.upper),
-             format_fraction(cls.weight)]
-            for cls in scheme.classes
-        ]
-        return _csv_text(header, rows)
+        return _csv_text(list(_SCHEME_CLASS_FIELDS), rows)
     if fmt == "json":
-        payload = {
+        return _json_text({
             "schema_version": SCHEMA_VERSION,
             "command": "schemes",
             **scheme_to_document(scheme),
-            "classes": [
-                {
-                    "index": cls.index,
-                    "lower": format_fraction(cls.lower),
-                    "upper": format_fraction(cls.upper),
-                    "weight": format_fraction(cls.weight),
-                }
-                for cls in scheme.classes
-            ],
-        }
-        return _json_text(payload)
-    rows = [
-        [
-            str(cls.index),
-            f"[{format_fraction(cls.lower)}, {format_fraction(cls.upper)}"
-            + ("]" if cls.index == scheme.k else ")"),
-            interval_percent_str(cls.lower, cls.upper),
-            format_fraction(cls.weight),
-        ]
-        for cls in scheme.classes
-    ]
-    meta = f"# scheme={scheme.name} classes={scheme.k}"
-    return "\n".join([meta] + _render_table(["class", "range", "percent", "weight"], rows)) + "\n"
+            "classes": [dict(zip(_SCHEME_CLASS_FIELDS, row)) for row in rows],
+        })
+    table = _render_table(["class", "range", "percent", "weight"], [
+        [str(index), f"[{lower}, {upper}" + ("]" if index == scheme.k else ")"),
+         interval_percent_str(cls.lower, cls.upper), weight]
+        for (index, lower, upper, weight), cls in zip(rows, scheme.classes)
+    ])
+    return _sections([[f"# scheme={scheme.name} classes={scheme.k}", *table]])
 
 
 def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> str:
+    """Name and class count of each scheme; the table adds the weights."""
+    rows = [(scheme.name, scheme.k) for scheme in schemes]
     if fmt == "csv":
-        header = ["name", "classes"]
-        rows = [[scheme.name, str(scheme.k)] for scheme in schemes]
-        return _csv_text(header, rows)
+        return _csv_text(["name", "classes"], rows)
     if fmt == "json":
+        entries = [{"name": name, "classes": k} for name, k in rows]
         return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "schemes",
-                "schemes": [
-                    {"name": scheme.name, "classes": scheme.k} for scheme in schemes
-                ],
-            }
+            {"schema_version": SCHEMA_VERSION, "command": "schemes", "schemes": entries}
         )
-    rows = []
-    for scheme in schemes:
-        weights = scheme.weights
-        if len(weights) > 8:
-            weight_text = f"{format_fraction(weights[0])} .. {format_fraction(weights[-1])}"
-        else:
-            weight_text = ", ".join(format_fraction(w) for w in weights)
-        rows.append([scheme.name, str(scheme.k), weight_text])
-    return "\n".join(_render_table(["name", "classes", "weights"], rows)) + "\n"
+    table = []
+    for (name, k), scheme in zip(rows, schemes):
+        weights = [str(w) for w in scheme.weights]
+        text = f"{weights[0]} .. {weights[-1]}" if len(weights) > 8 else ", ".join(weights)
+        table.append([name, str(k), text])
+    return _sections([_render_table(["name", "classes", "weights"], table)])

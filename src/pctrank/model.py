@@ -40,11 +40,6 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
         raise ValueError(f"invalid fraction {value!r}") from exc
 
 
-def format_fraction(value: Fraction) -> str:
-    """Exact "p/q" rendering (plain "p" for whole values); inverse of parse_fraction."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class CitationRecord:
     """One document: an opaque id, its citation count, and an optional group key."""
@@ -269,9 +264,13 @@ def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PR
         path = Path(source)
         default_name = path.stem
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise SchemeError(f"cannot read scheme file {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemeError(
+                f"scheme file {path} is not valid UTF-8 at byte offset {exc.start}"
+            ) from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -310,6 +309,6 @@ def scheme_to_document(scheme: PRScheme) -> dict:
     """Serialize a scheme to the JSON document form load_custom_scheme reads."""
     return {
         "name": scheme.name,
-        "boundaries": [format_fraction(b) for b in scheme.boundaries],
-        "weights": [format_fraction(w) for w in scheme.weights],
+        "boundaries": [str(b) for b in scheme.boundaries],
+        "weights": [str(w) for w in scheme.weights],
     }

@@ -137,6 +137,29 @@ class TestInputEdgeCases:
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("default,5,pr6,fractional,191/20,")
 
+    def test_input_file_that_is_not_utf8_is_refused(self, run, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,citations\ncaf\xe9,1\n")
+        code, out, err = run(["attribute", "--scheme", "top50", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "not valid UTF-8" in err and "byte offset 16" in err
+
+    def test_stdin_bytes_are_decoded_as_utf8(self, run, monkeypatch):
+        argv = ["attribute", "--scheme", "top50", "--format", "json"]
+        # The streams' own encodings would read both inputs without an error.
+        good = io.TextIOWrapper(io.BytesIO("id,citations\ncafé,1\n".encode()), "latin-1")
+        monkeypatch.setattr(sys, "stdin", good)
+        code, out, _ = run(argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["groups"][0]["documents"][0]["id"] == "café"
+        bad = io.TextIOWrapper(io.BytesIO(b"id,citations\ncaf\xe9,1\n"), "utf-8", "surrogateescape")
+        monkeypatch.setattr(sys, "stdin", bad)
+        code, out, err = run(argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "not valid UTF-8" in err and "byte offset 16" in err
+
 
 class TestBoundaryHandling:
     MID = ["--rule", "midpoint"]
@@ -282,6 +305,15 @@ class TestSchemes:
         rows = {row["id"]: row for row in csv.DictReader(io.StringIO(out))}
         assert F(rows["d2"]["f_1"]) == F(1, 2)  # [1/5, 2/5] straddles 3/10
 
+    def test_scheme_file_that_is_not_utf8_is_refused(self, run, tmp_path, five_file):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9", "boundaries": ["0", "1"], "weights": ["1"]}')
+        for argv in (["schemes"], ["attribute", "--input", five_file]):
+            code, out, err = run([*argv, "--scheme", f"custom={path}"])
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert "not valid UTF-8" in err and "byte offset 13" in err
+
 
 class TestPrecision:
     ARGS = ["indicators", "--scheme", "pr6", "--rule", "midpoint",
@@ -318,6 +350,25 @@ class TestPrecision:
         )
         assert code == EXIT_CONFIG
         assert "config error" in err
+
+    NO_DECIMALS = [["report", "--scheme", "pr6"], ["schemes"], ["schemes", "--scheme", "pr6"]]
+
+    @pytest.mark.parametrize("argv", NO_DECIMALS, ids=" ".join)
+    def test_commands_without_decimals_ignore_the_env_knob(self, run, tmp_path, argv):
+        if argv[0] == "report":
+            argv = [*argv, "--input", self.three_docs(tmp_path)]
+        code, out, err = run(argv)
+        assert code == EXIT_OK
+        for value in ("abc", "0", "9"):
+            assert run(argv, env={"PCT_PRECISION": value}) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", NO_DECIMALS, ids=" ".join)
+    def test_commands_without_decimals_refuse_the_flag(self, run, tmp_path, argv):
+        if argv[0] == "report":
+            argv = [*argv, "--input", self.three_docs(tmp_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            run([*argv, "--precision", "4"])
+        assert excinfo.value.code == EXIT_CONFIG
 
 
 class TestExitCodes:
