@@ -44,6 +44,9 @@ EXIT_CONFIG = 3
 EXIT_BOUNDARY = 4
 
 PRECISION_ENV = "PCT_PRECISION"
+# Decimal renderings are for display; a larger precision only prints more
+# digits of every non-terminating value.
+MAX_PRECISION = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +81,8 @@ def _resolve_precision(args) -> int:
             raise ConfigError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ConfigError("precision must be at least 1")
+    if value > MAX_PRECISION:
+        raise ConfigError(f"precision must be at most {MAX_PRECISION}")
     return value
 
 
@@ -128,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     precision_config = argparse.ArgumentParser(add_help=False)
     precision_config.add_argument(
         "--precision", type=int, default=None,
-        help=f"significant digits for decimal renderings "
+        help=f"significant digits for decimal renderings, 1 to {MAX_PRECISION} "
              f"(default {DEFAULT_PRECISION}; env {PRECISION_ENV})",
     )
 

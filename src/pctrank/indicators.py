@@ -257,13 +257,19 @@ def compare_rules(
 
     Classes are assigned under the 'lower' policy so the comparison can proceed
     across the very boundary cases it exists to surface; each hit is still
-    flagged with the boundary it sat on. Fractional counts are attached for
-    reference: n times each class width.
+    flagged with the boundary it sat on. Only the tie groups near an interior
+    boundary are classified: every point of any other group, rounded or not,
+    lies strictly inside the one class that holds its interval, so it can
+    neither hit a boundary nor make the rules disagree. Fractional counts are
+    attached for reference: n times each class width.
     """
     grid = _Grid(scheme, ranked.n)
+    # A rounded percentile p of a group [low, high] has p/100 within one
+    # percentile point of it, on both midpoint routes.
+    margin = 0 if rounding is RoundingMode.NONE else 1
     flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
     disagreements: list[RuleDisagreement] = []
-    for group in ranked.groups:
+    for group in grid.near_boundaries(ranked.groups, margin):
         classes = []
         interval = None
         for rule in POINT_RULES:

@@ -345,10 +345,32 @@ def render_attributions(
     """Attributions as csv, json or a table per group, one row or document
     per attribution. Tie group members share their interval and attribution,
     so each group's cells (or its JSON text after "id") are formatted once
-    and reused for its members. rounding, policy and midpoint_route are
-    shown for point rules only."""
+    and reused for its members; under the fractional rule, the score and
+    fraction cells of the groups inside one class are formatted once for
+    that class. rounding, policy and midpoint_route are shown for point
+    rules only."""
     fractional = rule is CountingRule.FRACTIONAL
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
+    single_tails: dict[int, list[str] | str] = {}  # by class position
+
+    def fractional_tail(score, fractions):
+        """The score and fraction cells (csv, table), or their JSON fields."""
+        cells = _fraction_cells(fractions)
+        if fmt == "json":
+            items = _json_items(f'"{f}"' for f in cells)
+            return f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}'
+        return [str(score) if fmt == "csv" else _exact_and_decimal(score, precision), *cells]
+
+    def tail_of(grid, group, head):
+        """A tie group's fractional tail; the same object for every group
+        inside one class."""
+        classes = grid.span(group)[2]
+        if len(classes) > 1:
+            return fractional_tail(grid.score(group), head.fractions)
+        i = classes[0]
+        if i not in single_tails:
+            single_tails[i] = fractional_tail(scheme.classes[i].weight, grid.single(i))
+        return single_tails[i]
 
     def shared(group_key, n, grid, group, head):
         """The cells of a row after the id (csv, table), or the JSON text of
@@ -359,11 +381,7 @@ def render_attributions(
             interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
             text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
             if fractional:
-                fractions = _json_items(f'"{f}"' for f in _fraction_cells(head.fractions))
-                text += (
-                    f',{_FIELD}"score": "{grid.score(group)}"'
-                    f',{_FIELD}"fractions": {fractions}'
-                )
+                text += tail_of(grid, group, head)
             else:
                 weight = scheme.classes[head.class_index - 1].weight
                 boundary = head.boundary_hit
@@ -393,9 +411,7 @@ def render_attributions(
                 ),
             ]
         if fractional:
-            score = grid.score(group)
-            cells.append(str(score) if fmt == "csv" else _exact_and_decimal(score, precision))
-            return cells + _fraction_cells(head.fractions)
+            return cells + tail_of(grid, group, head)
         percentile = _percentile_exact(head)
         if fmt == "csv":
             cells += [str(head.quantile), str(percentile)]

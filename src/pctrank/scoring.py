@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import BoundaryAmbiguityError
@@ -249,6 +250,8 @@ def fractional_attribution(
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RANK_LOW = attrgetter("rank_low")
+_RANK_HIGH = attrgetter("rank_high")
 
 
 class _Grid:
@@ -261,7 +264,8 @@ class _Grid:
     [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
     1/(n*D). Rounded percentiles p are points at scale 100. Class weights
     sit over their common denominator, so a group's fractional score is one
-    integer ratio.
+    integer ratio. A group inside one class shares that class's fractions
+    tuple, and its score is the class weight.
     """
 
     def __init__(self, scheme: PRScheme, n: int):
@@ -273,6 +277,7 @@ class _Grid:
         # Class weights over their common denominator: weight_i = units[i]/w_den.
         self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
         self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
+        self._single: list[tuple[Fraction, ...] | None] = [None] * scheme.k
 
     def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
         """classify_point for the quantile a/scale: (class index, boundary hit)."""
@@ -321,6 +326,25 @@ class _Grid:
         return (a, scale, percentile, *self.classify(percentile, 100, policy),
                 endpoint_percentiles)
 
+    def near_boundaries(self, groups: Sequence[TieGroup], margin: int) -> Iterator[TieGroup]:
+        """The tie groups (in rank order, as `groups` is) whose closed
+        interval [low, high] comes within margin/100 of an interior boundary
+        b: high >= b - margin/100 and low <= b + margin/100. Each boundary's
+        window is found by bisecting the groups' rank spans."""
+        n, scale = self.n, 100 * self.d
+        visited = 0
+        for cut in self.edges[100][1:-1]:  # 100*b*D
+            # r_high >= n*(b - margin/100), r_high an integer
+            start = bisect_left(
+                groups, -(-n * (cut - margin * self.d) // scale), visited, key=_RANK_HIGH
+            )
+            # r_low - 1 <= n*(b + margin/100)
+            stop = bisect_right(
+                groups, n * (cut + margin * self.d) // scale + 1, visited, key=_RANK_LOW
+            )
+            yield from groups[start:stop]
+            visited = stop
+
     def span(self, group: TieGroup) -> tuple[int, int, range]:
         """A tie group's interval [low, high] on the grid (against the cuts
         scaled by n) and the positions of the classes it overlaps."""
@@ -330,21 +354,35 @@ class _Grid:
         high = group.rank_high * self.d
         return low, high, range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k))
 
+    def single(self, i: int) -> tuple[Fraction, ...]:
+        """The fractions of every tie group that lies inside class i alone
+        (position i, 0-based): one tuple per class, built on first use."""
+        fractions = self._single[i]
+        if fractions is None:
+            k = self.scheme.k
+            fractions = self._single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
+        return fractions
+
     def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
         """_fractions for one tie group's interval."""
         low, high, classes = self.span(group)
+        if len(classes) == 1:
+            return self.single(classes[0])
+        # Spread over several classes: every overlap is shorter than the width.
         edges = self.edges[self.n]
         width = high - low
         fractions = [_ZERO] * self.scheme.k
         for i in classes:
-            overlap = min(high, edges[i + 1]) - max(low, edges[i])
-            fractions[i] = _ONE if overlap == width else Fraction(overlap, width)
+            fractions[i] = Fraction(min(high, edges[i + 1]) - max(low, edges[i]), width)
         return tuple(fractions)
 
     def score(self, group: TieGroup) -> Fraction:
         """The per-document score of a tie group's members under the
-        fractional rule: the overlap-weighted sum of the class weights."""
+        fractional rule: the overlap-weighted sum of the class weights, which
+        is the class weight itself for a group inside one class."""
         low, high, classes = self.span(group)
+        if len(classes) == 1:
+            return self.scheme.classes[classes[0]].weight
         edges = self.edges[self.n]
         units = self.units
         weighted = sum((min(high, edges[i + 1]) - max(low, edges[i])) * units[i] for i in classes)

@@ -351,6 +351,24 @@ class TestPrecision:
         assert code == EXIT_CONFIG
         assert "config error" in err
 
+    def test_cap_is_accepted(self, run, tmp_path):
+        argv = [*self.ARGS, "--input", self.three_docs(tmp_path), "--precision", "100"]
+        code, out, _ = run(argv)
+        assert code == EXIT_OK
+        assert f"5/3 (1.{'6' * 98}7)" in out
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["101", "20000"])
+    def test_precision_above_the_cap_is_refused(self, run, tmp_path, source, value):
+        argv = [*self.ARGS, "--input", self.three_docs(tmp_path)]
+        if source == "flag":
+            code, out, err = run([*argv, "--precision", value])
+        else:
+            code, out, err = run(argv, env={"PCT_PRECISION": value})
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "config error: precision must be at most 100" in err
+
     NO_DECIMALS = [["report", "--scheme", "pr6"], ["schemes"], ["schemes", "--scheme", "pr6"]]
 
     @pytest.mark.parametrize("argv", NO_DECIMALS, ids=" ".join)

@@ -60,11 +60,20 @@ def tie_heavy_set(rng: random.Random, max_n: int = 200) -> DocumentSet:
     )
 
 
+def field_set(rng: random.Random, n: int = 40) -> DocumentSet:
+    """One field's worth of heavy-tailed citation counts, with many ties."""
+    return DocumentSet(
+        tuple(CitationRecord(f"p{i:02d}", int(rng.paretovariate(1.2)) - 1) for i in range(n))
+    )
+
+
 def cases():
     """(ranked set, scheme) pairs: small random sets, tie-heavy sets up to
-    n=200, the edge sizes n=1 and one tie group of size n, and two schemes
-    off the integer pattern of random_scheme: non-integer weights, and large
-    coprime boundary denominators whose lcm no n here divides."""
+    n=200, the edge sizes n=1 and one tie group of size n, two schemes off
+    the integer pattern of random_scheme (non-integer weights, and large
+    coprime boundary denominators whose lcm no n here divides), distinct sets
+    whose boundaries fall between or inside groups, and sets of 40 under a
+    top-10% scheme."""
     rng = random.Random(20120516)
     out = [(rank(random_document_set(rng)), random_scheme(rng)) for _ in range(60)]
     for _ in range(8):
@@ -93,6 +102,13 @@ def cases():
     out.append((rank(make_distinct(154)), coprime))
     tied = DocumentSet(tuple(CitationRecord(f"w{i:03d}", i % 9) for i in range(200)))
     out.append((rank(tied), coprime))
+    # Every boundary falls exactly between two of 500 or 1000 distinct
+    # documents, and strictly inside one of 997.
+    out.append((rank(make_distinct(500)), builtin_scheme("pr100")))
+    out.append((rank(make_distinct(1000)), builtin_scheme("pr6")))
+    out.append((rank(make_distinct(997)), builtin_scheme("pr6")))
+    for _ in range(3):
+        out.append((rank(field_set(rng)), builtin_scheme("topx=1/10")))
     return out
 
 
@@ -227,7 +243,7 @@ def json_document_row(d: dict, rule: CountingRule) -> list[str]:
     return row + [str(d["class"]), d["weight"], str(d["ambiguous"]).lower(), boundary]
 
 
-@pytest.mark.parametrize("ranked,scheme", CASES[-15:], ids=IDS[-15:])
+@pytest.mark.parametrize("ranked,scheme", CASES[-21:], ids=IDS[-21:])
 def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
     """csv and json attribute rows, under the fractional and every point rule,
     formatted once per tie group, match rows formatted document by document."""
@@ -265,7 +281,7 @@ def assert_dumps_layout(text: str) -> dict:
     return payload
 
 
-@pytest.mark.parametrize("ranked,scheme", CASES[-15:], ids=IDS[-15:])
+@pytest.mark.parametrize("ranked,scheme", CASES[-21:], ids=IDS[-21:])
 def test_attribute_json_is_laid_out_as_json_dumps(ranked, scheme):
     for rule, options in RENDER_OPTIONS:
         batches = [("g", ranked, attribute_all(ranked, scheme, rule, **options))]

@@ -27,6 +27,7 @@ from pctrank import (
     topx_scheme,
 )
 from pctrank.indicators import fold_indicators
+from pctrank.scoring import _Grid
 from support import make_distinct, make_tied
 
 F = Fraction
@@ -243,6 +244,26 @@ class TestCompareRules:
         assert [f.doc_id for f in at_99] == ["d149"]
         assert at_99[0].interval_low == F(74, 75)
         assert at_99[0].interval_high == F(149, 150)
+
+    def test_classifies_only_the_groups_next_to_a_boundary(self, monkeypatch):
+        """Each pr6 boundary falls between two of 10 000 distinct documents,
+        so the three rules classify those two groups and no other."""
+        calls = 0
+        point = _Grid.point
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return point(*args)
+
+        monkeypatch.setattr(_Grid, "point", counted)
+        pr6 = builtin_scheme("pr6")
+        report = compare_rules(rank(make_distinct(10_000)), pr6)
+        assert calls <= 3 * 2 * (pr6.k - 1)
+        assert report.flag_counts == {CW: 5, CWE: 5, MID: 0}
+        assert [d.doc_id for d in report.disagreements] == [
+            "d05001", "d07501", "d09001", "d09501", "d09901",
+        ]
 
     def test_rounding_is_passed_through(self, eight_ranked):
         report = compare_rules(
