@@ -353,7 +353,7 @@ def render_attributions(
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
     single_tails: dict[int, list[str] | str] = {}  # by class position
 
-    def fractional_tail(score, fractions):
+    def fractional_tail(fractions, score):
         """The score and fraction cells (csv, table), or their JSON fields."""
         cells = _fraction_cells(fractions)
         if fmt == "json":
@@ -366,10 +366,10 @@ def render_attributions(
         inside one class."""
         classes = grid.span(group)[2]
         if len(classes) > 1:
-            return fractional_tail(grid.score(group), head.fractions)
+            return fractional_tail(head.fractions, grid.score(group))
         i = classes[0]
         if i not in single_tails:
-            single_tails[i] = fractional_tail(scheme.classes[i].weight, grid.single(i))
+            single_tails[i] = fractional_tail(*grid.single(i))
         return single_tails[i]
 
     def shared(group_key, n, grid, group, head):

@@ -277,7 +277,7 @@ class _Grid:
         # Class weights over their common denominator: weight_i = units[i]/w_den.
         self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
         self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
-        self._single: list[tuple[Fraction, ...] | None] = [None] * scheme.k
+        self._single: list[tuple[tuple[Fraction, ...], Fraction] | None] = [None] * scheme.k
 
     def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
         """classify_point for the quantile a/scale: (class index, boundary hit)."""
@@ -354,20 +354,22 @@ class _Grid:
         high = group.rank_high * self.d
         return low, high, range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k))
 
-    def single(self, i: int) -> tuple[Fraction, ...]:
-        """The fractions of every tie group that lies inside class i alone
-        (position i, 0-based): one tuple per class, built on first use."""
-        fractions = self._single[i]
-        if fractions is None:
+    def single(self, i: int) -> tuple[tuple[Fraction, ...], Fraction]:
+        """The fractions and score of every tie group that lies inside class
+        i alone (position i, 0-based): one pair per class, built on first
+        use; the score is the class weight."""
+        shared = self._single[i]
+        if shared is None:
             k = self.scheme.k
-            fractions = self._single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
-        return fractions
+            fractions = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
+            shared = self._single[i] = (fractions, self.scheme.classes[i].weight)
+        return shared
 
     def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
         """_fractions for one tie group's interval."""
         low, high, classes = self.span(group)
         if len(classes) == 1:
-            return self.single(classes[0])
+            return self.single(classes[0])[0]
         # Spread over several classes: every overlap is shorter than the width.
         edges = self.edges[self.n]
         width = high - low
@@ -378,11 +380,10 @@ class _Grid:
 
     def score(self, group: TieGroup) -> Fraction:
         """The per-document score of a tie group's members under the
-        fractional rule: the overlap-weighted sum of the class weights, which
-        is the class weight itself for a group inside one class."""
+        fractional rule: the overlap-weighted sum of the class weights."""
         low, high, classes = self.span(group)
         if len(classes) == 1:
-            return self.scheme.classes[classes[0]].weight
+            return self.single(classes[0])[1]
         edges = self.edges[self.n]
         units = self.units
         weighted = sum((min(high, edges[i + 1]) - max(low, edges[i])) * units[i] for i in classes)
