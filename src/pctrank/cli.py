@@ -33,9 +33,9 @@ from .scoring import (
     BoundaryPolicy,
     CountingRule,
     MidpointRoute,
-    PointAttribution,
     RoundingMode,
     attribute_all,
+    tie_group_attributions,
 )
 
 EXIT_OK = 0
@@ -95,10 +95,10 @@ def _resolve_policy(args) -> tuple[BoundaryPolicy, bool]:
 
 def _warn_defaulted_ambiguities(batches) -> None:
     hits = sum(
-        1
-        for _key, _ranked, attributions in batches
-        for attribution in attributions
-        if isinstance(attribution, PointAttribution) and attribution.ambiguous
+        group.size
+        for _key, ranked, attributions in batches
+        for group, members in tie_group_attributions(ranked, attributions)
+        if members[0].ambiguous
     )
     if hits:
         noun = "attribution" if hits == 1 else "attributions"

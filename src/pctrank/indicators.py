@@ -3,9 +3,8 @@ and the cross-rule ambiguity report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SchemeError
 from .model import DocumentSet, PRScheme
@@ -25,8 +24,7 @@ from .scoring import (
 )
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(NamedTuple):
     """Per-class document mass; fractional under the fractional rule."""
 
     scheme: PRScheme
@@ -114,8 +112,7 @@ def pp_top(counts: ClassCounts, n: int) -> Fraction:
     return counts.counts[-1] / n
 
 
-@dataclass(frozen=True)
-class IndicatorResult:
+class IndicatorResult(NamedTuple):
     """All indicator values for one document set under one configuration."""
 
     scheme_name: str
@@ -204,8 +201,7 @@ def grouped_indicators(
     }
 
 
-@dataclass(frozen=True)
-class BoundaryFlag:
+class BoundaryFlag(NamedTuple):
     """A point rule landing a document exactly on an interior class boundary."""
 
     rule: CountingRule
@@ -216,16 +212,14 @@ class BoundaryFlag:
     interval_high: Fraction
 
 
-@dataclass(frozen=True)
-class RuleDisagreement:
+class RuleDisagreement(NamedTuple):
     """A document whose class assignment differs between point rules."""
 
     doc_id: str
     classes: dict[CountingRule, int]
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(NamedTuple):
     """Boundary hits and cross-rule class disagreements for one ranked set.
 
     Flags cover all three point rules; a document appears here exactly when

@@ -158,7 +158,9 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
         raise DataError("repeated column name in header", line=1)
     if "id" not in header or "citations" not in header:
         raise DataError("header must name the id and citations columns", line=1)
-    position = {name: header.index(name) for name in header}
+    columns = len(header)
+    id_at, citations_at = header.index("id"), header.index("citations")
+    group_at = header.index("group") if "group" in header else None
 
     records: list[CitationRecord] = []
     seen: dict[str, int] = {}
@@ -166,13 +168,11 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     for row in rows:
         # A quoted newline makes a row span lines; report the row's first one.
         line_no, last_line = last_line + 1, rows.line_num
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} columns, found {len(row)}", line=line_no
-            )
-        doc_id = row[position["id"]].strip()
+        if len(row) != columns:
+            raise DataError(f"expected {columns} columns, found {len(row)}", line=line_no)
+        doc_id = row[id_at].strip()
         if not doc_id:
             raise DataError("empty document id", line=line_no)
         if doc_id in seen:
@@ -181,14 +181,15 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
                 line=line_no,
             )
         seen[doc_id] = line_no
-        raw_citations = row[position["citations"]].strip()
+        raw_citations = row[citations_at].strip()
         if not _CITATIONS_RE.match(raw_citations):
             raise DataError(
                 f"citations must be a base-10 non-negative integer, got {raw_citations!r}",
                 line=line_no,
             )
-        group = row[position["group"]].strip() if "group" in position else ""
-        records.append(CitationRecord(doc_id, int(raw_citations), group or None))
+        group = row[group_at].strip() if group_at is not None else ""
+        # Checked above, so the record skips CitationRecord's own checks.
+        records.append(tuple.__new__(CitationRecord, (doc_id, int(raw_citations), group or None)))
     if not records:
         raise DataError("no data rows in input")
     return records
@@ -223,7 +224,7 @@ def _records_from_json(text: str) -> list[CitationRecord]:
             group = row.get("group")
             if group is not None and not isinstance(group, str):
                 raise DataError("group must be a string when present")
-            records.append(CitationRecord(doc_id, citations, group or None))
+            records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
     except DataError as exc:
         # The location is formatted only for the row that failed.
         raise DataError(f"document {pos}: {exc}") from None

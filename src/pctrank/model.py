@@ -7,11 +7,9 @@ scores stay exact end to end; nothing here passes through binary floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DataError, SchemeError
 
@@ -40,78 +38,87 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
         raise ValueError(f"invalid fraction {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class CitationRecord:
-    """One document: an opaque id, its citation count, and an optional group key."""
-
+class _CitationRecord(NamedTuple):
     doc_id: str
     citations: int
     group: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.doc_id, str) or not self.doc_id:
+
+class CitationRecord(_CitationRecord):
+    """One document: an opaque id, its citation count, and an optional group key.
+
+    The constructor checks every field; the readers, which check rows
+    themselves, build records with `tuple.__new__(CitationRecord, fields)`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, citations: int, group: str | None = None):
+        if not isinstance(doc_id, str) or not doc_id:
             raise DataError("document id must be a non-empty string")
-        if isinstance(self.citations, bool) or not isinstance(self.citations, int):
-            raise DataError(f"citations for {self.doc_id!r} must be an integer")
-        if self.citations < 0:
-            raise DataError(f"citations for {self.doc_id!r} must be non-negative")
+        if isinstance(citations, bool) or not isinstance(citations, int):
+            raise DataError(f"citations for {doc_id!r} must be an integer")
+        if citations < 0:
+            raise DataError(f"citations for {doc_id!r} must be non-negative")
+        return tuple.__new__(cls, (doc_id, citations, group))
 
 
-@dataclass(frozen=True)
 class DocumentSet:
     """An ordered, non-empty collection of citation records with unique ids."""
 
-    records: tuple[CitationRecord, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+    def __init__(self, records: Sequence[CitationRecord]):
+        self.records = tuple(records)
         if not self.records:
             raise DataError("a document set needs at least one record")
-        seen: set[str] = set()
-        for record in self.records:
-            if record.doc_id in seen:
-                raise DataError(f"duplicate document id {record.doc_id!r}")
-            seen.add(record.doc_id)
+        if len({record.doc_id for record in self.records}) < len(self.records):
+            seen: set[str] = set()
+            for record in self.records:
+                if record.doc_id in seen:
+                    raise DataError(f"duplicate document id {record.doc_id!r}")
+                seen.add(record.doc_id)
 
     @property
     def n(self) -> int:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class PRClass:
-    """One percentile rank class: a slice of the quantile axis plus its weight.
-
-    The slice is half-open [lower, upper); the scheme's top class additionally
-    owns the point 1. Class indices are 1-based within their scheme.
-    """
-
+class _PRClass(NamedTuple):
     index: int
     lower: Fraction
     upper: Fraction
     weight: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.lower < self.upper <= 1):
-            raise SchemeError(
-                f"class {self.index}: need 0 <= lower < upper <= 1, "
-                f"got [{self.lower}, {self.upper}]"
-            )
 
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
+class PRClass(_PRClass):
+    """One percentile rank class: a slice of the quantile axis plus its weight.
+
+    The slice is half-open [lower, upper); the scheme's top class additionally
+    owns the point 1. Class indices are 1-based within their scheme.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, lower: Fraction, upper: Fraction, weight: Fraction):
+        if not (0 <= lower < upper <= 1):
+            raise SchemeError(
+                f"class {index}: need 0 <= lower < upper <= 1, got [{lower}, {upper}]"
+            )
+        return tuple.__new__(cls, (index, lower, upper, weight))
+
+
 class PRScheme:
-    """A contiguous, exhaustive partition of [0, 1] into weighted classes."""
+    """A contiguous, exhaustive partition of [0, 1] into weighted classes.
 
-    name: str
-    classes: tuple[PRClass, ...]
+    Schemes compare equal, and hash alike, when their names and classes do.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
+    def __init__(self, name: str, classes: Sequence[PRClass]):
+        self.name = name
+        self.classes = tuple(classes)
         if not self.classes:
             raise SchemeError("a scheme needs at least one class")
         if self.classes[0].lower != 0:
@@ -127,14 +134,22 @@ class PRScheme:
         for position, cls in enumerate(self.classes, start=1):
             if cls.index != position:
                 raise SchemeError(f"class at position {position} carries index {cls.index}")
+        self.lower_bounds: tuple[Fraction, ...] = tuple(cls.lower for cls in self.classes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.classes) == (other.name, other.classes)
+
+    def __hash__(self):
+        return hash((self.name, self.classes))
+
+    def __repr__(self):
+        return f"PRScheme(name={self.name!r}, classes={self.classes!r})"
 
     @property
     def k(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def lower_bounds(self) -> tuple[Fraction, ...]:
-        return tuple(cls.lower for cls in self.classes)
 
     @property
     def boundaries(self) -> tuple[Fraction, ...]:

@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from typing import NamedTuple
 
 from .model import DocumentSet
 
 
-@dataclass(frozen=True)
-class QuantileInterval:
-    """The exact slice of the quantile axis a document occupies.
-
-    A tie group spanning ranks [rank_low, rank_high] of n documents covers
-    [(rank_low - 1)/n, rank_high/n]; every member of the group shares it.
-    """
-
+class _QuantileInterval(NamedTuple):
     low: Fraction
     high: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.low < self.high <= 1):
-            raise ValueError(f"need 0 <= low < high <= 1, got [{self.low}, {self.high}]")
 
     @property
     def width(self) -> Fraction:
@@ -34,8 +23,22 @@ class QuantileInterval:
         return (self.low + self.high) / 2
 
 
-@dataclass(frozen=True)
-class TieGroup:
+class QuantileInterval(_QuantileInterval):
+    """The exact slice of the quantile axis a document occupies.
+
+    A tie group spanning ranks [rank_low, rank_high] of n documents covers
+    [(rank_low - 1)/n, rank_high/n]; every member of the group shares it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, low: Fraction, high: Fraction):
+        if not (0 <= low < high <= 1):
+            raise ValueError(f"need 0 <= low < high <= 1, got [{low}, {high}]")
+        return tuple.__new__(cls, (low, high))
+
+
+class TieGroup(NamedTuple):
     """Documents sharing one citation count, hence one rank span and interval."""
 
     citations: int
@@ -48,12 +51,12 @@ class TieGroup:
         return self.rank_high - self.rank_low + 1
 
 
-@dataclass(frozen=True)
 class RankedSet:
     """A document set with its tie groups and per-document quantile intervals."""
 
-    source: DocumentSet
-    groups: tuple[TieGroup, ...]
+    def __init__(self, source: DocumentSet, groups: tuple[TieGroup, ...]):
+        self.source = source
+        self.groups = groups
 
     @property
     def n(self) -> int:
@@ -89,11 +92,13 @@ def rank(document_set: DocumentSet) -> RankedSet:
     interval. Member ids are sorted, so the result is identical for any
     permutation of the input records.
     """
-    ordered = sorted(document_set.records, key=lambda record: record.citations)
+    # Ids are unique, so sorting the pairs sorts by citations, then by id.
+    ordered = sorted([(record.citations, record.doc_id) for record in document_set.records])
+    ids = [doc_id for _, doc_id in ordered]
     groups: list[TieGroup] = []
-    next_rank = 1
-    for citations, members in groupby(ordered, key=lambda record: record.citations):
-        ids = tuple(sorted(member.doc_id for member in members))
-        groups.append(TieGroup(citations, ids, next_rank, next_rank + len(ids) - 1))
-        next_rank += len(ids)
+    done = 0
+    # Counted in rank order, so the counts come out by ascending citations.
+    for citations, size in Counter([citations for citations, _ in ordered]).items():
+        groups.append(TieGroup(citations, tuple(ids[done:done + size]), done + 1, done + size))
+        done += size
     return RankedSet(document_set, tuple(groups))

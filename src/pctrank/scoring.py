@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BoundaryAmbiguityError
 from .model import PRScheme
@@ -61,15 +60,13 @@ class MidpointRoute(Enum):
     ENDPOINTS = "endpoints"
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     class_index: int
     ambiguous: bool
     boundary_hit: Fraction | None
 
 
-@dataclass(frozen=True)
-class PointAttribution:
+class PointAttribution(NamedTuple):
     """One document classified by a point rule.
 
     quantile is the rule's exact point value before any rounding. percentile is
@@ -87,8 +84,7 @@ class PointAttribution:
     endpoint_percentiles: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class FractionalAttribution:
+class FractionalAttribution(NamedTuple):
     """One document spread over the classes; fractions sum to exactly 1."""
 
     doc_id: str
@@ -445,7 +441,6 @@ def tie_group_attributions(
         raise ValueError(
             f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
         )
-    position = 0
+    # Rank r sits at position r - 1 of the rank order.
     for group in ranked.groups:
-        yield group, attributions[position:position + group.size]
-        position += group.size
+        yield group, attributions[group.rank_low - 1:group.rank_high]

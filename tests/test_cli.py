@@ -171,6 +171,21 @@ class TestBoundaryHandling:
         assert code == EXIT_OK
         assert "warning: 1 attribution landed exactly on a class boundary" in err
 
+    def test_warning_counts_every_member_of_an_ambiguous_tie_group(self, run):
+        # alpha: a2 and a3 tie on [1/4, 3/4]; beta: one tie group on [0, 1].
+        # Both midpoints sit on top50's boundary 1/2: 2 + 3 attributions.
+        text = (
+            "id,citations,group\n"
+            "a1,1,alpha\na2,2,alpha\na3,2,alpha\na4,3,alpha\n"
+            "b1,5,beta\nb2,5,beta\nb3,5,beta\n"
+        )
+        code, _, err = run(["attribute", "--scheme", "top50", *self.MID], stdin_text=text)
+        assert code == EXIT_OK
+        assert err == (
+            "pct: warning: 5 attributions landed exactly on a class boundary and "
+            "went to the class below; pass --boundary to choose\n"
+        )
+
     def test_explicit_policy_is_silent(self, run, five_file):
         code, _, err = run(
             ["attribute", "--scheme", "top50", "--input", five_file,
