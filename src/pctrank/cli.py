@@ -14,9 +14,9 @@ import sys
 
 from . import __version__
 from .errors import BoundaryAmbiguityError, ConfigError, DataError
-# compute_indicators is not called here, but perfbench/tracing.py rebinds it in
-# this namespace.
-from .indicators import compare_rules, compute_indicators, fold_indicators  # noqa: F401
+# Each layer is called through the names imported here: perfbench/tracing.py
+# rebinds them in this namespace to time the layers of a run.
+from .indicators import compare_rules, compute_indicators
 from .io import (
     DEFAULT_PRECISION,
     partition_by_group,
@@ -93,13 +93,8 @@ def _resolve_policy(args) -> tuple[BoundaryPolicy, bool]:
     return BoundaryPolicy(args.boundary), False
 
 
-def _warn_defaulted_ambiguities(batches) -> None:
-    hits = sum(
-        group.size
-        for _key, ranked, attributions in batches
-        for group, members in tie_group_attributions(ranked, attributions)
-        if members[0].ambiguous
-    )
+def _warn_defaulted_ambiguities(hits: int) -> None:
+    """Say how many documents a defaulted policy put on a boundary, if any."""
     if hits:
         noun = "attribution" if hits == 1 else "attributions"
         print(
@@ -229,32 +224,36 @@ def _run(args) -> str:
 
     rule = CountingRule(args.rule)
     policy, warn_on_ambiguity = _resolve_policy(args)
+    options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
+
+    if args.command == "indicators":
+        # Decided per tie group: no per-document attributions.
+        results = [
+            (key, compute_indicators(rank(sets[key]), scheme, rule, **options))
+            for key in sorted(sets)
+        ]
+        if warn_on_ambiguity:
+            _warn_defaulted_ambiguities(sum(result.boundary_hits for _, result in results))
+        return render_indicators(results, scheme, fmt=args.format, precision=precision)
+
     batches = []
     for key in sorted(sets):
         ranked = rank(sets[key])
-        attributions = attribute_all(
-            ranked, scheme, rule,
-            rounding=rounding, policy=policy, midpoint_route=midpoint_route,
-        )
-        batches.append((key, ranked, attributions))
+        batches.append((key, ranked, attribute_all(ranked, scheme, rule, **options)))
     if warn_on_ambiguity and rule is not CountingRule.FRACTIONAL:
-        _warn_defaulted_ambiguities(batches)
-
-    if args.command == "attribute":
-        return render_attributions(
-            batches, scheme, rule,
-            rounding=rounding,
-            policy=None if rule is CountingRule.FRACTIONAL else policy,
-            midpoint_route=midpoint_route,
-            fmt=args.format, precision=precision,
-        )
-
-    # indicators: fold the attributions computed above
-    results = [
-        (key, fold_indicators(ranked, scheme, rule, attributions))
-        for key, ranked, attributions in batches
-    ]
-    return render_indicators(results, scheme, fmt=args.format, precision=precision)
+        _warn_defaulted_ambiguities(sum(
+            group.size
+            for _key, ranked, attributions in batches
+            for group, members in tie_group_attributions(ranked, attributions)
+            if members[0].ambiguous
+        ))
+    return render_attributions(
+        batches, scheme, rule,
+        rounding=rounding,
+        policy=None if rule is CountingRule.FRACTIONAL else policy,
+        midpoint_route=midpoint_route,
+        fmt=args.format, precision=precision,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,12 +3,13 @@ and the cross-rule ambiguity report."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import SchemeError
 from .model import DocumentSet, PRScheme
-from .ranking import RankedSet, interval_for, rank
+from .ranking import RankedSet, TieGroup, interval_for, rank
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -19,7 +20,7 @@ from .scoring import (
     PointAttribution,
     RoundingMode,
     _Grid,
-    attribute_all,
+    attribute_all,  # noqa: F401  (not called here; perfbench/tracing.py rebinds it)
     tie_group_attributions,
 )
 
@@ -113,7 +114,11 @@ def pp_top(counts: ClassCounts, n: int) -> Fraction:
 
 
 class IndicatorResult(NamedTuple):
-    """All indicator values for one document set under one configuration."""
+    """All indicator values for one document set under one configuration.
+
+    boundary_hits counts the documents whose point landed exactly on an
+    interior class boundary (always 0 under the fractional rule).
+    """
 
     scheme_name: str
     rule: CountingRule
@@ -121,7 +126,61 @@ class IndicatorResult(NamedTuple):
     i3: Fraction
     r: Fraction
     pp: Fraction | None  # only for 2-class schemes
-    per_doc_scores: dict[str, Fraction]
+    per_doc_scores: Mapping[str, Fraction]
+    boundary_hits: int = 0
+
+
+# A tie group's per-document score, given the grid of its ranked set.
+_GroupScore = Callable[[_Grid, TieGroup], Fraction]
+
+
+class _MemberScores(Mapping):
+    """Each document's contribution to I3, by id, in rank order: read-only.
+
+    The members of a tie group share one score. The scores are taken per
+    tie group on first lookup; len() is n without building them.
+    """
+
+    __slots__ = ("_ranked", "_scheme", "_score", "_scores")
+
+    def __init__(self, ranked: RankedSet, scheme: PRScheme, score: _GroupScore):
+        self._ranked = ranked
+        self._scheme = scheme
+        self._score = score
+        self._scores: dict[str, Fraction] | None = None
+
+    def _built(self) -> dict[str, Fraction]:
+        if self._scores is None:
+            grid = _Grid(self._scheme, self._ranked.n)
+            scores: dict[str, Fraction] = {}
+            for group in self._ranked.groups:
+                scores.update(dict.fromkeys(group.member_ids, self._score(grid, group)))
+            self._scores = scores
+        return self._scores
+
+    def __getitem__(self, doc_id: str) -> Fraction:
+        return self._built()[doc_id]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return self._ranked.n
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def _result(
+    ranked: RankedSet, totals: ClassCounts, rule: CountingRule, hits: int, score: _GroupScore
+) -> IndicatorResult:
+    scheme, n = totals.scheme, ranked.n
+    total = i3(totals)
+    pp = pp_top(totals, n) if scheme.k == 2 else None
+    return IndicatorResult(
+        scheme.name, rule, n, total, r_indicator(total, n), pp,
+        _MemberScores(ranked, scheme, score), hits,
+    )
 
 
 def compute_indicators(
@@ -133,11 +192,31 @@ def compute_indicators(
     policy: BoundaryPolicy = BoundaryPolicy.ERROR,
     midpoint_route: MidpointRoute = MidpointRoute.EXACT,
 ) -> IndicatorResult:
-    """Attribute every document and fold the results into the indicator set."""
-    attributions = attribute_all(
-        ranked, scheme, rule, rounding=rounding, policy=policy, midpoint_route=midpoint_route
-    )
-    return fold_indicators(ranked, scheme, rule, attributions)
+    """The indicator set of a ranked set, decided per tie group.
+
+    Under the fractional rule the class counts are the closed form n times
+    class width, so no group is looked at. Under a point rule each tie
+    group is decided once on the integer grid and adds its size to its
+    class; under the error policy the first boundary hit raises
+    BoundaryAmbiguityError. No per-document attribution is built, and
+    per_doc_scores is taken only when it is read.
+    """
+    if rule is CountingRule.FRACTIONAL:
+        return _result(ranked, _fractional_counts(scheme, ranked.n), rule, 0, _Grid.score)
+    grid = _Grid(scheme, ranked.n)
+    tallies = [0] * scheme.k
+    hits = 0
+    for group in ranked.groups:
+        decision = grid.point(group, rule, rounding, policy, midpoint_route)
+        tallies[decision[3] - 1] += group.size
+        if decision[4] is not None:
+            hits += group.size
+
+    def score(grid: _Grid, group: TieGroup) -> Fraction:
+        decision = grid.point(group, rule, rounding, policy, midpoint_route)
+        return scheme.classes[decision[3] - 1].weight
+
+    return _result(ranked, ClassCounts(scheme, tuple(map(Fraction, tallies))), rule, hits, score)
 
 
 def fold_indicators(
@@ -146,35 +225,35 @@ def fold_indicators(
     rule: CountingRule,
     attributions: Sequence[Attribution],
 ) -> IndicatorResult:
-    """The indicator set from `attribute_all(ranked, scheme, rule, ...)`.
+    """The indicator set from attributions a caller already holds, as
+    `attribute_all(ranked, scheme, rule, ...)` returns them.
 
-    The members of a tie group share one attribution, so each group is checked
-    and folded once and its members share one per-document score, taken on
-    the integer grid under the fractional rule. Point-rule class counts are
-    tallied as integers; fractional ones follow from the closed form n times
-    class width.
+    The members of a tie group share one attribution, so each group is
+    checked and folded once. Point-rule class counts are tallied as
+    integers; fractional ones follow from the closed form n times class
+    width. compute_indicators gives the same values without attributions.
     """
-    grid = _Grid(scheme, ranked.n)
     tallies = [0] * scheme.k
-    scores: dict[str, Fraction] = {}
+    hits = 0
     for group, members in tie_group_attributions(ranked, attributions):
         head = members[0]
         _check(head, scheme)
         if isinstance(head, PointAttribution):
             tallies[head.class_index - 1] += group.size
-            score = scheme.classes[head.class_index - 1].weight
-        else:
-            score = grid.score(group)
-        scores.update(dict.fromkeys(group.member_ids, score))
+            if head.ambiguous:
+                hits += group.size
     if rule is CountingRule.FRACTIONAL:
         totals = _fractional_counts(scheme, ranked.n)
     else:
         totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
-    total = i3(totals)
-    pp = pp_top(totals, ranked.n) if scheme.k == 2 else None
-    return IndicatorResult(
-        scheme.name, rule, ranked.n, total, r_indicator(total, ranked.n), pp, scores
-    )
+
+    def score(grid: _Grid, group: TieGroup) -> Fraction:
+        head = attributions[group.rank_low - 1]
+        if isinstance(head, PointAttribution):
+            return scheme.classes[head.class_index - 1].weight
+        return grid.score(group)
+
+    return _result(ranked, totals, rule, hits, score)
 
 
 def grouped_indicators(

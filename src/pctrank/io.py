@@ -99,7 +99,8 @@ def read_records(source: str | Path | TextIO) -> list[CitationRecord]:
     stdin must hold UTF-8. A leading '[' or '{' marks JSON (a list of records
     or {"documents": [...]}); anything else is delimited text with a header row
     naming the columns id, citations and optionally group, delimited by comma
-    or tab (sniffed from the header).
+    or tab (sniffed from the header line). Blank lines are skipped, before the
+    header as between data rows.
     """
     text = _read_text(source).removeprefix("\ufeff")
     stripped = text.lstrip()
@@ -147,17 +148,26 @@ def _read_text(source: str | Path | TextIO) -> str:
 
 def _records_from_delimited(text: str) -> list[CitationRecord]:
     stream = io.StringIO(text, newline="")
-    delimiter = "\t" if "\t" in stream.readline() else ","
+    # Blank lines before the header are skipped, as blank data rows are; the
+    # delimiter is sniffed from the header line itself.
+    blank = 0
+    for line in stream:
+        if line.strip():
+            break
+        blank += 1
     stream.seek(0)
-    rows = csv.reader(stream, delimiter=delimiter)
+    rows = csv.reader(stream, delimiter="\t" if "\t" in line else ",")
+    for _ in range(blank):
+        next(rows)
     header = [cell.strip().lower() for cell in next(rows)]
+    header_line = blank + 1
     unknown = [name for name in header if name not in _KNOWN_COLUMNS]
     if unknown:
-        raise DataError(f"unknown column(s): {', '.join(unknown)}", line=1)
+        raise DataError(f"unknown column(s): {', '.join(unknown)}", line=header_line)
     if len(set(header)) != len(header):
-        raise DataError("repeated column name in header", line=1)
+        raise DataError("repeated column name in header", line=header_line)
     if "id" not in header or "citations" not in header:
-        raise DataError("header must name the id and citations columns", line=1)
+        raise DataError("header must name the id and citations columns", line=header_line)
     columns = len(header)
     id_at, citations_at = header.index("id"), header.index("citations")
     group_at = header.index("group") if "group" in header else None

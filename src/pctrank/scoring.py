@@ -250,6 +250,22 @@ _RANK_LOW = attrgetter("rank_low")
 _RANK_HIGH = attrgetter("rank_high")
 
 
+class _SchemeGrid:
+    """The half of _Grid that depends on the scheme alone: the lcm D of the
+    boundary denominators, the integer cuts, the cuts at percentile scale,
+    the class weights over their common denominator, and the one shared
+    (fractions, score) pair of each class, built on first use."""
+
+    def __init__(self, scheme: PRScheme):
+        self.d = math.lcm(*(b.denominator for b in scheme.boundaries))
+        self.cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
+        self.percent_edges = [100 * c for c in self.cuts]
+        # Class weights over their common denominator: weight_i = units[i]/w_den.
+        self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
+        self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
+        self.single: list[tuple[tuple[Fraction, ...], Fraction] | None] = [None] * scheme.k
+
+
 class _Grid:
     """A scheme's boundaries and a ranked set's quantiles on one integer grid.
 
@@ -262,18 +278,23 @@ class _Grid:
     sit over their common denominator, so a group's fractional score is one
     integer ratio. A group inside one class shares that class's fractions
     tuple, and its score is the class weight.
+
+    Only the cuts scaled by n and 2n belong to one ranked set. The rest, a
+    _SchemeGrid, is built on the first grid of a scheme and kept on the
+    scheme object, so later grids of that scheme share it.
     """
 
     def __init__(self, scheme: PRScheme, n: int):
+        try:
+            base = scheme._grid
+        except AttributeError:
+            base = scheme._grid = _SchemeGrid(scheme)
         self.scheme = scheme
         self.n = n
-        self.d = math.lcm(*(b.denominator for b in scheme.boundaries))
-        cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
-        self.edges = {scale: [c * scale for c in cuts] for scale in (n, 2 * n, 100)}
-        # Class weights over their common denominator: weight_i = units[i]/w_den.
-        self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
-        self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
-        self._single: list[tuple[tuple[Fraction, ...], Fraction] | None] = [None] * scheme.k
+        self.base = base
+        self.d = base.d
+        self.edges = {100: base.percent_edges}
+        self.edges.update((scale, [c * scale for c in base.cuts]) for scale in (n, 2 * n))
 
     def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
         """classify_point for the quantile a/scale: (class index, boundary hit)."""
@@ -354,11 +375,11 @@ class _Grid:
         """The fractions and score of every tie group that lies inside class
         i alone (position i, 0-based): one pair per class, built on first
         use; the score is the class weight."""
-        shared = self._single[i]
+        shared = self.base.single[i]
         if shared is None:
             k = self.scheme.k
             fractions = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
-            shared = self._single[i] = (fractions, self.scheme.classes[i].weight)
+            shared = self.base.single[i] = (fractions, self.scheme.classes[i].weight)
         return shared
 
     def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
@@ -381,9 +402,9 @@ class _Grid:
         if len(classes) == 1:
             return self.single(classes[0])[1]
         edges = self.edges[self.n]
-        units = self.units
+        units = self.base.units
         weighted = sum((min(high, edges[i + 1]) - max(low, edges[i])) * units[i] for i in classes)
-        return Fraction(weighted, (high - low) * self.w_den)
+        return Fraction(weighted, (high - low) * self.base.w_den)
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:

@@ -231,6 +231,107 @@ class TestBoundaryHandling:
         assert rows["lower"]["ambiguous"] == rows["upper"]["ambiguous"] == "true"
 
 
+class TestIndicatorsBoundaryHandling:
+    MID = ["--rule", "midpoint"]
+
+    def test_defaulted_policy_warns_when_it_matters(self, run, five_file):
+        code, _, err = run(
+            ["indicators", "--scheme", "top50", "--input", five_file, *self.MID]
+        )
+        assert code == EXIT_OK
+        assert "warning: 1 attribution landed exactly on a class boundary" in err
+
+    def test_warning_counts_every_member_of_an_ambiguous_tie_group(self, run):
+        # The tie groups of TestBoundaryHandling: 2 + 3 documents on 1/2.
+        text = (
+            "id,citations,group\n"
+            "a1,1,alpha\na2,2,alpha\na3,2,alpha\na4,3,alpha\n"
+            "b1,5,beta\nb2,5,beta\nb3,5,beta\n"
+        )
+        code, _, err = run(["indicators", "--scheme", "top50", *self.MID], stdin_text=text)
+        assert code == EXIT_OK
+        assert err == (
+            "pct: warning: 5 attributions landed exactly on a class boundary and "
+            "went to the class below; pass --boundary to choose\n"
+        )
+
+    def test_explicit_policy_is_silent(self, run, five_file):
+        code, _, err = run(
+            ["indicators", "--scheme", "top50", "--input", five_file,
+             *self.MID, "--boundary", "lower"]
+        )
+        assert code == EXIT_OK
+        assert err == ""
+
+    def test_no_warning_without_a_hit(self, run, eight_file):
+        code, _, err = run(
+            ["indicators", "--scheme", "top50", "--input", eight_file, *self.MID]
+        )
+        assert code == EXIT_OK
+        assert err == ""
+
+    def test_fractional_rule_never_warns(self, run, five_file):
+        code, _, err = run(["indicators", "--scheme", "top50", "--input", five_file])
+        assert code == EXIT_OK
+        assert err == ""
+
+    def test_error_policy_refuses(self, run, five_file):
+        code, out, err = run(
+            ["indicators", "--scheme", "top50", "--input", five_file,
+             *self.MID, "--boundary", "error"]
+        )
+        assert code == EXIT_BOUNDARY
+        assert out == ""
+        assert err == (
+            "pct: quantile 1/2 falls exactly on an interior class boundary; "
+            "use boundary policy 'lower' or 'upper' to resolve it\n"
+        )
+
+    def test_policies_move_the_count(self, run, five_file):
+        pp = {}
+        for policy in ("lower", "upper"):
+            _, out, _ = run(
+                ["indicators", "--scheme", "top50", "--input", five_file,
+                 *self.MID, "--boundary", policy, "--format", "csv"]
+            )
+            [row] = csv.DictReader(io.StringIO(out))
+            pp[policy] = row["pp"]
+        assert pp == {"lower": "2/5", "upper": "3/5"}
+
+
+class TestIndicatorsWork:
+    """indicators decides tie groups, not documents."""
+
+    @pytest.fixture
+    def no_attribution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("indicators attributed documents one by one")
+
+        monkeypatch.setattr("pctrank.cli.attribute_all", refuse)
+        monkeypatch.setattr("pctrank.indicators.attribute_all", refuse)
+
+    @pytest.mark.parametrize("rule", ["count-worse", "count-worse-or-equal", "midpoint",
+                                      "fractional"])
+    def test_no_per_document_attribution(self, run, no_attribution, rule):
+        code, out, err = run(
+            ["indicators", "--scheme", "top50", "--rule", rule, "--format", "csv"],
+            stdin_text=GROUPED_CSV,
+        )
+        assert code == EXIT_OK, err
+        assert [row["group"] for row in csv.DictReader(io.StringIO(out))] == ["alpha", "beta"]
+
+    def test_fractional_rule_builds_no_grid(self, run, monkeypatch, no_attribution):
+        def refuse(*args):
+            raise AssertionError("the fractional rule built a grid")
+
+        monkeypatch.setattr("pctrank.scoring._Grid.__init__", refuse)
+        code, out, err = run(
+            ["indicators", "--scheme", "pr100", "--format", "json"], stdin_text=GROUPED_CSV
+        )
+        assert code == EXIT_OK, err
+        assert [group["i3"] for group in json.loads(out)["groups"]] == ["303/2", "101"]
+
+
 class TestIndicators:
     def test_json_for_eight_documents(self, run, eight_file):
         code, out, _ = run(

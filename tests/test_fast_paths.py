@@ -154,22 +154,60 @@ def one_hot_schemes(scheme):
         yield index, scheme_from_boundaries("one-hot", scheme.boundaries, weights)
 
 
+def positional_scheme(scheme, n):
+    """The scheme with class i weighted (n + 1)**i. Point-rule class counts
+    are integers in 0..n, so I3 holds them as its digits in base n + 1 and
+    equal I3s mean equal counts in every class."""
+    weights = [Fraction((n + 1) ** i) for i in range(scheme.k)]
+    return scheme_from_boundaries("positional", scheme.boundaries, weights)
+
+
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
 def test_compute_indicators_matches_the_summed_oracle(ranked, scheme):
+    positional = positional_scheme(scheme, ranked.n)
     for rule in CountingRule:
-        options = {} if rule is CountingRule.FRACTIONAL else POINT_OPTIONS[0]
-        reference = attribute_each(ranked, scheme, rule, **options)
-        counts = class_counts(reference, scheme)
-        result = compute_indicators(ranked, scheme, rule, **options)
-        assert result.i3 == i3(counts)
-        assert result.r == i3(counts) / ranked.n
-        assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
-        assert result.per_doc_scores == {
-            a.doc_id: per_doc_score(a, scheme) for a in reference
-        }
-        for index, one_hot in one_hot_schemes(scheme):
-            folded = compute_indicators(ranked, one_hot, rule, **options)
-            assert folded.i3 == counts.counts[index]
+        for options in rule_options(rule):
+            reference = attribute_each(ranked, scheme, rule, **options)
+            counts = class_counts(reference, scheme)
+            result = compute_indicators(ranked, scheme, rule, **options)
+            assert result.i3 == i3(counts)
+            assert result.r == i3(counts) / ranked.n
+            assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
+            assert result.boundary_hits == sum(
+                getattr(a, "ambiguous", False) for a in reference
+            )
+            assert len(result.per_doc_scores) == ranked.n
+            assert result.per_doc_scores == {
+                a.doc_id: per_doc_score(a, scheme) for a in reference
+            }
+            if rule is not CountingRule.FRACTIONAL:
+                tallied = compute_indicators(ranked, positional, rule, **options)
+                assert tallied.i3 == i3(counts._replace(scheme=positional))
+    # Fractional counts are not integers; read them off one class at a time.
+    counts = class_counts(attribute_each(ranked, scheme, CountingRule.FRACTIONAL), scheme)
+    for index, one_hot in one_hot_schemes(scheme):
+        folded = compute_indicators(ranked, one_hot, CountingRule.FRACTIONAL)
+        assert folded.i3 == counts.counts[index]
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_compute_indicators_refuses_exactly_when_the_per_document_path_does(ranked, scheme):
+    for rule in POINT_RULES:
+        for rounding in RoundingMode:
+            for route in MidpointRoute:
+                options = dict(
+                    rounding=rounding, policy=BoundaryPolicy.ERROR, midpoint_route=route
+                )
+                try:
+                    reference = attribute_each(ranked, scheme, rule, **options)
+                except BoundaryAmbiguityError as exc:
+                    with pytest.raises(BoundaryAmbiguityError) as raised:
+                        compute_indicators(ranked, scheme, rule, **options)
+                    assert raised.value.boundary == exc.boundary
+                else:
+                    result = compute_indicators(ranked, scheme, rule, **options)
+                    assert result.i3 == i3(class_counts(reference, scheme))
+                    assert result.boundary_hits == 0
 
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
@@ -270,6 +308,18 @@ def test_grid_score_matches_the_per_document_score(ranked, scheme):
     for group in ranked.groups:
         reference = fractional_attribution(group.member_ids[0], ranked, scheme)
         assert grid.score(group) == per_doc_score(reference, scheme)
+
+
+def test_grids_of_one_scheme_share_its_scheme_part():
+    pr100 = builtin_scheme("pr100")
+    small, large = _Grid(pr100, 40), _Grid(pr100, 1000)
+    assert small.base is large.base
+    assert small.edges[100] is large.edges[100]
+    assert small.single(3) is large.single(3)
+    assert small.edges[40] == [c * 40 for c in small.base.cuts]
+    assert large.edges[2000] == [c * 2000 for c in large.base.cuts]
+    # An equal scheme built separately gets its own.
+    assert _Grid(builtin_scheme("pr100"), 40).base is not small.base
 
 
 def assert_dumps_layout(text: str) -> dict:

@@ -3,10 +3,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pctrank import (
     BoundaryPolicy,
+    CitationRecord,
     CountingRule,
+    DocumentSet,
     FractionalAttribution,
     PointAttribution,
     RoundingMode,
@@ -28,7 +32,7 @@ from pctrank import (
 )
 from pctrank.indicators import fold_indicators
 from pctrank.scoring import _Grid
-from support import make_distinct, make_tied
+from support import attribute_each, make_distinct, make_tied
 
 F = Fraction
 
@@ -172,6 +176,36 @@ class TestComputeIndicators:
         assert result.per_doc_scores["d8"] == F(2356, 25)
         assert result.per_doc_scores["d8"] / result.n == F(589, 50)
 
+    @pytest.mark.parametrize("rule,top_score", [(FRAC, F(26, 5)), (CWE, 6)])
+    def test_per_doc_scores_are_taken_on_first_lookup(self, monkeypatch, rule, top_score):
+        calls = 0
+        score, point = _Grid.score, _Grid.point
+
+        def counted(original):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(_Grid, "score", counted(score))
+        monkeypatch.setattr(_Grid, "point", counted(point))
+        ranked = rank(make_distinct(20))
+        result = compute_indicators(
+            ranked, builtin_scheme("pr6"), rule, policy=BoundaryPolicy.LOWER
+        )
+        decided = calls
+        assert decided == (0 if rule is FRAC else 20)
+        assert len(result.per_doc_scores) == 20
+        assert calls == decided
+        assert result.per_doc_scores["d20"] == top_score
+        assert calls == decided + 20  # one score per tie group
+        assert list(result.per_doc_scores) == list(ranked.doc_ids_in_rank_order())
+        assert "d00" not in result.per_doc_scores
+        assert calls == decided + 20
+        with pytest.raises(TypeError):
+            result.per_doc_scores["d20"] = F(0)
+
     def test_fold_rejects_attributions_that_do_not_fit_the_scheme(self):
         pr6 = builtin_scheme("pr6")
         ranked = rank(make_distinct(1))
@@ -290,3 +324,53 @@ def test_hundred_thousand_documents_in_one_tie_group_under_pr100():
     report = compare_rules(ranked, pr100)
     assert report.flag_counts == {CW: 0, CWE: 0, MID: n}
     assert all(f.quantile == f.boundary == F(1, 2) for f in report.flags)
+
+
+# Closed form (Waltman & Schreiber 2013): whatever the ties, the fractional
+# rule gives each class a mass of exactly n times its width, so I3 is the
+# theoretical total. Checked here on the per-document oracle, not on the
+# shortcut that compute_indicators takes.
+
+@st.composite
+def tie_structures(draw):
+    """1 to 60 documents over a small citation range, so ties are common."""
+    top = draw(st.integers(0, 8))
+    citations = draw(st.lists(st.integers(0, top), min_size=1, max_size=60))
+    return rank(DocumentSet(tuple(
+        CitationRecord(f"t{i:02d}", c) for i, c in enumerate(citations)
+    )))
+
+
+@st.composite
+def custom_schemes(draw):
+    """Up to 8 interior boundaries over the denominators 3, 7, 10 and 1000,
+    mixed in one scheme, with weights that need not be integers."""
+    interior = draw(st.sets(
+        st.sampled_from((3, 7, 10, 1000)).flatmap(
+            lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))
+        ),
+        max_size=8,
+    ))
+    boundaries = [F(0), *sorted(interior), F(1)]
+    weights = draw(st.lists(
+        st.fractions(min_value=0, max_value=10, max_denominator=12),
+        min_size=len(boundaries) - 1, max_size=len(boundaries) - 1,
+    ))
+    return scheme_from_boundaries("custom", boundaries, weights)
+
+
+SCHEMES = st.one_of(
+    st.sampled_from(("top50", "pr6", "pr100", "topx=1/10", "topx=1/3")).map(builtin_scheme),
+    custom_schemes(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_structures(), SCHEMES)
+def test_fractional_closed_form_on_the_oracle(ranked, scheme):
+    reference = attribute_each(ranked, scheme, FRAC)
+    total = theoretical_total(scheme, ranked.n)
+    assert sum((per_doc_score(a, scheme) for a in reference), start=F(0)) == total
+    widths = tuple(ranked.n * cls.width for cls in scheme.classes)
+    assert class_counts(reference, scheme).counts == widths
+    assert compute_indicators(ranked, scheme, FRAC).i3 == total

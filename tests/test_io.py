@@ -63,6 +63,29 @@ class TestReadRecords:
         records = read_records(io.StringIO("id,citations\na,1\n\n\nb,2\n"))
         assert [r.doc_id for r in records] == ["a", "b"]
 
+    @pytest.mark.parametrize("lead", ["\n", "\n\n", " \n\t\n", "\r\n\r\n"])
+    @pytest.mark.parametrize("text", [CSV_TEXT, CSV_TEXT.replace(",", "\t")])
+    def test_blank_lines_before_the_header_are_skipped(self, lead, text):
+        assert read_records(io.StringIO(lead + text)) == read_records(io.StringIO(text))
+
+    def test_tab_header_after_blank_lines_is_sniffed_as_tab(self):
+        # Comma-delimited, this would be one id "a,b" and no citations column.
+        records = read_records(io.StringIO("\n\nid\tcitations\na,b\t3\n"))
+        assert [(r.doc_id, r.citations) for r in records] == [("a,b", 3)]
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("\n\nid,citations\na,1\n\nb,x\n", 6),
+            ("\n \nid\tcitations\na\t1\nb\t2\t3\n", 5),
+            ("\n\nid,count\na,1\n", 3),
+        ],
+    )
+    def test_errors_after_leading_blank_lines_give_the_true_line(self, text, line):
+        with pytest.raises(DataError) as err:
+            read_records(io.StringIO(text))
+        assert str(err.value).startswith(f"line {line}:")
+
     def test_file_path(self, tmp_path):
         path = tmp_path / "docs.csv"
         path.write_text(CSV_TEXT)
