@@ -29,14 +29,7 @@ from .io import (
 )
 from .model import BUILTIN_SCHEME_NAMES, PRScheme, builtin_scheme, load_custom_scheme
 from .ranking import rank
-from .scoring import (
-    BoundaryPolicy,
-    CountingRule,
-    MidpointRoute,
-    RoundingMode,
-    attribute_all,
-    tie_group_attributions,
-)
+from .scoring import BoundaryPolicy, CountingRule, MidpointRoute, RoundingMode, attribute_all
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -244,8 +237,9 @@ def _run(args) -> str:
         _warn_defaulted_ambiguities(sum(
             group.size
             for _key, ranked, attributions in batches
-            for group, members in tie_group_attributions(ranked, attributions)
-            if members[0].ambiguous
+            for group in ranked.groups
+            # A group's members share one attribution; rank r sits at position r - 1.
+            if attributions[group.rank_low - 1].ambiguous
         ))
     return render_attributions(
         batches, scheme, rule,

@@ -17,11 +17,9 @@ from .scoring import (
     CountingRule,
     FractionalAttribution,
     MidpointRoute,
-    PointAttribution,
     RoundingMode,
     _Grid,
     attribute_all,  # noqa: F401  (not called here; perfbench/tracing.py rebinds it)
-    tie_group_attributions,
 )
 
 
@@ -36,31 +34,26 @@ class ClassCounts(NamedTuple):
         return sum(self.counts, start=Fraction(0))
 
 
-def _check(attribution: Attribution, scheme: PRScheme) -> None:
-    """Refuse an attribution that does not fit the scheme."""
-    if isinstance(attribution, FractionalAttribution):
-        if len(attribution.fractions) != scheme.k:
-            raise ValueError(
-                f"attribution for {attribution.doc_id!r} has "
-                f"{len(attribution.fractions)} fractions but the scheme has "
-                f"{scheme.k} classes"
-            )
-    elif not (1 <= attribution.class_index <= scheme.k):
-        raise ValueError(
-            f"attribution for {attribution.doc_id!r} names class "
-            f"{attribution.class_index}, outside this scheme"
-        )
-
-
 def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> ClassCounts:
-    """Total per-class mass across documents (one attribution per document)."""
+    """Total per-class mass across documents (one attribution per document);
+    an attribution that does not fit the scheme is refused."""
     counts = [Fraction(0)] * scheme.k
     for attribution in attributions:
-        _check(attribution, scheme)
         if isinstance(attribution, FractionalAttribution):
+            if len(attribution.fractions) != scheme.k:
+                raise ValueError(
+                    f"attribution for {attribution.doc_id!r} has "
+                    f"{len(attribution.fractions)} fractions but the scheme has "
+                    f"{scheme.k} classes"
+                )
             for i, fraction in enumerate(attribution.fractions):
                 if fraction:
                     counts[i] += fraction
+        elif not (1 <= attribution.class_index <= scheme.k):
+            raise ValueError(
+                f"attribution for {attribution.doc_id!r} names class "
+                f"{attribution.class_index}, outside this scheme"
+            )
         else:
             counts[attribution.class_index - 1] += 1
     return ClassCounts(scheme, tuple(counts))
@@ -217,43 +210,6 @@ def compute_indicators(
         return scheme.classes[decision[3] - 1].weight
 
     return _result(ranked, ClassCounts(scheme, tuple(map(Fraction, tallies))), rule, hits, score)
-
-
-def fold_indicators(
-    ranked: RankedSet,
-    scheme: PRScheme,
-    rule: CountingRule,
-    attributions: Sequence[Attribution],
-) -> IndicatorResult:
-    """The indicator set from attributions a caller already holds, as
-    `attribute_all(ranked, scheme, rule, ...)` returns them.
-
-    The members of a tie group share one attribution, so each group is
-    checked and folded once. Point-rule class counts are tallied as
-    integers; fractional ones follow from the closed form n times class
-    width. compute_indicators gives the same values without attributions.
-    """
-    tallies = [0] * scheme.k
-    hits = 0
-    for group, members in tie_group_attributions(ranked, attributions):
-        head = members[0]
-        _check(head, scheme)
-        if isinstance(head, PointAttribution):
-            tallies[head.class_index - 1] += group.size
-            if head.ambiguous:
-                hits += group.size
-    if rule is CountingRule.FRACTIONAL:
-        totals = _fractional_counts(scheme, ranked.n)
-    else:
-        totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
-
-    def score(grid: _Grid, group: TieGroup) -> Fraction:
-        head = attributions[group.rank_low - 1]
-        if isinstance(head, PointAttribution):
-            return scheme.classes[head.class_index - 1].weight
-        return grid.score(group)
-
-    return _result(ranked, totals, rule, hits, score)
 
 
 def grouped_indicators(

@@ -17,10 +17,10 @@ import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError
-from .indicators import AmbiguityReport, IndicatorResult
+from .indicators import AmbiguityReport, IndicatorResult, per_doc_score
 from .model import (
     CitationRecord,
     DocumentSet,
@@ -37,8 +37,6 @@ from .scoring import (
     MidpointRoute,
     PointAttribution,
     RoundingMode,
-    _Grid,
-    tie_group_attributions,
 )
 
 SCHEMA_VERSION = "1"
@@ -156,7 +154,8 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
             break
         blank += 1
     stream.seek(0)
-    rows = csv.reader(stream, delimiter="\t" if "\t" in line else ",")
+    reader = csv.reader(stream, delimiter="\t" if "\t" in line else ",")
+    rows = _csv_rows(reader)
     for _ in range(blank):
         next(rows)
     header = [cell.strip().lower() for cell in next(rows)]
@@ -174,10 +173,10 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
 
     records: list[CitationRecord] = []
     seen: dict[str, int] = {}
-    last_line = rows.line_num
+    last_line = reader.line_num
     for row in rows:
         # A quoted newline makes a row span lines; report the row's first one.
-        line_no, last_line = last_line + 1, rows.line_num
+        line_no, last_line = last_line + 1, reader.line_num
         if not "".join(row).strip():
             continue
         if len(row) != columns:
@@ -205,11 +204,22 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     return records
 
 
+def _csv_rows(reader) -> Iterator[list[str]]:
+    """The reader's rows; a malformed one, such as a field over the csv
+    module's size limit, is a DataError at the line the reader stopped on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(str(exc), line=reader.line_num) from None
+
+
 def _records_from_json(text: str) -> list[CitationRecord]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON input: {exc}") from None
+    except RecursionError:
+        raise DataError("JSON input is nested too deeply to read") from None
     rows = doc.get("documents") if isinstance(doc, dict) else doc
     if not isinstance(rows, list):
         raise DataError('JSON input must be a list of records or {"documents": [...]}')
@@ -356,34 +366,32 @@ def render_attributions(
     """Attributions as csv, json or a table per group, one row or document
     per attribution. Tie group members share their interval and attribution,
     so each group's cells (or its JSON text after "id") are formatted once
-    and reused for its members; under the fractional rule, the score and
-    fraction cells of the groups inside one class are formatted once for
-    that class. rounding, policy and midpoint_route are shown for point
-    rules only."""
+    and reused for its members. Under the fractional rule, the score and
+    fraction cells are formatted once per distinct `fractions` tuple:
+    attribute_all gives every group inside one class the same one.
+    rounding, policy and midpoint_route are shown for point rules only."""
     fractional = rule is CountingRule.FRACTIONAL
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
-    single_tails: dict[int, list[str] | str] = {}  # by class position
+    # By id() of the fractions tuple; the attributions keep each one alive.
+    tails: dict[int, list[str] | str] = {}
 
-    def fractional_tail(fractions, score):
-        """The score and fraction cells (csv, table), or their JSON fields."""
-        cells = _fraction_cells(fractions)
-        if fmt == "json":
-            items = _json_items(f'"{f}"' for f in cells)
-            return f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}'
-        return [str(score) if fmt == "csv" else _exact_and_decimal(score, precision), *cells]
+    def fractional_tail(head):
+        """The score and fraction cells (csv, table), or their JSON fields,
+        of an attribution's fractions."""
+        tail = tails.get(id(head.fractions))
+        if tail is None:
+            score = per_doc_score(head, scheme)
+            cells = _fraction_cells(head.fractions)
+            if fmt == "json":
+                items = _json_items(f'"{f}"' for f in cells)
+                tail = f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}'
+            else:
+                tail = [str(score) if fmt == "csv" else _exact_and_decimal(score, precision),
+                        *cells]
+            tails[id(head.fractions)] = tail
+        return tail
 
-    def tail_of(grid, group, head):
-        """A tie group's fractional tail; the same object for every group
-        inside one class."""
-        classes = grid.span(group)[2]
-        if len(classes) > 1:
-            return fractional_tail(head.fractions, grid.score(group))
-        i = classes[0]
-        if i not in single_tails:
-            single_tails[i] = fractional_tail(*grid.single(i))
-        return single_tails[i]
-
-    def shared(group_key, n, grid, group, head):
+    def shared(group_key, n, group, head):
         """The cells of a row after the id (csv, table), or the JSON text of
         a document after its id, shared by a tie group's members."""
         low, high = _ratio_str(group.rank_low - 1, n), _ratio_str(group.rank_high, n)
@@ -392,7 +400,7 @@ def render_attributions(
             interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
             text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
             if fractional:
-                text += tail_of(grid, group, head)
+                text += fractional_tail(head)
             else:
                 weight = scheme.classes[head.class_index - 1].weight
                 boundary = head.boundary_hit
@@ -422,7 +430,7 @@ def render_attributions(
                 ),
             ]
         if fractional:
-            return cells + tail_of(grid, group, head)
+            return cells + fractional_tail(head)
         percentile = _percentile_exact(head)
         if fmt == "csv":
             cells += [str(head.quantile), str(percentile)]
@@ -445,10 +453,15 @@ def render_attributions(
 
     def members_of(group_key, ranked, attributions):
         """Rows (csv, table) or JSON document texts, in rank order."""
-        grid = _Grid(scheme, ranked.n) if fractional else None
+        if len(attributions) != ranked.n:
+            raise ValueError(
+                f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
+            )
         out = []
-        for group, members in tie_group_attributions(ranked, attributions):
-            cells = shared(group_key, ranked.n, grid, group, members[0])
+        for group in ranked.groups:
+            # Rank r sits at position r - 1 of the rank order.
+            members = attributions[group.rank_low - 1:group.rank_high]
+            cells = shared(group_key, ranked.n, group, members[0])
             if fmt == "json":
                 out += [f'{_DOC}{{{_FIELD}"id": {_json_str(a.doc_id)}{cells}' for a in members]
             else:

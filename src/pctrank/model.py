@@ -290,6 +290,8 @@ def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PR
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemeError(f"scheme file {path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemeError(f"scheme file {path} is nested too deeply to read") from None
     else:
         doc = source
     if not isinstance(doc, dict):

@@ -449,19 +449,3 @@ def attribute_all(
             out += [PointAttribution(doc_id, *fields) for doc_id in group.member_ids]
     return out
 
-
-def tie_group_attributions(
-    ranked: RankedSet, attributions: Sequence[Attribution]
-) -> Iterator[tuple[TieGroup, Sequence[Attribution]]]:
-    """Each tie group of `ranked` with its members' attributions.
-
-    `attributions` must be attribute_all's output for `ranked`: rank order,
-    one per document, with every member of a group sharing its payload.
-    """
-    if len(attributions) != ranked.n:
-        raise ValueError(
-            f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
-        )
-    # Rank r sits at position r - 1 of the rank order.
-    for group in ranked.groups:
-        yield group, attributions[group.rank_low - 1:group.rank_high]

@@ -160,6 +160,31 @@ class TestInputEdgeCases:
         assert out == ""
         assert "not valid UTF-8" in err and "byte offset 16" in err
 
+    def test_csv_field_over_the_size_limit_is_refused_with_its_line(self, run, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("id,citations\na,1\n" + "b" * 131_073 + ",2\n")
+        code, out, err = run(["attribute", "--scheme", "top50", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "line 3: field larger than field limit" in err
+
+    @pytest.mark.parametrize("wrap", ["{}", '{{"documents": {}}}'])
+    def test_json_input_nested_too_deeply_is_refused(self, run, tmp_path, wrap):
+        path = tmp_path / "deep.json"
+        path.write_text(wrap.format("[" * 200_000 + "]" * 200_000))
+        code, out, err = run(["indicators", "--scheme", "top50", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "nested too deeply" in err
+
+    def test_scheme_file_nested_too_deeply_is_refused(self, run, tmp_path, five_file):
+        path = tmp_path / "deep.json"
+        path.write_text('{"boundaries": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        code, out, err = run(["attribute", "--scheme", f"custom={path}", "--input", five_file])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "config error" in err and "nested too deeply" in err
+
 
 class TestBoundaryHandling:
     MID = ["--rule", "midpoint"]

@@ -120,13 +120,25 @@ def rule_options(rule: CountingRule) -> list[dict]:
     return [{}] if rule is CountingRule.FRACTIONAL else POINT_OPTIONS
 
 
-@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
-def test_attribute_all_matches_the_per_document_path(ranked, scheme):
-    for rule in CountingRule:
-        for options in rule_options(rule):
-            assert attribute_all(ranked, scheme, rule, **options) == attribute_each(
-                ranked, scheme, rule, **options
-            )
+@pytest.fixture(scope="module", params=CASES, ids=IDS)
+def oracle_case(request):
+    """A case with attribute_each's output for every rule and options, as
+    (ranked, scheme, [(rule, options, reference)]). The two tests that read
+    it share one computation; module scope has pytest run the cases one at a
+    time, so only one case's references are held at once."""
+    ranked, scheme = request.param
+    references = [
+        (rule, options, attribute_each(ranked, scheme, rule, **options))
+        for rule in CountingRule
+        for options in rule_options(rule)
+    ]
+    return ranked, scheme, references
+
+
+def test_attribute_all_matches_the_per_document_path(oracle_case):
+    ranked, scheme, references = oracle_case
+    for rule, options, reference in references:
+        assert attribute_all(ranked, scheme, rule, **options) == reference
 
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
@@ -162,29 +174,29 @@ def positional_scheme(scheme, n):
     return scheme_from_boundaries("positional", scheme.boundaries, weights)
 
 
-@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
-def test_compute_indicators_matches_the_summed_oracle(ranked, scheme):
+def test_compute_indicators_matches_the_summed_oracle(oracle_case):
+    ranked, scheme, references = oracle_case
     positional = positional_scheme(scheme, ranked.n)
-    for rule in CountingRule:
-        for options in rule_options(rule):
-            reference = attribute_each(ranked, scheme, rule, **options)
-            counts = class_counts(reference, scheme)
-            result = compute_indicators(ranked, scheme, rule, **options)
-            assert result.i3 == i3(counts)
-            assert result.r == i3(counts) / ranked.n
-            assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
-            assert result.boundary_hits == sum(
-                getattr(a, "ambiguous", False) for a in reference
-            )
-            assert len(result.per_doc_scores) == ranked.n
-            assert result.per_doc_scores == {
-                a.doc_id: per_doc_score(a, scheme) for a in reference
-            }
-            if rule is not CountingRule.FRACTIONAL:
-                tallied = compute_indicators(ranked, positional, rule, **options)
-                assert tallied.i3 == i3(counts._replace(scheme=positional))
+    for rule, options, reference in references:
+        counts = class_counts(reference, scheme)
+        result = compute_indicators(ranked, scheme, rule, **options)
+        assert result.i3 == i3(counts)
+        assert result.r == i3(counts) / ranked.n
+        assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
+        assert result.boundary_hits == sum(
+            getattr(a, "ambiguous", False) for a in reference
+        )
+        assert len(result.per_doc_scores) == ranked.n
+        assert result.per_doc_scores == {
+            a.doc_id: per_doc_score(a, scheme) for a in reference
+        }
+        if rule is CountingRule.FRACTIONAL:
+            fractional_counts = counts
+        else:
+            tallied = compute_indicators(ranked, positional, rule, **options)
+            assert tallied.i3 == i3(counts._replace(scheme=positional))
     # Fractional counts are not integers; read them off one class at a time.
-    counts = class_counts(attribute_each(ranked, scheme, CountingRule.FRACTIONAL), scheme)
+    counts = fractional_counts
     for index, one_hot in one_hot_schemes(scheme):
         folded = compute_indicators(ranked, one_hot, CountingRule.FRACTIONAL)
         assert folded.i3 == counts.counts[index]

@@ -1,7 +1,7 @@
 """Golden CLI outputs: stdout of fixed commands on a small tied fixture with
 awkward ids (quotes, backslashes, tabs, newlines, commas, non-ASCII and an
 astral-plane character), compared byte for byte. The README's command line
-examples are checked against the CLI as well.
+examples are checked against the CLI as well, and its library example runs.
 
 The files under tests/golden/ pin the output of a known-good build. After a
 deliberate change to the output format, rewrite them with
@@ -16,6 +16,7 @@ import io
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,21 @@ def test_readme_command_line_examples(command, expected, tmp_path, monkeypatch):
         assert lines[len(lines) - len(tail):] == tail
     else:
         assert lines == expected
+
+
+def test_readme_library_example():
+    """The README's "Library" example runs and gives the values its comments
+    state."""
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    namespace: dict = {}
+    exec(code, namespace)
+    stated = re.findall(r"^(\S+)\s+# (Fraction\(\d+, \d+\)|'\w+')", code, flags=re.M)
+    assert [expression for expression, _ in stated] == [
+        "result.i3", "result.pp", "report.flags[0].doc_id",
+    ]
+    for expression, value in stated:
+        assert eval(expression, namespace) == eval(value, {"Fraction": Fraction})
 
 
 if __name__ == "__main__":

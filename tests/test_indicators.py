@@ -30,7 +30,6 @@ from pctrank import (
     theoretical_total,
     topx_scheme,
 )
-from pctrank.indicators import fold_indicators
 from pctrank.scoring import _Grid
 from support import attribute_each, make_distinct, make_tied
 
@@ -71,9 +70,9 @@ class TestClassCounts:
 
     def test_rejects_attribution_from_another_scheme(self):
         top50 = builtin_scheme("top50")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 fractions but the scheme has 2"):
             class_counts([FractionalAttribution("x", (F(1),))], top50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="names class 3, outside this scheme"):
             class_counts(
                 [PointAttribution("x", F(1, 4), None, 3, False, None)], top50
             )
@@ -205,16 +204,6 @@ class TestComputeIndicators:
         assert calls == decided + 20
         with pytest.raises(TypeError):
             result.per_doc_scores["d20"] = F(0)
-
-    def test_fold_rejects_attributions_that_do_not_fit_the_scheme(self):
-        pr6 = builtin_scheme("pr6")
-        ranked = rank(make_distinct(1))
-        short = FractionalAttribution("d1", (F(1),) + (F(0),) * 4)
-        with pytest.raises(ValueError, match="5 fractions but the scheme has 6"):
-            fold_indicators(ranked, pr6, FRAC, [short])
-        outside = PointAttribution("d1", F(1), None, 7, False, None)
-        with pytest.raises(ValueError, match="names class 7, outside this scheme"):
-            fold_indicators(ranked, pr6, CWE, [outside])
 
 
 class TestGroupedIndicators:

@@ -6,9 +6,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pctrank import (
     BoundaryPolicy,
+    CitationRecord,
     CountingRule,
     DataError,
     MidpointRoute,
@@ -183,6 +186,62 @@ class TestReadRecords:
         assert fragment in str(err.value)
 
 
+# Characters the csv and json writers must quote or escape, non-ASCII ones
+# (one outside the BMP) and whitespace, mixed with any other character.
+AWKWARD_CHARS = [",", '"', "'", "\t", "\r", "\n", " ", "\\", "é", "漢", "😀", "\u2028"]
+NAME_CHARS = st.one_of(
+    st.sampled_from(AWKWARD_CHARS),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+)
+
+
+def names(delimited: bool):
+    """Ids and group names. The csv and tsv readers trim every cell, so
+    names written to them start and end with no whitespace; JSON keeps
+    names as written."""
+    text = st.text(NAME_CHARS, min_size=1, max_size=8)
+    return text.filter(lambda name: name == name.strip()) if delimited else text
+
+
+def record_lists(delimited: bool):
+    record = st.builds(
+        CitationRecord,
+        names(delimited),
+        st.integers(min_value=0, max_value=10**20),
+        st.none() | names(delimited),
+    )
+    return st.lists(record, min_size=1, max_size=8, unique_by=lambda r: r.doc_id)
+
+
+class TestRoundTrip:
+    """Records written by the csv and json modules read back unchanged."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(records=record_lists(delimited=True), delimiter=st.sampled_from([",", "\t"]))
+    def test_delimited(self, records, delimiter):
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer, delimiter=delimiter)
+        writer.writerow(["id", "citations", "group"])
+        writer.writerows([r.doc_id, r.citations, r.group or ""] for r in records)
+        assert read_records(io.StringIO(buffer.getvalue(), newline="")) == records
+
+    @settings(max_examples=75, deadline=None)
+    @given(records=record_lists(delimited=False), wrapped=st.booleans())
+    def test_json(self, records, wrapped):
+        rows = [
+            {"id": r.doc_id, "citations": r.citations,
+             **({} if r.group is None else {"group": r.group})}
+            for r in records
+        ]
+        text = json.dumps({"documents": rows} if wrapped else rows)
+        assert read_records(io.StringIO(text)) == records
+
+    def test_csv_trims_an_id_that_json_keeps_as_written(self):
+        [from_csv] = read_records(io.StringIO('id,citations\n" pad ",1\n'))
+        [from_json] = read_records(io.StringIO('[{"id": " pad ", "citations": 1}]'))
+        assert (from_csv.doc_id, from_json.doc_id) == ("pad", " pad ")
+
+
 class TestPartitionByGroup:
     def test_groups_sorted_and_default_applied(self):
         records = read_records(io.StringIO("id,citations\nx,1\ny,2\n"))
@@ -340,6 +399,14 @@ class TestRenderAttributions:
         assert calls[0] == calls[1]
         assert calls[2] == calls[3]
         assert calls[4] == calls[5]
+
+    def test_attributions_must_cover_the_ranked_set(self, five_ranked):
+        scheme = builtin_scheme("top50")
+        attributions = attribute_all(five_ranked, scheme, CountingRule.FRACTIONAL)
+        with pytest.raises(ValueError, match="4 attributions for a ranked set of 5"):
+            render_attributions(
+                [("g", five_ranked, attributions[:4])], scheme, CountingRule.FRACTIONAL
+            )
 
 
 class TestRenderIndicators:

@@ -17,11 +17,11 @@ from pctrank import (
     attribute_all,
     builtin_scheme,
     compare_rules,
+    compute_indicators,
     interval_for,
     rank,
     render_attributions,
 )
-from pctrank.indicators import fold_indicators
 from support import make_distinct, make_tied, random_document_set
 
 F = Fraction
@@ -135,8 +135,9 @@ class TestLazyIntervals:
             F(10, 20), F(11, 20)
         )
         for rule in CountingRule:
+            result = compute_indicators(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
+            dict(result.per_doc_scores)
             attributions = attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
-            fold_indicators(ranked, scheme, rule, attributions)
             for fmt in ("csv", "json", "table"):
                 render_attributions([("g", ranked, attributions)], scheme, rule, fmt=fmt)
         assert "interval_of" not in ranked.__dict__
