@@ -6,9 +6,7 @@ the I3, R and PP indicators, flagging every point that lands exactly on a
 class boundary.
 """
 
-__version__ = "0.1.0"  # set before the imports; cli reads it back from here
-
-from .cli import main
+from .cli import __version__, main
 from .errors import (
     BoundaryAmbiguityError,
     ConfigError,
@@ -79,69 +77,41 @@ from .scoring import (
     to_percentile,
 )
 
+# The names README "Library" documents, with the enums and errors they take
+# or raise; the other imports above stay importable from the package.
 __all__ = [
     "AmbiguityReport",
-    "Attribution",
-    "BUILTIN_SCHEME_NAMES",
     "BoundaryAmbiguityError",
     "BoundaryFlag",
     "BoundaryPolicy",
     "CitationRecord",
     "ClassCounts",
-    "ConfigError",
     "CountingRule",
-    "DEFAULT_GROUP",
-    "DEFAULT_PRECISION",
     "DataError",
     "DocumentSet",
     "FractionalAttribution",
     "IndicatorResult",
     "MidpointRoute",
-    "POINT_RULES",
     "PRClass",
     "PRScheme",
-    "PctrankError",
     "PointAttribution",
     "PointClassification",
     "QuantileInterval",
     "RankedSet",
     "RoundingMode",
     "RuleDisagreement",
-    "SCHEMA_VERSION",
     "SchemeError",
     "TieGroup",
     "attribute_all",
     "builtin_scheme",
-    "class_counts",
     "classify_point",
     "compare_rules",
     "compute_indicators",
-    "decimal_str",
     "fractional_attribution",
     "grouped_indicators",
-    "i3",
-    "interval_for",
-    "interval_percent_str",
-    "load_custom_scheme",
-    "main",
-    "parse_fraction",
-    "partition_by_group",
-    "per_doc_score",
-    "percent_str",
     "point_attribution",
-    "point_quantile",
-    "pp_top",
-    "r_indicator",
     "rank",
     "read_records",
     "render_attributions",
-    "render_indicators",
-    "render_report",
-    "render_scheme_detail",
-    "render_scheme_list",
-    "scheme_from_boundaries",
-    "scheme_to_document",
-    "theoretical_total",
     "to_percentile",
-    "topx_scheme",
 ]

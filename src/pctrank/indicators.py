@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .errors import SchemeError
 from .model import DocumentSet, PRScheme
-from .ranking import RankedSet, TieGroup, interval_for, rank
+from .ranking import RankedSet, TieGroup, rank
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -237,10 +237,10 @@ def grouped_indicators(
 
 
 class BoundaryFlag(NamedTuple):
-    """A point rule landing a document exactly on an interior class boundary."""
+    """A point rule landing a tie group exactly on an interior class boundary."""
 
     rule: CountingRule
-    doc_id: str
+    member_ids: tuple[str, ...]
     quantile: Fraction
     boundary: Fraction
     interval_low: Fraction
@@ -248,18 +248,20 @@ class BoundaryFlag(NamedTuple):
 
 
 class RuleDisagreement(NamedTuple):
-    """A document whose class assignment differs between point rules."""
+    """A tie group whose class assignment differs between point rules."""
 
-    doc_id: str
+    member_ids: tuple[str, ...]
     classes: dict[CountingRule, int]
 
 
 class AmbiguityReport(NamedTuple):
     """Boundary hits and cross-rule class disagreements for one ranked set.
 
-    Flags cover all three point rules; a document appears here exactly when
-    some rule's point landed on an interior boundary or when two rules put it
-    in different classes. Fractional class counts ride along for reference.
+    Every member of a tie group shares its interval, so each record covers
+    one tie group: a flag per rule whose point landed on an interior
+    boundary, a disagreement when two rules put the group in different
+    classes. flag_counts counts documents. Fractional class counts ride
+    along for reference.
     """
 
     scheme: PRScheme
@@ -272,7 +274,7 @@ class AmbiguityReport(NamedTuple):
 
     @property
     def flag_counts(self) -> dict[CountingRule, int]:
-        return {rule: len(self.flags_for(rule)) for rule in POINT_RULES}
+        return {rule: sum(len(f.member_ids) for f in self.flags_for(rule)) for rule in POINT_RULES}
 
 
 def compare_rules(
@@ -292,35 +294,29 @@ def compare_rules(
     neither hit a boundary nor make the rules disagree. Fractional counts are
     attached for reference: n times each class width.
     """
-    grid = _Grid(scheme, ranked.n)
+    n = ranked.n
+    grid = _Grid(scheme, n)
     # A rounded percentile p of a group [low, high] has p/100 within one
     # percentile point of it, on both midpoint routes.
     margin = 0 if rounding is RoundingMode.NONE else 1
     flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
     disagreements: list[RuleDisagreement] = []
     for group in grid.near_boundaries(ranked.groups, margin):
-        classes = []
-        interval = None
+        classes = {}
         for rule in POINT_RULES:
-            a, scale, _, class_index, boundary, _ = grid.point(
+            a, scale, _, classes[rule], boundary, _ = grid.point(
                 group, rule, rounding, BoundaryPolicy.LOWER, midpoint_route
             )
-            classes.append(class_index)
             if boundary is not None:
-                interval = interval or interval_for(group, ranked.n)
-                quantile = Fraction(a, scale)
-                flags[rule] += [
-                    BoundaryFlag(rule, doc_id, quantile, boundary, interval.low, interval.high)
-                    for doc_id in group.member_ids
-                ]
-        if len(set(classes)) > 1:
-            disagreements += [
-                RuleDisagreement(doc_id, dict(zip(POINT_RULES, classes)))
-                for doc_id in group.member_ids
-            ]
+                flags[rule].append(BoundaryFlag(
+                    rule, group.member_ids, Fraction(a, scale), boundary,
+                    Fraction(group.rank_low - 1, n), Fraction(group.rank_high, n),
+                ))
+        if len(set(classes.values())) > 1:
+            disagreements.append(RuleDisagreement(group.member_ids, classes))
     return AmbiguityReport(
         scheme,
         tuple(flag for rule in POINT_RULES for flag in flags[rule]),
         tuple(disagreements),
-        _fractional_counts(scheme, ranked.n),
+        _fractional_counts(scheme, n),
     )

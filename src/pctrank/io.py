@@ -233,7 +233,7 @@ def _records_from_json(text: str) -> list[CitationRecord]:
                 unknown = sorted(set(row) - _KNOWN_FIELDS)
                 raise DataError(f"unknown field(s): {', '.join(unknown)}")
             doc_id = row.get("id")
-            if not isinstance(doc_id, str) or not doc_id:
+            if not isinstance(doc_id, str) or not doc_id.strip():
                 raise DataError("id must be a non-empty string")
             if doc_id in seen:
                 raise DataError(f"duplicate document id {doc_id!r}")
@@ -244,7 +244,9 @@ def _records_from_json(text: str) -> list[CitationRecord]:
             group = row.get("group")
             if group is not None and not isinstance(group, str):
                 raise DataError("group must be a string when present")
-            records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
+            # A blank group is no group, as in csv; other names stay as written.
+            group = group if group and group.strip() else None
+            records.append(tuple.__new__(CitationRecord, (doc_id, citations, group)))
     except DataError as exc:
         # The location is formatted only for the row that failed.
         raise DataError(f"document {pos}: {exc}") from None
@@ -555,12 +557,10 @@ def render_indicators(
 
 ReportBatch = tuple[str, RankedSet, AmbiguityReport]
 
-# A disagreement's class under each point rule, in POINT_RULES order.
-_CLASS_COLUMNS = ("class_count_worse", "class_count_worse_or_equal", "class_midpoint")
-_REPORT_COLUMNS = (
+_REPORT_COLUMNS = [
     "group", "record", "rule", "id", "interval_low", "interval_high", "quantile", "boundary",
-    *_CLASS_COLUMNS, "class_index", "count",
-)
+    "class_count_worse", "class_count_worse_or_equal", "class_midpoint", "class_index", "count",
+]
 
 
 def render_report(
@@ -572,71 +572,71 @@ def render_report(
     fmt: str = "table",
 ) -> str:
     """Boundary hits, cross-rule class disagreements and fractional class
-    counts per group. Each flag and disagreement is built once, as a dict
-    keyed by csv columns, and every layout reads it."""
-    groups = []
-    for group_key, ranked, report in batches:
-        flags = [
-            {"rule": flag.rule.value, "id": flag.doc_id,
-             "interval_low": str(flag.interval_low), "interval_high": str(flag.interval_high),
-             "quantile": str(flag.quantile), "boundary": str(flag.boundary)}
-            for flag in report.flags
-        ]
-        disagreements = [
-            {"id": d.doc_id, **dict(zip(_CLASS_COLUMNS, map(d.classes.get, POINT_RULES)))}
-            for d in report.disagreements
-        ]
-        counts = [str(count) for count in report.fractional_counts.counts]
-        flag_counts = {rule.value: count for rule, count in report.flag_counts.items()}
-        groups.append((group_key, ranked.n, report, flags, disagreements, counts, flag_counts))
-
+    counts per group, one row or object per document. A flag or
+    disagreement covers a tie group: its shared cells are formatted once and
+    each member adds only its id."""
     if fmt == "csv":
-        records = []
-        for group_key, _, _, flags, disagreements, counts, _ in groups:
-            records += [{"group": group_key, "record": "flag", **flag} for flag in flags]
-            records += [{"group": group_key, "record": "disagreement", **d} for d in disagreements]
-            records += [
-                {"group": group_key, "record": "fractional_count", "class_index": i, "count": c}
-                for i, c in enumerate(counts, start=1)
+        rows = []
+        for group_key, _, report in batches:
+            for flag in report.flags:
+                head = [group_key, "flag", flag.rule.value]
+                tail = [str(flag.interval_low), str(flag.interval_high), str(flag.quantile),
+                        str(flag.boundary), *[""] * 5]
+                rows += [[*head, doc_id, *tail] for doc_id in flag.member_ids]
+            for d in report.disagreements:
+                tail = [*[""] * 4, *(d.classes[rule] for rule in POINT_RULES), "", ""]
+                rows += [[group_key, "disagreement", "", doc_id, *tail] for doc_id in d.member_ids]
+            rows += [
+                [group_key, "fractional_count", *[""] * 9, i, count]
+                for i, count in enumerate(report.fractional_counts.counts, start=1)
             ]
-        rows = [[record.get(col, "") for col in _REPORT_COLUMNS] for record in records]
-        return _csv_text(list(_REPORT_COLUMNS), rows)
+        return _csv_text(_REPORT_COLUMNS, rows)
     if fmt == "json":
-        rules = [rule.value for rule in POINT_RULES]
+        groups = []
+        for group_key, ranked, report in batches:
+            flags, disagreements = [], []
+            for flag in report.flags:
+                rule, quantile, boundary = flag.rule.value, str(flag.quantile), str(flag.boundary)
+                interval = {"low": str(flag.interval_low), "high": str(flag.interval_high)}
+                flags += [
+                    {"rule": rule, "id": doc_id, "quantile": quantile, "boundary": boundary,
+                     "interval": interval}
+                    for doc_id in flag.member_ids
+                ]
+            for d in report.disagreements:
+                classes = {rule.value: d.classes[rule] for rule in POINT_RULES}
+                disagreements += [{"id": doc_id, "classes": classes} for doc_id in d.member_ids]
+            groups.append({
+                "group": group_key,
+                "n": ranked.n,
+                "flags": flags,
+                "disagreements": disagreements,
+                "fractional_class_counts": [str(c) for c in report.fractional_counts.counts],
+                "summary": {
+                    "flag_counts": {rule.value: c for rule, c in report.flag_counts.items()},
+                    "disagreements": len(disagreements),
+                },
+            })
         return _json_text(_envelope(
             "report", scheme, rounding=rounding.value, midpoint_route=midpoint_route.value,
-            groups=[
-                {
-                    "group": group_key,
-                    "n": n,
-                    "flags": [
-                        {"rule": f["rule"], "id": f["id"], "quantile": f["quantile"],
-                         "boundary": f["boundary"],
-                         "interval": {"low": f["interval_low"], "high": f["interval_high"]}}
-                        for f in flags
-                    ],
-                    "disagreements": [
-                        {"id": d["id"], "classes": dict(zip(rules, map(d.get, _CLASS_COLUMNS)))}
-                        for d in disagreements
-                    ],
-                    "fractional_class_counts": counts,
-                    "summary": {"flag_counts": flag_counts, "disagreements": len(disagreements)},
-                }
-                for group_key, n, _, flags, disagreements, counts, flag_counts in groups
-            ],
+            groups=groups,
         ))
     sections = []
-    for group_key, n, report, flags, disagreements, counts, flag_counts in groups:
-        flag_rows = [
-            [f["rule"], f["id"], f"[{f['interval_low']}, {f['interval_high']}]",
-             interval_percent_str(flag.interval_low, flag.interval_high),
-             f["quantile"], f["boundary"]]
-            for f, flag in zip(flags, report.flags)
-        ]
-        disagreement_rows = [[*map(str, d.values())] for d in disagreements]
-        flag_summary = ", ".join(f"{rule}={count}" for rule, count in flag_counts.items())
+    for group_key, ranked, report in batches:
+        flag_rows, disagreement_rows = [], []
+        for flag in report.flags:
+            low, high = flag.interval_low, flag.interval_high
+            cells = [f"[{low}, {high}]", interval_percent_str(low, high),
+                     str(flag.quantile), str(flag.boundary)]
+            flag_rows += [[flag.rule.value, doc_id, *cells] for doc_id in flag.member_ids]
+        for d in report.disagreements:
+            classes = [str(d.classes[rule]) for rule in POINT_RULES]
+            disagreement_rows += [[doc_id, *classes] for doc_id in d.member_ids]
+        flag_summary = ", ".join(
+            f"{rule.value}={count}" for rule, count in report.flag_counts.items()
+        )
         sections.append([
-            f"# group={group_key} n={n} scheme={scheme.name}"
+            f"# group={group_key} n={ranked.n} scheme={scheme.name}"
             f" rounding={rounding.value} route={midpoint_route.value}",
             "boundary hits:",
             *_table_or_none(
@@ -644,8 +644,9 @@ def render_report(
             ),
             "class disagreements:",
             *_table_or_none(["id", *(rule.value for rule in POINT_RULES)], disagreement_rows),
-            f"fractional class counts: {', '.join(counts)}",
-            f"summary: flags [{flag_summary}], disagreements {len(disagreements)}",
+            "fractional class counts: "
+            + ", ".join(str(c) for c in report.fractional_counts.counts),
+            f"summary: flags [{flag_summary}], disagreements {len(disagreement_rows)}",
         ])
     return _sections(sections)
 

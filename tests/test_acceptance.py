@@ -137,7 +137,7 @@ def test_criterion_05_boundary_cases_are_flagged():
             target = f"d{position:0{len(str(n))}d}"
             report = compare_rules(rank(make_distinct(n)), builtin_scheme(scheme_name))
             at_boundary = [f for f in report.flags if f.boundary == boundary]
-            assert {f.doc_id for f in at_boundary} == {target}
+            assert {doc_id for f in at_boundary for doc_id in f.member_ids} == {target}
             [flag] = [f for f in at_boundary if f.rule is MID]
             assert (flag.interval_low, flag.interval_high) == (low, high)
             assert flag.quantile == boundary
@@ -239,7 +239,7 @@ def test_criterion_09_full_tie_behavior():
                 }
                 assert len(classes) == 1
             report = compare_rules(ranked, scheme)
-            flagged = {d.doc_id for d in report.disagreements}
+            flagged = {doc_id for d in report.disagreements for doc_id in d.member_ids}
             assert flagged == {r.doc_id for r in documents.records}
 
 

@@ -27,6 +27,7 @@ from pctrank import (
     compute_indicators,
     fractional_attribution,
     i3,
+    interval_for,
     per_doc_score,
     pp_top,
     rank,
@@ -224,6 +225,7 @@ def test_compute_indicators_refuses_exactly_when_the_per_document_path_does(rank
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
 def test_compare_rules_matches_the_per_document_path(ranked, scheme):
+    groups = {group.member_ids: group for group in ranked.groups}
     for rounding in RoundingMode:
         for route in MidpointRoute:
             report = compare_rules(ranked, scheme, rounding=rounding, midpoint_route=route)
@@ -240,13 +242,25 @@ def test_compare_rules_matches_the_per_document_path(ranked, scheme):
                 for a in per_rule[rule]
                 if a.ambiguous
             ]
-            assert [(f.rule, f.doc_id, f.quantile, f.boundary) for f in report.flags] == flags
+            assert [
+                (f.rule, doc_id, f.quantile, f.boundary)
+                for f in report.flags
+                for doc_id in f.member_ids
+            ] == flags
             disagreements = []
             for position, doc_id in enumerate(ranked.doc_ids_in_rank_order()):
                 classes = {rule: per_rule[rule][position].class_index for rule in POINT_RULES}
                 if len(set(classes.values())) > 1:
                     disagreements.append((doc_id, classes))
-            assert [(d.doc_id, d.classes) for d in report.disagreements] == disagreements
+            assert [
+                (doc_id, d.classes) for d in report.disagreements for doc_id in d.member_ids
+            ] == disagreements
+            # Each record covers one whole tie group, with that group's interval.
+            for record in (*report.flags, *report.disagreements):
+                assert record.member_ids in groups
+            for f in report.flags:
+                interval = interval_for(groups[f.member_ids], ranked.n)
+                assert (f.interval_low, f.interval_high) == interval
     fractional = class_counts(attribute_each(ranked, scheme, CountingRule.FRACTIONAL), scheme)
     assert report.fractional_counts == fractional
 

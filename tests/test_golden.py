@@ -131,9 +131,9 @@ def test_readme_library_example():
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     namespace: dict = {}
     exec(code, namespace)
-    stated = re.findall(r"^(\S+)\s+# (Fraction\(\d+, \d+\)|'\w+')", code, flags=re.M)
+    stated = re.findall(r"^(\S+)\s+# (Fraction\(\d+, \d+\)|\('\w+',\))", code, flags=re.M)
     assert [expression for expression, _ in stated] == [
-        "result.i3", "result.pp", "report.flags[0].doc_id",
+        "result.i3", "result.pp", "report.flags[0].member_ids",
     ]
     for expression, value in stated:
         assert eval(expression, namespace) == eval(value, {"Fraction": Fraction})

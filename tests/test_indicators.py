@@ -239,11 +239,11 @@ class TestCompareRules:
         report = compare_rules(five_ranked, builtin_scheme("top50"))
         assert [f.rule for f in report.flags] == [MID]
         flag = report.flags[0]
-        assert flag.doc_id == "d3"
+        assert flag.member_ids == ("d3",)
         assert flag.quantile == flag.boundary == F(1, 2)
         assert (flag.interval_low, flag.interval_high) == (F(2, 5), F(3, 5))
         assert report.flag_counts == {CW: 0, CWE: 0, MID: 1}
-        assert [d.doc_id for d in report.disagreements] == ["d3"]
+        assert [d.member_ids for d in report.disagreements] == [("d3",)]
         assert report.disagreements[0].classes == {CW: 1, CWE: 2, MID: 1}
         assert report.fractional_counts.counts == (F(5, 2), F(5, 2))
 
@@ -252,19 +252,21 @@ class TestCompareRules:
         assert report.flags_for(MID) == ()
         [cw_flag] = report.flags_for(CW)
         [cwe_flag] = report.flags_for(CWE)
-        assert (cw_flag.doc_id, cw_flag.boundary) == ("d3", F(1, 2))
-        assert (cwe_flag.doc_id, cwe_flag.boundary) == ("d2", F(1, 2))
-        assert [d.doc_id for d in report.disagreements] == ["d3"]
+        assert (cw_flag.member_ids, cw_flag.boundary) == (("d3",), F(1, 2))
+        assert (cwe_flag.member_ids, cwe_flag.boundary) == (("d2",), F(1, 2))
+        assert [d.member_ids for d in report.disagreements] == [("d3",)]
         assert report.disagreements[0].classes == {CW: 1, CWE: 2, MID: 2}
 
     def test_hundred_and_fifty_documents_pr6(self):
         report = compare_rules(rank(make_distinct(150)), builtin_scheme("pr6"))
-        midpoint_hits = {f.doc_id: f.boundary for f in report.flags_for(MID)}
+        midpoint_hits = {
+            doc_id: f.boundary for f in report.flags_for(MID) for doc_id in f.member_ids
+        }
         assert midpoint_hits == {
             "d113": F(3, 4), "d143": F(19, 20), "d149": F(99, 100),
         }
         at_99 = [f for f in report.flags if f.boundary == F(99, 100)]
-        assert [f.doc_id for f in at_99] == ["d149"]
+        assert [f.member_ids for f in at_99] == [("d149",)]
         assert at_99[0].interval_low == F(74, 75)
         assert at_99[0].interval_high == F(149, 150)
 
@@ -284,8 +286,8 @@ class TestCompareRules:
         report = compare_rules(rank(make_distinct(10_000)), pr6)
         assert calls <= 3 * 2 * (pr6.k - 1)
         assert report.flag_counts == {CW: 5, CWE: 5, MID: 0}
-        assert [d.doc_id for d in report.disagreements] == [
-            "d05001", "d07501", "d09001", "d09501", "d09901",
+        assert [d.member_ids for d in report.disagreements] == [
+            ("d05001",), ("d07501",), ("d09001",), ("d09501",), ("d09901",),
         ]
 
     def test_rounding_is_passed_through(self, eight_ranked):
@@ -294,7 +296,7 @@ class TestCompareRules:
         )
         # floor(93.75) = 93 puts the top document's midpoint on a class edge
         assert any(
-            f.rule is MID and f.doc_id == "d8" and f.boundary == F(93, 100)
+            f.rule is MID and f.member_ids == ("d8",) and f.boundary == F(93, 100)
             for f in report.flags
         )
 
@@ -312,7 +314,13 @@ def test_hundred_thousand_documents_in_one_tie_group_under_pr100():
     assert result.r == F(101, 2)
     report = compare_rules(ranked, pr100)
     assert report.flag_counts == {CW: 0, CWE: 0, MID: n}
-    assert all(f.quantile == f.boundary == F(1, 2) for f in report.flags)
+    # One tie group: one flag and one disagreement cover all its members.
+    [flag] = report.flags
+    assert flag.quantile == flag.boundary == F(1, 2)
+    assert flag.member_ids == ranked.groups[0].member_ids
+    [disagreement] = report.disagreements
+    assert disagreement.member_ids == ranked.groups[0].member_ids
+    assert disagreement.classes == {CW: 1, CWE: 100, MID: 50}
 
 
 # Closed form (Waltman & Schreiber 2013): whatever the ties, the fractional

@@ -196,10 +196,10 @@ NAME_CHARS = st.one_of(
 
 
 def names(delimited: bool):
-    """Ids and group names. The csv and tsv readers trim every cell, so
-    names written to them start and end with no whitespace; JSON keeps
-    names as written."""
-    text = st.text(NAME_CHARS, min_size=1, max_size=8)
+    """Ids and group names. No reader takes a blank name as a name. The csv
+    and tsv readers trim every cell, so names written to them start and end
+    with no whitespace; JSON keeps other names as written."""
+    text = st.text(NAME_CHARS, min_size=1, max_size=8).filter(str.strip)
     return text.filter(lambda name: name == name.strip()) if delimited else text
 
 
@@ -240,6 +240,23 @@ class TestRoundTrip:
         [from_csv] = read_records(io.StringIO('id,citations\n" pad ",1\n'))
         [from_json] = read_records(io.StringIO('[{"id": " pad ", "citations": 1}]'))
         assert (from_csv.doc_id, from_json.doc_id) == ("pad", " pad ")
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " \r\n "])
+    def test_a_blank_id_is_refused_in_every_format(self, blank):
+        with pytest.raises(DataError, match="^line 2: empty document id$"):
+            read_records(io.StringIO(f'id,citations\n"{blank}",1\n'))
+        payload = json.dumps([{"id": "a", "citations": 1}, {"id": blank, "citations": 2}])
+        with pytest.raises(DataError, match="^document 2: id must be a non-empty string$"):
+            read_records(io.StringIO(payload))
+
+    @pytest.mark.parametrize("blank", [" ", "\t"])
+    def test_a_blank_group_is_no_group_in_every_format(self, blank):
+        from_csv = read_records(io.StringIO(f'id,citations,group\na,1,"{blank}"\nb,2,\n'))
+        from_json = read_records(io.StringIO(json.dumps([
+            {"id": "a", "citations": 1, "group": blank}, {"id": "b", "citations": 2},
+        ])))
+        assert from_csv == from_json == [CitationRecord("a", 1), CitationRecord("b", 2)]
+        assert list(partition_by_group(from_json)) == ["default"]
 
 
 class TestPartitionByGroup:

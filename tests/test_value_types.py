@@ -81,12 +81,12 @@ def test_reprs_keep_the_dataclass_format(ranked):
         "FractionalAttribution(doc_id='b', fractions=(Fraction(1, 2), Fraction(1, 2)))"
     )
     assert repr(report.flags[0]) == (
-        "BoundaryFlag(rule=<CountingRule.MIDPOINT: 'midpoint'>, doc_id='b', "
+        "BoundaryFlag(rule=<CountingRule.MIDPOINT: 'midpoint'>, member_ids=('b', 'c'), "
         "quantile=Fraction(1, 2), boundary=Fraction(1, 2), "
         "interval_low=Fraction(1, 4), interval_high=Fraction(3, 4))"
     )
     assert repr(report.disagreements[0]) == (
-        "RuleDisagreement(doc_id='b', classes={"
+        "RuleDisagreement(member_ids=('b', 'c'), classes={"
         "<CountingRule.COUNT_WORSE: 'count-worse'>: 1, "
         "<CountingRule.COUNT_WORSE_OR_EQUAL: 'count-worse-or-equal'>: 2, "
         "<CountingRule.MIDPOINT: 'midpoint'>: 1})"
