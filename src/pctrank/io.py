@@ -16,6 +16,7 @@ import re
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -69,9 +70,13 @@ def decimal_str(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
 
 def percent_str(value: Fraction, decimals: int = PERCENT_DECIMALS) -> str:
     """Quantile rendered as a percentage, trimmed ("2/5" -> "40%", "1/3" -> "33.33%")."""
+    return _percent(value.numerator, value.denominator, decimals)
+
+
+def _percent(p: int, q: int, decimals: int = PERCENT_DECIMALS) -> str:
+    """percent_str(Fraction(p, q)) for q > 0, without reducing p/q."""
     scale = 10 ** decimals
-    p, q = value.numerator, value.denominator
-    units = (200 * scale * p + q) // (2 * q)  # half-up rounding of 100*scale*value
+    units = (200 * scale * p + q) // (2 * q)  # half-up rounding of 100*scale*p/q
     whole, part = divmod(units, scale)
     if part:
         digits = f"{part:0{decimals}d}".rstrip("0")
@@ -196,12 +201,31 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
                 f"citations must be a base-10 non-negative integer, got {raw_citations!r}",
                 line=line_no,
             )
+        try:
+            citations = int(raw_citations)
+        except ValueError:
+            raise DataError(_too_many_digits(raw_citations), line=line_no) from None
         group = row[group_at].strip() if group_at is not None else ""
         # Checked above, so the record skips CitationRecord's own checks.
-        records.append(tuple.__new__(CitationRecord, (doc_id, int(raw_citations), group or None)))
+        records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
     if not records:
         raise DataError("no data rows in input")
     return records
+
+
+def _too_many_digits(digits: str) -> str:
+    return (
+        f"citations have {len(digits.lstrip('-'))} digits, more than the "
+        f"{sys.get_int_max_str_digits()} this Python reads as an integer"
+    )
+
+
+def _json_integer(digits: str) -> int | Decimal:
+    """A JSON integer; a Decimal when it is too long for int()."""
+    try:
+        return int(digits)
+    except ValueError:
+        return Decimal(digits)
 
 
 def _csv_rows(reader) -> Iterator[list[str]]:
@@ -213,13 +237,17 @@ def _csv_rows(reader) -> Iterator[list[str]]:
         raise DataError(str(exc), line=reader.line_num) from None
 
 
-def _records_from_json(text: str) -> list[CitationRecord]:
+def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON input: {exc}") from None
     except RecursionError:
         raise DataError("JSON input is nested too deeply to read") from None
+    except ValueError:
+        # An integer past Python's integer-string limit: read again with
+        # such integers as Decimals, to name the document that holds one.
+        return _records_from_json(text, _json_integer)
     rows = doc.get("documents") if isinstance(doc, dict) else doc
     if not isinstance(rows, list):
         raise DataError('JSON input must be a list of records or {"documents": [...]}')
@@ -240,6 +268,8 @@ def _records_from_json(text: str) -> list[CitationRecord]:
             seen.add(doc_id)
             citations = row.get("citations")
             if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
+                if isinstance(citations, Decimal):
+                    raise DataError(_too_many_digits(str(citations)))
                 raise DataError("citations must be a non-negative integer")
             group = row.get("group")
             if group is not None and not isinstance(group, str):
@@ -257,29 +287,81 @@ def _records_from_json(text: str) -> list[CitationRecord]:
 
 # ---------------------------------------------------------------------------
 # rendering plumbing
+#
+# Rows are laid out per tie group: a list of (member_ids, shared_cells)
+# pairs. A member's row is the shared cells with its id inserted at column
+# id_at, so a group's cells are padded or quoted once and each member adds
+# only its id. Indicators and schemes pass groups of one row.
 
-def _render_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
+
+def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
+    """The header, a rule and one line per member, each column padded to its
+    widest cell and each line right-stripped. A group's cells are padded and
+    right-stripped once; the id is never the last column, and the cells
+    after it are never all blank."""
+    member_ids, rows = zip(*groups) if groups else ((), ())
+    widths = [*map(len, [*header[:id_at], *header[id_at + 1:]])]
+    for i, column in enumerate(zip(*rows)):
+        widths[i] = max(widths[i], *map(len, column))
+    id_width = max([len(header[id_at]), *map(len, chain.from_iterable(member_ids))])
+    all_widths = [*widths[:id_at], id_width, *widths[id_at:]]
+    lines = [
+        "  ".join(map(str.ljust, header, all_widths)).rstrip(),
+        "  ".join(map("-".__mul__, all_widths)),
     ]
-    lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip()]
-    lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-    for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-    return lines
+    # Every cell is padded to its width, so the id goes in at a fixed offset.
+    cut = sum(widths[:id_at]) + 2 * id_at
+    texts = ["  ".join(map(str.ljust, cells, widths)) for cells in rows]
+    heads = [text[:cut] for text in texts]
+    tails = [f"  {text[cut:]}".rstrip() for text in texts]
+    return lines + [
+        f"{head}{doc_id.ljust(id_width)}{tail}"
+        for ids, head, tail in zip(member_ids, heads, tails)
+        for doc_id in ids
+    ]
 
 
-def _table_or_none(header: list[str], rows: list[list[str]]) -> list[str]:
-    return _render_table(header, rows) if rows else ["  none"]
+def _table_or_none(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
+    return _render_table(header, groups, id_at) if groups else ["  none"]
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+class _Rows(list):
+    """A list csv.writer can write to: each row becomes one item."""
+
+    write = list.append
+
+
+# Characters that can make csv.writer quote a field; which of them do
+# depends on the Python version ("\r" from 3.13), so the writer decides.
+# This pattern and _EMPTY_LIST are compiled on first use, not at import.
+_CSV_SPECIAL = '[\x00\r\n",]'
+
+
+def _csv_text(header: list[str], groups: Iterable[tuple], id_at: int = 0) -> str:
+    """csv with a header row. csv.writer writes each group's shared cells
+    once, with its first member's id; the other members reuse the text
+    around that id, and an id goes through the writer only when it holds a
+    character that can need quoting."""
+    rows = _Rows()
+    # Whether a field is quoted depends on the line terminator as well.
+    writer = csv.writer(rows, lineterminator="\n")
+
+    def written(fields: list) -> str:
+        """The text the writer gives fields, without the line end."""
+        writer.writerow(fields)
+        return rows.pop()[:-1]
+
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for ids, shared in groups:
+        writer.writerow([*shared[:id_at], ids[0], *shared[id_at:]])
+        if len(ids) > 1:
+            # An empty field stands for the id: the head is "cells,".
+            head = written([*shared[:id_at], ""]) if id_at else ""
+            if re.search(_CSV_SPECIAL, "".join(ids)):
+                ids = [written([doc_id, ""])[:-1] for doc_id in ids]
+            tail = rows[-1][len(head) + len(ids[0]):]
+            rows += [f"{head}{doc_id}{tail}" for doc_id in ids[1:]]
+    return "".join(rows)
 
 
 def _sections(sections: Iterable[list[str]]) -> str:
@@ -321,13 +403,15 @@ def _fraction_cells(fractions: Sequence[Fraction]) -> list[str]:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-# In json.dumps(indent=2) output of an attribute payload, a document opens at
-# _DOC, its fields sit at _FIELD and their list or object items at _ITEM; a
-# group's "documents" list is empty in the envelope until they are spliced in.
+# In json.dumps(indent=2) output of an attribute or report payload, an object
+# of a group's list opens at _DOC, its fields sit at _FIELD and their list or
+# object items at _ITEM. The lists are empty in the envelope until their
+# members are spliced in.
 _DOC = "\n" + " " * 8
 _FIELD = "\n" + " " * 10
 _ITEM = "\n" + " " * 12
-_EMPTY_DOCUMENTS = '\n      "documents": []'
+_ID_FIELD = f'{_DOC}{{{_FIELD}"id": '
+_EMPTY_LIST = r'\n      ("documents"|"flags"|"disagreements"): \[\]'
 
 
 def _json_items(items: Iterable[str], open_: str = "[", close: str = "]") -> str:
@@ -335,16 +419,24 @@ def _json_items(items: Iterable[str], open_: str = "[", close: str = "]") -> str
     return open_ + _ITEM + f",{_ITEM}".join(items) + _FIELD + close
 
 
-def _json_with_documents(payload: dict, documents: list[str]) -> str:
-    """_json_text(payload) with the i-th group's empty "documents" list
-    holding the documents in documents[i] (comma-joined JSON text).
+def _json_members(groups: Iterable[tuple]) -> str:
+    """The comma-joined objects of (member_ids, (head, tail)) groups: each
+    member's object is its group's head text, its id and the tail text."""
+    return ",".join([
+        f"{head}{_json_str(doc_id)}{tail}" for ids, (head, tail) in groups for doc_id in ids
+    ])
+
+
+def _json_spliced(payload: dict, members: list[str]) -> str:
+    """_json_text(payload) with its i-th empty group list holding members[i]
+    (the text from _json_members), in the order json.dumps writes them.
 
     Strings are escaped and every structural newline is followed by its
-    indent, so the empty list is found exactly at the group level."""
-    pieces = _json_text(payload).split(_EMPTY_DOCUMENTS)
+    indent, so an empty list is found exactly at the group level."""
+    pieces = re.split(_EMPTY_LIST, _json_text(payload))
     out = [pieces[0]]
-    for text, piece in zip(documents, pieces[1:], strict=True):
-        out += ['\n      "documents": [', text, "\n      ]", piece]
+    for key, piece, text in zip(pieces[1::2], pieces[2::2], members, strict=True):
+        out += ["\n      ", key, ": [", text, "\n      ]" if text else "]", piece]
     return "".join(out)
 
 
@@ -367,11 +459,12 @@ def render_attributions(
 ) -> str:
     """Attributions as csv, json or a table per group, one row or document
     per attribution. Tie group members share their interval and attribution,
-    so each group's cells (or its JSON text after "id") are formatted once
-    and reused for its members. Under the fractional rule, the score and
-    fraction cells are formatted once per distinct `fractions` tuple:
-    attribute_all gives every group inside one class the same one.
-    rounding, policy and midpoint_route are shown for point rules only."""
+    so each tie group's cells (or its JSON text around "id") are formatted,
+    padded or quoted once and each member adds only its id. Under the
+    fractional rule, the score and fraction cells are formatted once per
+    distinct `fractions` tuple: attribute_all gives every group inside one
+    class the same one. rounding, policy and midpoint_route are shown for
+    point rules only."""
     fractional = rule is CountingRule.FRACTIONAL
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
     # By id() of the fractions tuple; the attributions keep each one alive.
@@ -394,8 +487,8 @@ def render_attributions(
         return tail
 
     def shared(group_key, n, group, head):
-        """The cells of a row after the id (csv, table), or the JSON text of
-        a document after its id, shared by a tie group's members."""
+        """The cells of a row after the id (csv, table), or the JSON texts of
+        a document before and after its id, shared by a tie group's members."""
         low, high = _ratio_str(group.rank_low - 1, n), _ratio_str(group.rank_high, n)
         if fmt == "json":
             # Fraction strings ("p/q") need no escaping.
@@ -420,16 +513,14 @@ def render_attributions(
                     text += f',{_FIELD}"endpoint_percentiles": ' + (
                         "null" if pair is None else _json_items(map(str, pair))
                     )
-            return text + _DOC + "}"
+            return _ID_FIELD, text + _DOC + "}"
         if fmt == "csv":
             cells = [str(group.citations), group_key, low, high]
         else:
             cells = [
                 str(group.citations),
                 f"[{low}, {high}]",
-                interval_percent_str(
-                    Fraction(group.rank_low - 1, n), Fraction(group.rank_high, n)
-                ),
+                f"{_percent(group.rank_low - 1, n)}–{_percent(group.rank_high, n)}",
             ]
         if fractional:
             return cells + fractional_tail(head)
@@ -453,22 +544,21 @@ def render_attributions(
             "" if head.boundary_hit is None else str(head.boundary_hit),
         ]
 
-    def members_of(group_key, ranked, attributions):
-        """Rows (csv, table) or JSON document texts, in rank order."""
+    def tie_groups(group_key, ranked, attributions):
+        """(member_ids, shared cells) per tie group, in rank order. Made one
+        at a time: csv and json consume each pair at once, so no pair
+        outlives its group (a live pair per document sets off extra passes
+        of the cyclic garbage collector)."""
         if len(attributions) != ranked.n:
             raise ValueError(
                 f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
             )
-        out = []
-        for group in ranked.groups:
-            # Rank r sits at position r - 1 of the rank order.
-            members = attributions[group.rank_low - 1:group.rank_high]
-            cells = shared(group_key, ranked.n, group, members[0])
-            if fmt == "json":
-                out += [f'{_DOC}{{{_FIELD}"id": {_json_str(a.doc_id)}{cells}' for a in members]
-            else:
-                out += [[a.doc_id, *cells] for a in members]
-        return out
+        n = ranked.n
+        # A group's members share one attribution; rank r sits at position r - 1.
+        return (
+            (group.member_ids, shared(group_key, n, group, attributions[group.rank_low - 1]))
+            for group in ranked.groups
+        )
 
     settings = {"rule": rule.value}
     if not fractional:
@@ -480,8 +570,7 @@ def render_attributions(
             {"group": group_key, "n": ranked.n, "documents": []}
             for group_key, ranked, _ in batches
         ], **shown_policy)
-        documents = [",".join(members_of(*batch)) for batch in batches]
-        return _json_with_documents(payload, documents)
+        return _json_spliced(payload, [_json_members(tie_groups(*batch)) for batch in batches])
 
     if fmt == "csv":
         header = ["id", "citations", "group", "interval_low", "interval_high"]
@@ -495,7 +584,7 @@ def render_attributions(
             header.append("endpoint_pcts")
         header += ["class", "weight", "ambiguous", "boundary"]
     if fmt == "csv":
-        return _csv_text(header, [row for batch in batches for row in members_of(*batch)])
+        return _csv_text(header, (group for batch in batches for group in tie_groups(*batch)))
     meta = f"rule={rule.value}"
     if not fractional:
         meta += f" rounding={rounding.value} route={midpoint_route.value}"
@@ -503,7 +592,7 @@ def render_attributions(
         meta += f" boundary={policy.value}"
     return _sections(
         [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
-        + _render_table(header, members_of(group_key, ranked, attributions))
+        + _render_table(header, [*tie_groups(group_key, ranked, attributions)])
         for group_key, ranked, attributions in batches
     )
 
@@ -539,13 +628,15 @@ def render_indicators(
     if fmt == "csv":
         # csv.writer writes None as "" and a Fraction or int as its str.
         return _csv_text(["group", "n", "scheme", "rule", *_INDICATOR_COLUMNS], [
-            [group_key, result.n, result.scheme_name, result.rule.value, *values]
+            ((group_key,), [result.n, result.scheme_name, result.rule.value, *values])
             for group_key, result, values in groups
         ])
     rows = [
-        [group_key, str(result.n),
-         *("-" if v is None else _exact_and_decimal(v, precision) for v in values[:-1]),
-         str(values[-1])]
+        ((group_key,), [
+            str(result.n),
+            *("-" if v is None else _exact_and_decimal(v, precision) for v in values[:-1]),
+            str(values[-1]),
+        ])
         for group_key, result, values in groups
     ]
     table = _render_table(["group", "n", *_INDICATOR_COLUMNS], rows)
@@ -573,80 +664,95 @@ def render_report(
 ) -> str:
     """Boundary hits, cross-rule class disagreements and fractional class
     counts per group, one row or object per document. A flag or
-    disagreement covers a tie group: its shared cells are formatted once and
-    each member adds only its id."""
+    disagreement covers a tie group: its shared cells (or JSON texts) are
+    formatted once and each member adds only its id."""
     if fmt == "csv":
         rows = []
         for group_key, _, report in batches:
-            for flag in report.flags:
-                head = [group_key, "flag", flag.rule.value]
-                tail = [str(flag.interval_low), str(flag.interval_high), str(flag.quantile),
-                        str(flag.boundary), *[""] * 5]
-                rows += [[*head, doc_id, *tail] for doc_id in flag.member_ids]
-            for d in report.disagreements:
-                tail = [*[""] * 4, *(d.classes[rule] for rule in POINT_RULES), "", ""]
-                rows += [[group_key, "disagreement", "", doc_id, *tail] for doc_id in d.member_ids]
             rows += [
-                [group_key, "fractional_count", *[""] * 9, i, count]
+                (flag.member_ids, [
+                    group_key, "flag", flag.rule.value, str(flag.interval_low),
+                    str(flag.interval_high), str(flag.quantile), str(flag.boundary), *[""] * 5,
+                ])
+                for flag in report.flags
+            ]
+            rows += [
+                (d.member_ids, [group_key, "disagreement", *[""] * 5,
+                                *(d.classes[rule] for rule in POINT_RULES), "", ""])
+                for d in report.disagreements
+            ]
+            # A count row has no id: a group of one blank id.
+            rows += [
+                (("",), [group_key, "fractional_count", *[""] * 8, i, count])
                 for i, count in enumerate(report.fractional_counts.counts, start=1)
             ]
-        return _csv_text(_REPORT_COLUMNS, rows)
+        return _csv_text(_REPORT_COLUMNS, rows, id_at=_REPORT_COLUMNS.index("id"))
     if fmt == "json":
-        groups = []
+        groups, members = [], []
         for group_key, ranked, report in batches:
-            flags, disagreements = [], []
+            flags = []
             for flag in report.flags:
-                rule, quantile, boundary = flag.rule.value, str(flag.quantile), str(flag.boundary)
-                interval = {"low": str(flag.interval_low), "high": str(flag.interval_high)}
-                flags += [
-                    {"rule": rule, "id": doc_id, "quantile": quantile, "boundary": boundary,
-                     "interval": interval}
-                    for doc_id in flag.member_ids
-                ]
+                interval = _json_items(
+                    [f'"low": "{flag.interval_low}"', f'"high": "{flag.interval_high}"'], "{", "}"
+                )
+                flags.append((flag.member_ids, (
+                    f'{_DOC}{{{_FIELD}"rule": "{flag.rule.value}",{_FIELD}"id": ',
+                    f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": "{flag.boundary}"'
+                    f',{_FIELD}"interval": {interval}{_DOC}}}',
+                )))
+            disagreements = []
             for d in report.disagreements:
-                classes = {rule.value: d.classes[rule] for rule in POINT_RULES}
-                disagreements += [{"id": doc_id, "classes": classes} for doc_id in d.member_ids]
+                classes = _json_items(
+                    (f'"{rule.value}": {d.classes[rule]}' for rule in POINT_RULES), "{", "}"
+                )
+                disagreements.append(
+                    (d.member_ids, (_ID_FIELD, f',{_FIELD}"classes": {classes}{_DOC}}}'))
+                )
+            members += [_json_members(flags), _json_members(disagreements)]
             groups.append({
                 "group": group_key,
                 "n": ranked.n,
-                "flags": flags,
-                "disagreements": disagreements,
+                "flags": [],
+                "disagreements": [],
                 "fractional_class_counts": [str(c) for c in report.fractional_counts.counts],
                 "summary": {
                     "flag_counts": {rule.value: c for rule, c in report.flag_counts.items()},
-                    "disagreements": len(disagreements),
+                    "disagreements": sum(len(d.member_ids) for d in report.disagreements),
                 },
             })
-        return _json_text(_envelope(
+        return _json_spliced(_envelope(
             "report", scheme, rounding=rounding.value, midpoint_route=midpoint_route.value,
             groups=groups,
-        ))
+        ), members)
     sections = []
     for group_key, ranked, report in batches:
-        flag_rows, disagreement_rows = [], []
+        flag_rows = []
         for flag in report.flags:
             low, high = flag.interval_low, flag.interval_high
-            cells = [f"[{low}, {high}]", interval_percent_str(low, high),
-                     str(flag.quantile), str(flag.boundary)]
-            flag_rows += [[flag.rule.value, doc_id, *cells] for doc_id in flag.member_ids]
-        for d in report.disagreements:
-            classes = [str(d.classes[rule]) for rule in POINT_RULES]
-            disagreement_rows += [[doc_id, *classes] for doc_id in d.member_ids]
+            flag_rows.append((flag.member_ids, [
+                flag.rule.value, f"[{low}, {high}]", interval_percent_str(low, high),
+                str(flag.quantile), str(flag.boundary),
+            ]))
+        disagreement_rows = [
+            (d.member_ids, [str(d.classes[rule]) for rule in POINT_RULES])
+            for d in report.disagreements
+        ]
         flag_summary = ", ".join(
             f"{rule.value}={count}" for rule, count in report.flag_counts.items()
         )
+        disagreeing = sum(len(d.member_ids) for d in report.disagreements)
         sections.append([
             f"# group={group_key} n={ranked.n} scheme={scheme.name}"
             f" rounding={rounding.value} route={midpoint_route.value}",
             "boundary hits:",
             *_table_or_none(
-                ["rule", "id", "interval", "percent", "quantile", "boundary"], flag_rows
+                ["rule", "id", "interval", "percent", "quantile", "boundary"], flag_rows, id_at=1
             ),
             "class disagreements:",
             *_table_or_none(["id", *(rule.value for rule in POINT_RULES)], disagreement_rows),
             "fractional class counts: "
             + ", ".join(str(c) for c in report.fractional_counts.counts),
-            f"summary: flags [{flag_summary}], disagreements {len(disagreement_rows)}",
+            f"summary: flags [{flag_summary}], disagreements {disagreeing}",
         ])
     return _sections(sections)
 
@@ -661,7 +767,9 @@ def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
     """A scheme's classes: index, bounds and weight of each."""
     rows = [(cls.index, str(cls.lower), str(cls.upper), str(cls.weight)) for cls in scheme.classes]
     if fmt == "csv":
-        return _csv_text(list(_SCHEME_CLASS_FIELDS), rows)
+        return _csv_text(
+            list(_SCHEME_CLASS_FIELDS), [((str(index),), rest) for index, *rest in rows]
+        )
     if fmt == "json":
         return _json_text({
             "schema_version": SCHEMA_VERSION,
@@ -670,8 +778,8 @@ def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
             "classes": [dict(zip(_SCHEME_CLASS_FIELDS, row)) for row in rows],
         })
     table = _render_table(["class", "range", "percent", "weight"], [
-        [str(index), f"[{lower}, {upper}" + ("]" if index == scheme.k else ")"),
-         interval_percent_str(cls.lower, cls.upper), weight]
+        ((str(index),), [f"[{lower}, {upper}" + ("]" if index == scheme.k else ")"),
+                         interval_percent_str(cls.lower, cls.upper), weight])
         for (index, lower, upper, weight), cls in zip(rows, scheme.classes)
     ])
     return _sections([[f"# scheme={scheme.name} classes={scheme.k}", *table]])
@@ -681,7 +789,7 @@ def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> st
     """Name and class count of each scheme; the table adds the weights."""
     rows = [(scheme.name, scheme.k) for scheme in schemes]
     if fmt == "csv":
-        return _csv_text(["name", "classes"], rows)
+        return _csv_text(["name", "classes"], [((name,), [k]) for name, k in rows])
     if fmt == "json":
         entries = [{"name": name, "classes": k} for name, k in rows]
         return _json_text(
@@ -691,5 +799,5 @@ def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> st
     for (name, k), scheme in zip(rows, schemes):
         weights = [str(w) for w in scheme.weights]
         text = f"{weights[0]} .. {weights[-1]}" if len(weights) > 8 else ", ".join(weights)
-        table.append([name, str(k), text])
+        table.append(((name,), [str(k), text]))
     return _sections([_render_table(["name", "classes", "weights"], table)])

@@ -7,6 +7,7 @@ scores stay exact end to end; nothing here passes through binary floating point.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -35,7 +36,15 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
     try:
         return Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid fraction {value!r}") from exc
+        raise ValueError(f"invalid fraction {_shortened(value)}") from exc
+
+
+def _shortened(text: str, limit: int = 40) -> str:
+    """repr(text), cut to its first `limit` characters when it is longer, so
+    that an error message does not echo a huge value."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 class _CitationRecord(NamedTuple):
@@ -47,19 +56,23 @@ class _CitationRecord(NamedTuple):
 class CitationRecord(_CitationRecord):
     """One document: an opaque id, its citation count, and an optional group key.
 
-    The constructor checks every field; the readers, which check rows
-    themselves, build records with `tuple.__new__(CitationRecord, fields)`.
+    The constructor checks every field and, as the readers do, refuses an
+    id made only of whitespace and reads a blank group as no group. The
+    readers, which check rows themselves, build records with
+    `tuple.__new__(CitationRecord, fields)`.
     """
 
     __slots__ = ()
 
     def __new__(cls, doc_id: str, citations: int, group: str | None = None):
-        if not isinstance(doc_id, str) or not doc_id:
+        if not isinstance(doc_id, str) or not doc_id.strip():
             raise DataError("document id must be a non-empty string")
         if isinstance(citations, bool) or not isinstance(citations, int):
             raise DataError(f"citations for {doc_id!r} must be an integer")
         if citations < 0:
             raise DataError(f"citations for {doc_id!r} must be non-negative")
+        if isinstance(group, str) and not group.strip():
+            group = None
         return tuple.__new__(cls, (doc_id, citations, group))
 
 
@@ -244,14 +257,16 @@ def builtin_scheme(name: str) -> PRScheme:
         elif rest.startswith("="):
             rest = rest[1:]
         else:
-            raise SchemeError(f"unknown scheme {name!r}; write topx=1/10 or topx(1/10)")
+            raise SchemeError(
+                f"unknown scheme {_shortened(name)}; write topx=1/10 or topx(1/10)"
+            )
         try:
             share = parse_fraction(rest)
         except ValueError as exc:
-            raise SchemeError(f"invalid top share in {name!r}: {exc}") from None
+            raise SchemeError(f"invalid top share in {_shortened(name)}: {exc}") from None
         return topx_scheme(share)
     raise SchemeError(
-        f"unknown scheme {name!r}; expected one of {', '.join(BUILTIN_SCHEME_NAMES)}, "
+        f"unknown scheme {_shortened(name)}; expected one of {', '.join(BUILTIN_SCHEME_NAMES)}, "
         "topx=<fraction>, or a custom scheme file"
     )
 
@@ -292,6 +307,11 @@ def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PR
             raise SchemeError(f"scheme file {path} is not valid JSON: {exc}") from None
         except RecursionError:
             raise SchemeError(f"scheme file {path} is nested too deeply to read") from None
+        except ValueError:
+            raise SchemeError(
+                f"scheme file {path} holds an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     else:
         doc = source
     if not isinstance(doc, dict):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -410,6 +411,57 @@ class TestReport:
         assert flag["interval"] == {"low": "2/5", "high": "3/5"}
 
 
+def tied_rows(seed: int = 7) -> list[tuple[str, int, str]]:
+    """Three groups with large tie groups, one-document tie groups and ids
+    that csv has to quote."""
+    rng = random.Random(seed)
+    rows = []
+    for group, n, top in (("alpha", 30, 3), ("beta, two", 12, 40), ("gamma", 25, 0)):
+        rows += [(f"{group[0]}{i:02d}", rng.randint(0, top), group) for i in range(n)]
+    rows += [('q"uote', 1, "alpha"), ("comma,id", 2, "beta, two"), ("new\nline", 0, "gamma")]
+    return rows
+
+
+def as_input(rows, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps([{"id": i, "citations": c, "group": g} for i, c, g in rows])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["id", "citations", "group"])
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class TestPermutation:
+    """Reordering the input rows leaves every output byte the same: ranks,
+    tie groups and group order depend on the records, not on their order."""
+
+    COMMANDS = [
+        ["attribute", "--scheme", "pr6"],
+        ["attribute", "--scheme", "topx=1/10", "--rule", "midpoint", "--rounding", "floor",
+         "--midpoint-route", "endpoints"],
+        ["attribute", "--scheme", "pr100", "--rule", "count-worse", "--boundary", "upper"],
+        ["indicators", "--scheme", "pr6"],
+        ["indicators", "--scheme", "topx=1/10", "--rule", "count-worse-or-equal"],
+        ["report", "--scheme", "pr6"],
+        ["report", "--scheme", "topx=1/10", "--rounding", "half-up"],
+    ]
+
+    @pytest.mark.parametrize("input_format", ["csv", "json"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: "-".join(argv[::2]))
+    def test_shuffled_rows_give_the_same_output(self, run, command, input_format):
+        rows = tied_rows()
+        shuffled = rows[:]
+        random.Random(11).shuffle(shuffled)
+        reversed_rows = rows[::-1]
+        for fmt in ("csv", "table", "json"):
+            argv = [*command, "--format", fmt]
+            expected = run(argv, stdin_text=as_input(rows, input_format))
+            assert expected[0] == EXIT_OK and expected[1]
+            for other in (shuffled, reversed_rows):
+                assert run(argv, stdin_text=as_input(other, input_format)) == expected
+
+
 class TestSchemes:
     def test_list_builtins(self, run):
         code, out, _ = run(["schemes"])
@@ -546,6 +598,52 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert out == ""
         assert "'default'" in err
+
+    @pytest.mark.parametrize("command", ["attribute", "indicators", "report"])
+    def test_citations_too_long_for_an_integer(self, run, tmp_path, command):
+        digits = "9" * 5000
+        as_csv = tmp_path / "long.csv"
+        as_csv.write_text(f"id,citations\na,1\nb,{digits}\n")
+        as_json = tmp_path / "long.json"
+        as_json.write_text(f'[{{"id": "a", "citations": 1}}, {{"id": "b", "citations": {digits}}}]')
+        limit = sys.get_int_max_str_digits()
+        for path, where in ((as_csv, "line 3"), (as_json, "document 2")):
+            code, out, err = run([command, "--scheme", "pr6", "--input", str(path)])
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == (
+                f"pct: input error: {where}: citations have 5000 digits, "
+                f"more than the {limit} this Python reads as an integer\n"
+            )
+
+    def test_a_long_json_integer_outside_the_citations(self, run, tmp_path):
+        digits = "9" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(f'[{{"id": {digits}, "citations": 1}}]')
+        code, _, err = run(["attribute", "--scheme", "pr6", "--input", str(path)])
+        assert code == EXIT_DATA
+        assert err == "pct: input error: document 1: id must be a non-empty string\n"
+        # Outside the documents it is not read at all.
+        path.write_text(f'{{"documents": [{{"id": "a", "citations": 1}}], "note": {digits}}}')
+        code, out, _ = run(["indicators", "--scheme", "pr6", "--input", str(path)])
+        assert code == EXIT_OK and "default" in out
+        # Malformed or deeply nested text after it is still a data error.
+        for tail, message in ((", oops]", "invalid JSON input"), (", " + "[" * 100_000, "deeply")):
+            path.write_text(f'[{{"id": "a", "citations": {digits}}}{tail}')
+            code, _, err = run(["attribute", "--scheme", "pr6", "--input", str(path)])
+            assert code == EXIT_DATA and message in err
+
+    def test_a_long_scheme_value_is_not_echoed_in_full(self, run, five_file, tmp_path):
+        digits = "9" * 5000
+        scheme = tmp_path / "long.json"
+        selectors = [f"topx=1/{digits}", "x" * 5000, f"custom={scheme}"]
+        for boundary in (f'"1/{digits}"', f"{digits}"):
+            scheme.write_text(
+                f'{{"name": "long", "boundaries": [0, {boundary}, 1], "weights": [1, 2]}}'
+            )
+            for selector in selectors:
+                code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
+                assert (code, out) == (EXIT_CONFIG, "")
+                assert err.startswith("pct: config error: ") and len(err) < 300, err
 
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(

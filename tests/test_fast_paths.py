@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pctrank import (
     POINT_RULES,
@@ -32,6 +34,7 @@ from pctrank import (
     pp_top,
     rank,
     render_attributions,
+    render_report,
     scheme_from_boundaries,
 )
 from pctrank.scoring import _Grid
@@ -42,6 +45,8 @@ from support import (
     make_tied,
     random_document_set,
     random_scheme,
+    render_attributions_per_document,
+    render_report_per_document,
 )
 
 POINT_OPTIONS = [
@@ -310,7 +315,8 @@ def json_document_row(d: dict, rule: CountingRule) -> list[str]:
 @pytest.mark.parametrize("ranked,scheme", CASES[-21:], ids=IDS[-21:])
 def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
     """csv and json attribute rows, under the fractional and every point rule,
-    formatted once per tie group, match rows formatted document by document."""
+    formatted once per tie group, match rows formatted document by document;
+    so does the table, line for line."""
     citations = {record.doc_id: record.citations for record in ranked.source.records}
     for rule, options in RENDER_OPTIONS:
         reference = attribute_each(ranked, scheme, rule, **options)
@@ -326,6 +332,11 @@ def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
                 documents = json.loads(text)["groups"][0]["documents"]
                 rows = [json_document_row(d, rule) for d in documents]
             assert rows == expected
+        table = render_attributions(batches, scheme, rule, fmt="table", **options)
+        expected_table = render_attributions_per_document(
+            [("g", ranked, reference)], scheme, rule, fmt="table", **options
+        )
+        assert table == expected_table, first_difference(table, expected_table)
 
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
@@ -394,3 +405,63 @@ def test_attribute_json_escapes_ids_and_group_keys():
             ids = [document["id"] for document in group["documents"]]
             assert ids == ranked.doc_ids_in_rank_order()
             assert sorted(ids) == sorted(AWKWARD_IDS)
+
+
+# Ids csv must quote (comma, quote, CR, LF), tabs, spaces, non-ASCII and a
+# character outside the BMP; short and long ones side by side.
+_ID_CHARS = list('ab,"\r\n\t é😀字')
+awkward_ids = (
+    st.text(_ID_CHARS, min_size=1, max_size=3) | st.text(_ID_CHARS, min_size=20, max_size=60)
+).filter(str.strip)
+
+
+@st.composite
+def grouped_sets(draw):
+    """One to three groups of up to 25 documents each; citations spread
+    from a single tie group to all distinct."""
+    keys = draw(st.lists(awkward_ids, min_size=1, max_size=3, unique=True))
+    out = []
+    for key in sorted(keys):
+        ids = draw(st.lists(awkward_ids, min_size=1, max_size=25, unique=True))
+        spread = draw(st.integers(0, len(ids)))
+        citations = draw(st.lists(st.integers(0, spread), min_size=len(ids), max_size=len(ids)))
+        records = tuple(map(CitationRecord, ids, citations))
+        out.append((key, rank(DocumentSet(records))))
+    return out
+
+
+RENDER_SCHEMES = [
+    builtin_scheme("top50"), builtin_scheme("pr6"), builtin_scheme("pr100"),
+    builtin_scheme("topx=1/10"),
+    # Non-integer weights, and boundaries of large coprime denominators.
+    *{s.name: s for _, s in CASES if s.name in ("non-integer-weights", "coprime")}.values(),
+]
+REPORT_OPTIONS = [
+    dict(rounding=rounding, midpoint_route=route)
+    for rounding in (RoundingMode.NONE, RoundingMode.FLOOR)
+    for route in MidpointRoute
+]
+
+
+@seed(20120516)
+@settings(max_examples=50, deadline=None)
+@given(sets=grouped_sets(), scheme=st.sampled_from(RENDER_SCHEMES))
+def test_rendering_matches_the_per_document_renderers(sets, scheme):
+    """attribute and report output, laid out per tie group, is byte for byte
+    the output of renderers that format every document on its own, in csv,
+    table and json."""
+    for rule, options in RENDER_OPTIONS:
+        batches = [(key, r, attribute_all(r, scheme, rule, **options)) for key, r in sets]
+        reference = [(key, r, attribute_each(r, scheme, rule, **options)) for key, r in sets]
+        for fmt in ("csv", "table", "json"):
+            text = render_attributions(batches, scheme, rule, fmt=fmt, **options)
+            expected = render_attributions_per_document(
+                reference, scheme, rule, fmt=fmt, **options
+            )
+            assert text == expected, first_difference(text, expected)
+    for options in REPORT_OPTIONS:
+        batches = [(key, r, compare_rules(r, scheme, **options)) for key, r in sets]
+        for fmt in ("csv", "table", "json"):
+            text = render_report(batches, scheme, fmt=fmt, **options)
+            expected = render_report_per_document(batches, scheme, fmt=fmt, **options)
+            assert text == expected, first_difference(text, expected)

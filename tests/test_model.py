@@ -16,6 +16,7 @@ from pctrank import (
     builtin_scheme,
     load_custom_scheme,
     parse_fraction,
+    partition_by_group,
     scheme_from_boundaries,
     scheme_to_document,
     theoretical_total,
@@ -74,6 +75,22 @@ class TestRecordsAndSets:
             CitationRecord("a", "3")
         with pytest.raises(DataError):
             CitationRecord("a", True)
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " \r\n "])
+    def test_an_id_of_whitespace_is_refused(self, blank):
+        with pytest.raises(DataError, match="^document id must be a non-empty string$"):
+            CitationRecord(blank, 1)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t", " \r\n "])
+    def test_a_blank_group_is_no_group(self, blank):
+        assert CitationRecord("a", 1, blank) == CitationRecord("a", 1)
+        sets = partition_by_group([CitationRecord("a", 1), CitationRecord("b", 2, blank)])
+        assert list(sets) == ["default"]
+        assert [r.group for r in sets["default"].records] == [None, None]
+
+    def test_ids_and_groups_keep_their_inner_whitespace(self):
+        record = CitationRecord(" pad ", 1, " g ")
+        assert (record.doc_id, record.group) == (" pad ", " g ")
 
     def test_zero_citations_allowed(self):
         assert CitationRecord("a", 0).citations == 0
