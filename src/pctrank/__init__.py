@@ -38,7 +38,6 @@ from .indicators import (
     class_counts,
     compare_rules,
     compute_indicators,
-    grouped_indicators,
     i3,
     per_doc_score,
     pp_top,
@@ -67,14 +66,8 @@ from .scoring import (
     FractionalAttribution,
     MidpointRoute,
     PointAttribution,
-    PointClassification,
     RoundingMode,
     attribute_all,
-    classify_point,
-    fractional_attribution,
-    point_attribution,
-    point_quantile,
-    to_percentile,
 )
 
 # The names README "Library" documents, with the enums and errors they take
@@ -95,7 +88,6 @@ __all__ = [
     "PRClass",
     "PRScheme",
     "PointAttribution",
-    "PointClassification",
     "QuantileInterval",
     "RankedSet",
     "RoundingMode",
@@ -104,14 +96,9 @@ __all__ = [
     "TieGroup",
     "attribute_all",
     "builtin_scheme",
-    "classify_point",
     "compare_rules",
     "compute_indicators",
-    "fractional_attribution",
-    "grouped_indicators",
-    "point_attribution",
     "rank",
     "read_records",
     "render_attributions",
-    "to_percentile",
 ]

@@ -8,8 +8,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SchemeError
-from .model import DocumentSet, PRScheme
-from .ranking import RankedSet, TieGroup, rank
+from .model import PRScheme
+from .ranking import RankedSet, TieGroup
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -210,30 +210,6 @@ def compute_indicators(
         return scheme.classes[decision[3] - 1].weight
 
     return _result(ranked, ClassCounts(scheme, tuple(map(Fraction, tallies))), rule, hits, score)
-
-
-def grouped_indicators(
-    sets: Mapping[str, DocumentSet],
-    scheme: PRScheme,
-    rule: CountingRule,
-    *,
-    rounding: RoundingMode = RoundingMode.NONE,
-    policy: BoundaryPolicy = BoundaryPolicy.ERROR,
-    midpoint_route: MidpointRoute = MidpointRoute.EXACT,
-) -> dict[str, IndicatorResult]:
-    """Indicators per group, computed independently (no cross-group pooling);
-    keys come back in sorted order."""
-    return {
-        key: compute_indicators(
-            rank(sets[key]),
-            scheme,
-            rule,
-            rounding=rounding,
-            policy=policy,
-            midpoint_route=midpoint_route,
-        )
-        for key in sorted(sets)
-    }
 
 
 class BoundaryFlag(NamedTuple):

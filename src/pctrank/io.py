@@ -206,6 +206,8 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
         except ValueError:
             raise DataError(_too_many_digits(raw_citations), line=line_no) from None
         group = row[group_at].strip() if group_at is not None else ""
+        if "\0" in doc_id or "\0" in group:
+            raise DataError("an id or group holds a NUL character", line=line_no)
         # Checked above, so the record skips CitationRecord's own checks.
         records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
     if not records:
@@ -274,6 +276,8 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
             group = row.get("group")
             if group is not None and not isinstance(group, str):
                 raise DataError("group must be a string when present")
+            if "\0" in doc_id or group and "\0" in group:
+                raise DataError("an id or group holds a NUL character")
             # A blank group is no group, as in csv; other names stay as written.
             group = group if group and group.strip() else None
             records.append(tuple.__new__(CitationRecord, (doc_id, citations, group)))

@@ -34,9 +34,12 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f"cannot parse {value!r} as a fraction")
     try:
-        return Fraction(value.strip())
+        fraction = Fraction(value.strip())
+        # Refuses a numerator or denominator too long to be written out again.
+        str(fraction)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid fraction {_shortened(value)}") from exc
+    return fraction
 
 
 def _shortened(text: str, limit: int = 40) -> str:
@@ -57,9 +60,9 @@ class CitationRecord(_CitationRecord):
     """One document: an opaque id, its citation count, and an optional group key.
 
     The constructor checks every field and, as the readers do, refuses an
-    id made only of whitespace and reads a blank group as no group. The
-    readers, which check rows themselves, build records with
-    `tuple.__new__(CitationRecord, fields)`.
+    id made only of whitespace or an id or group holding NUL, and reads a
+    blank group as no group. The readers, which check rows themselves,
+    build records with `tuple.__new__(CitationRecord, fields)`.
     """
 
     __slots__ = ()
@@ -71,6 +74,8 @@ class CitationRecord(_CitationRecord):
             raise DataError(f"citations for {doc_id!r} must be an integer")
         if citations < 0:
             raise DataError(f"citations for {doc_id!r} must be non-negative")
+        if "\0" in doc_id or isinstance(group, str) and "\0" in group:
+            raise DataError(f"the id or group of {doc_id!r} holds a NUL character")
         if isinstance(group, str) and not group.strip():
             group = None
         return tuple.__new__(cls, (doc_id, citations, group))
@@ -168,11 +173,6 @@ class PRScheme:
     def boundaries(self) -> tuple[Fraction, ...]:
         """All k+1 cut points from 0 to 1 inclusive."""
         return self.lower_bounds + (Fraction(1),)
-
-    @property
-    def interior_boundaries(self) -> tuple[Fraction, ...]:
-        """Cut points strictly inside (0, 1); the only ambiguous landing spots."""
-        return self.lower_bounds[1:]
 
     @property
     def weights(self) -> tuple[Fraction, ...]:

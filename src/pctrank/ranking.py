@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .model import DocumentSet
@@ -52,7 +51,8 @@ class TieGroup(NamedTuple):
 
 
 class RankedSet:
-    """A document set with its tie groups and per-document quantile intervals."""
+    """A document set with its tie groups, in rank order; interval_for gives a
+    group's quantile interval."""
 
     def __init__(self, source: DocumentSet, groups: tuple[TieGroup, ...]):
         self.source = source
@@ -61,19 +61,6 @@ class RankedSet:
     @property
     def n(self) -> int:
         return self.source.n
-
-    @cached_property
-    def interval_of(self) -> dict[str, QuantileInterval]:
-        """Each document's quantile interval, in rank order, built on first
-        access. The members of a tie group share one interval object."""
-        interval_of: dict[str, QuantileInterval] = {}
-        for group in self.groups:
-            interval_of.update(dict.fromkeys(group.member_ids, interval_for(group, self.n)))
-        return interval_of
-
-    def doc_ids_in_rank_order(self) -> list[str]:
-        """Ascending by citations, ids sorted inside each tie group."""
-        return [doc_id for group in self.groups for doc_id in group.member_ids]
 
 
 def interval_for(group: TieGroup, n: int) -> QuantileInterval:

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BoundaryAmbiguityError
 from .model import PRScheme
-from .ranking import QuantileInterval, RankedSet, TieGroup
+from .ranking import RankedSet, TieGroup
 
 
 class CountingRule(Enum):
@@ -60,12 +60,6 @@ class MidpointRoute(Enum):
     ENDPOINTS = "endpoints"
 
 
-class PointClassification(NamedTuple):
-    class_index: int
-    ambiguous: bool
-    boundary_hit: Fraction | None
-
-
 class PointAttribution(NamedTuple):
     """One document classified by a point rule.
 
@@ -92,156 +86,6 @@ class FractionalAttribution(NamedTuple):
 
 
 Attribution = PointAttribution | FractionalAttribution
-
-
-def _interval(ranked: RankedSet, doc_id: str) -> QuantileInterval:
-    try:
-        return ranked.interval_of[doc_id]
-    except KeyError:
-        raise KeyError(f"unknown document id {doc_id!r}") from None
-
-
-def _rule_point(interval: QuantileInterval, rule: CountingRule) -> Fraction:
-    if rule is CountingRule.COUNT_WORSE:
-        return interval.low
-    if rule is CountingRule.COUNT_WORSE_OR_EQUAL:
-        return interval.high
-    if rule is CountingRule.MIDPOINT:
-        return interval.midpoint
-    raise ValueError("the fractional rule has no point quantile; use fractional_attribution")
-
-
-def point_quantile(doc_id: str, ranked: RankedSet, rule: CountingRule) -> Fraction:
-    """The single quantile a point rule assigns to a document."""
-    return _rule_point(_interval(ranked, doc_id), rule)
-
-
-def to_percentile(q: Fraction, mode: RoundingMode) -> int | Fraction:
-    """Map a quantile in [0, 1] onto the percentile scale.
-
-    Integer modes return an int in 0..100; NONE returns the exact value 100*q.
-    HALF_UP rounds exact halves upward (50.5 -> 51).
-    """
-    q = Fraction(q)
-    if not (0 <= q <= 1):
-        raise ValueError(f"quantile {q} lies outside [0, 1]")
-    scaled = 100 * q
-    if mode is RoundingMode.FLOOR:
-        return math.floor(scaled)
-    if mode is RoundingMode.CEIL:
-        return math.ceil(scaled)
-    if mode is RoundingMode.HALF_UP:
-        return math.floor(scaled + Fraction(1, 2))
-    return scaled
-
-
-def classify_point(
-    q: Fraction,
-    scheme: PRScheme,
-    policy: BoundaryPolicy = BoundaryPolicy.ERROR,
-) -> PointClassification:
-    """Assign a single quantile to a class, flagging interior boundary hits.
-
-    A point strictly inside a class is unambiguous; 0 and 1 always belong to
-    the first and last class. A point equal to an interior boundary is
-    inherently ambiguous: the policy picks the class below or above it, or
-    refuses with BoundaryAmbiguityError.
-    """
-    q = Fraction(q)
-    if not (0 <= q <= 1):
-        raise ValueError(f"quantile {q} lies outside [0, 1]")
-    lowers = scheme.lower_bounds
-    idx = bisect_left(lowers, q)
-    if 1 <= idx < len(lowers) and lowers[idx] == q:
-        if policy is BoundaryPolicy.ERROR:
-            raise BoundaryAmbiguityError(q)
-        class_index = idx if policy is BoundaryPolicy.LOWER else idx + 1
-        return PointClassification(class_index, True, q)
-    return PointClassification(bisect_right(lowers, q), False, None)
-
-
-def _point_fields(
-    interval: QuantileInterval,
-    scheme: PRScheme,
-    rule: CountingRule,
-    rounding: RoundingMode,
-    policy: BoundaryPolicy,
-    midpoint_route: MidpointRoute,
-) -> tuple:
-    """Every PointAttribution field after doc_id, for a point rule applied to
-    one quantile interval."""
-    quantile = _rule_point(interval, rule)
-    percentile: int | None = None
-    endpoint_percentiles: tuple[int, int] | None = None
-    effective = quantile
-    if rounding is not RoundingMode.NONE:
-        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
-            p_low = to_percentile(interval.low, rounding)
-            p_high = to_percentile(interval.high, rounding)
-            endpoint_percentiles = (p_low, p_high)
-            percentile = to_percentile(Fraction(p_low + p_high, 200), rounding)
-        else:
-            percentile = to_percentile(quantile, rounding)
-        effective = Fraction(percentile, 100)
-    decision = classify_point(effective, scheme, policy)
-    return (
-        quantile,
-        percentile,
-        decision.class_index,
-        decision.ambiguous,
-        decision.boundary_hit,
-        endpoint_percentiles,
-    )
-
-
-def _fractions(interval: QuantileInterval, scheme: PRScheme) -> tuple[Fraction, ...]:
-    """Overlap of one quantile interval with each class, over its width."""
-    fractions = [Fraction(0)] * scheme.k
-    lowers = scheme.lower_bounds
-    # Only classes with lower <= interval.low < ... < interval.high can overlap.
-    start = bisect_right(lowers, interval.low) - 1
-    stop = bisect_left(lowers, interval.high)
-    for i in range(start, stop):
-        cls = scheme.classes[i]
-        overlap = min(interval.high, cls.upper) - max(interval.low, cls.lower)
-        if overlap > 0:
-            fractions[i] = overlap / interval.width
-    return tuple(fractions)
-
-
-def point_attribution(
-    doc_id: str,
-    ranked: RankedSet,
-    scheme: PRScheme,
-    rule: CountingRule,
-    *,
-    rounding: RoundingMode = RoundingMode.NONE,
-    policy: BoundaryPolicy = BoundaryPolicy.ERROR,
-    midpoint_route: MidpointRoute = MidpointRoute.EXACT,
-) -> PointAttribution:
-    """Classify one document under a point rule.
-
-    With an integer rounding mode, the rounded percentile is what gets
-    classified (so the ambiguity flag tracks the rounded value). The endpoints
-    route, which applies to the midpoint rule only, first rounds both interval
-    ends to percentiles and then rounds their middle the same way.
-    """
-    fields = _point_fields(
-        _interval(ranked, doc_id), scheme, rule, rounding, policy, midpoint_route
-    )
-    return PointAttribution(doc_id, *fields)
-
-
-def fractional_attribution(
-    doc_id: str, ranked: RankedSet, scheme: PRScheme
-) -> FractionalAttribution:
-    """Spread a document over the classes its quantile interval overlaps.
-
-    Each class receives overlap length divided by interval width. Rounding
-    modes and boundary policies play no part: a shared endpoint has zero
-    length, so nothing is ever ambiguous and the fractions sum to exactly 1.
-    """
-    return FractionalAttribution(doc_id, _fractions(_interval(ranked, doc_id), scheme))
 
 
 _ZERO = Fraction(0)
@@ -297,7 +141,8 @@ class _Grid:
         self.edges.update((scale, [c * scale for c in base.cuts]) for scale in (n, 2 * n))
 
     def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
-        """classify_point for the quantile a/scale: (class index, boundary hit)."""
+        """The class of the quantile a/scale as classify_point in
+        tests/support.py decides it: (class index, boundary hit)."""
         edges = self.edges[scale]
         k = self.scheme.k
         x = a * self.d
@@ -319,9 +164,10 @@ class _Grid:
         policy: BoundaryPolicy,
         midpoint_route: MidpointRoute,
     ) -> tuple:
-        """A point rule on one tie group, as _point_fields decides it:
-        (a, scale, percentile, class index, boundary hit, endpoint
-        percentiles), where the rule's quantile is a/scale."""
+        """A point rule on one tie group, as point_attribution in
+        tests/support.py decides it for each member: (a, scale, percentile,
+        class index, boundary hit, endpoint percentiles), where the rule's
+        quantile is a/scale."""
         n = self.n
         if rule is CountingRule.COUNT_WORSE:
             a, scale = group.rank_low - 1, n
@@ -383,7 +229,8 @@ class _Grid:
         return shared
 
     def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
-        """_fractions for one tie group's interval."""
+        """Overlap of one tie group's interval with each class, over its
+        width: fractional_attribution in tests/support.py, per group."""
         low, high, classes = self.span(group)
         if len(classes) == 1:
             return self.single(classes[0])[0]
@@ -408,7 +255,8 @@ class _Grid:
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:
-    """to_percentile(a/scale, mode) for an integer mode."""
+    """The percentile of a/scale under an integer rounding mode, as
+    to_percentile in tests/support.py gives it."""
     if mode is RoundingMode.FLOOR:
         return 100 * a // scale
     if mode is RoundingMode.CEIL:

@@ -5,21 +5,29 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from pctrank import (
     POINT_RULES,
+    BoundaryAmbiguityError,
+    BoundaryPolicy,
     CitationRecord,
     CountingRule,
     DocumentSet,
+    FractionalAttribution,
     MidpointRoute,
+    PointAttribution,
     PRScheme,
+    QuantileInterval,
     RankedSet,
     RoundingMode,
-    fractional_attribution,
+    interval_for,
     per_doc_score,
-    point_attribution,
     scheme_from_boundaries,
     scheme_to_document,
 )
@@ -48,18 +56,178 @@ def overlap_fractions_oracle(
     return [piece / width for piece in acc]
 
 
+# ---------------------------------------------------------------------------
+# The per-document reference path: every document's own quantile interval,
+# classified or spread over the classes in plain Fraction arithmetic. The
+# package decides each tie group once on an integer grid (scoring._Grid);
+# these functions share none of that code, so comparing the two means
+# something.
+
+def ids_in_rank_order(ranked: RankedSet) -> list[str]:
+    """Ascending by citations, ids sorted inside each tie group."""
+    return [doc_id for group in ranked.groups for doc_id in group.member_ids]
+
+
+@lru_cache(maxsize=16)
+def intervals_by_id(ranked: RankedSet) -> dict[str, QuantileInterval]:
+    """Each document's quantile interval, in rank order; the members of a
+    tie group share one interval object. Kept for the last few ranked sets,
+    so looking up one document at a time stays cheap."""
+    intervals: dict[str, QuantileInterval] = {}
+    for group in ranked.groups:
+        intervals.update(dict.fromkeys(group.member_ids, interval_for(group, ranked.n)))
+    return intervals
+
+
+def _interval(ranked: RankedSet, doc_id: str) -> QuantileInterval:
+    try:
+        return intervals_by_id(ranked)[doc_id]
+    except KeyError:
+        raise KeyError(f"unknown document id {doc_id!r}") from None
+
+
+class PointClassification(NamedTuple):
+    class_index: int
+    ambiguous: bool
+    boundary_hit: Fraction | None
+
+
+def _rule_point(interval: QuantileInterval, rule: CountingRule) -> Fraction:
+    if rule is CountingRule.COUNT_WORSE:
+        return interval.low
+    if rule is CountingRule.COUNT_WORSE_OR_EQUAL:
+        return interval.high
+    if rule is CountingRule.MIDPOINT:
+        return interval.midpoint
+    raise ValueError("the fractional rule has no point quantile; use fractional_attribution")
+
+
+def point_quantile(doc_id: str, ranked: RankedSet, rule: CountingRule) -> Fraction:
+    """The single quantile a point rule assigns to a document."""
+    return _rule_point(_interval(ranked, doc_id), rule)
+
+
+def to_percentile(q: Fraction, mode: RoundingMode) -> int | Fraction:
+    """Map a quantile in [0, 1] onto the percentile scale.
+
+    Integer modes return an int in 0..100; NONE returns the exact value 100*q.
+    HALF_UP rounds exact halves upward (50.5 -> 51).
+    """
+    q = Fraction(q)
+    if not (0 <= q <= 1):
+        raise ValueError(f"quantile {q} lies outside [0, 1]")
+    scaled = 100 * q
+    if mode is RoundingMode.FLOOR:
+        return math.floor(scaled)
+    if mode is RoundingMode.CEIL:
+        return math.ceil(scaled)
+    if mode is RoundingMode.HALF_UP:
+        return math.floor(scaled + Fraction(1, 2))
+    return scaled
+
+
+def classify_point(
+    q: Fraction,
+    scheme: PRScheme,
+    policy: BoundaryPolicy = BoundaryPolicy.ERROR,
+) -> PointClassification:
+    """Assign a single quantile to a class, flagging interior boundary hits.
+
+    A point strictly inside a class is unambiguous; 0 and 1 always belong to
+    the first and last class. A point equal to an interior boundary is
+    inherently ambiguous: the policy picks the class below or above it, or
+    refuses with BoundaryAmbiguityError.
+    """
+    q = Fraction(q)
+    if not (0 <= q <= 1):
+        raise ValueError(f"quantile {q} lies outside [0, 1]")
+    lowers = scheme.lower_bounds
+    idx = bisect_left(lowers, q)
+    if 1 <= idx < len(lowers) and lowers[idx] == q:
+        if policy is BoundaryPolicy.ERROR:
+            raise BoundaryAmbiguityError(q)
+        class_index = idx if policy is BoundaryPolicy.LOWER else idx + 1
+        return PointClassification(class_index, True, q)
+    return PointClassification(bisect_right(lowers, q), False, None)
+
+
+def _point(
+    doc_id: str,
+    interval: QuantileInterval,
+    scheme: PRScheme,
+    rule: CountingRule,
+    rounding: RoundingMode = RoundingMode.NONE,
+    policy: BoundaryPolicy = BoundaryPolicy.ERROR,
+    midpoint_route: MidpointRoute = MidpointRoute.EXACT,
+) -> PointAttribution:
+    quantile = _rule_point(interval, rule)
+    percentile: int | None = None
+    endpoint_percentiles: tuple[int, int] | None = None
+    effective = quantile
+    if rounding is not RoundingMode.NONE:
+        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
+            p_low = to_percentile(interval.low, rounding)
+            p_high = to_percentile(interval.high, rounding)
+            endpoint_percentiles = (p_low, p_high)
+            percentile = to_percentile(Fraction(p_low + p_high, 200), rounding)
+        else:
+            percentile = to_percentile(quantile, rounding)
+        effective = Fraction(percentile, 100)
+    decision = classify_point(effective, scheme, policy)
+    return PointAttribution(
+        doc_id, quantile, percentile, decision.class_index, decision.ambiguous,
+        decision.boundary_hit, endpoint_percentiles,
+    )
+
+
+def _fractional(
+    doc_id: str, interval: QuantileInterval, scheme: PRScheme
+) -> FractionalAttribution:
+    fractions = [Fraction(0)] * scheme.k
+    lowers = scheme.lower_bounds
+    # Only classes with lower <= interval.low < ... < interval.high can overlap.
+    start = bisect_right(lowers, interval.low) - 1
+    stop = bisect_left(lowers, interval.high)
+    for i in range(start, stop):
+        cls = scheme.classes[i]
+        overlap = min(interval.high, cls.upper) - max(interval.low, cls.lower)
+        if overlap > 0:
+            fractions[i] = overlap / interval.width
+    return FractionalAttribution(doc_id, tuple(fractions))
+
+
+def point_attribution(
+    doc_id: str, ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **options
+) -> PointAttribution:
+    """Classify one document under a point rule.
+
+    With an integer rounding mode, the rounded percentile is what gets
+    classified (so the ambiguity flag tracks the rounded value). The endpoints
+    route, which applies to the midpoint rule only, first rounds both interval
+    ends to percentiles and then rounds their middle the same way.
+    """
+    return _point(doc_id, _interval(ranked, doc_id), scheme, rule, **options)
+
+
+def fractional_attribution(
+    doc_id: str, ranked: RankedSet, scheme: PRScheme
+) -> FractionalAttribution:
+    """Spread a document over the classes its quantile interval overlaps.
+
+    Each class receives overlap length divided by interval width. Rounding
+    modes and boundary policies play no part: a shared endpoint has zero
+    length, so nothing is ever ambiguous and the fractions sum to exactly 1.
+    """
+    return _fractional(doc_id, _interval(ranked, doc_id), scheme)
+
+
 def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **options):
     """Reference for attribute_all: every document attributed on its own,
-    in rank order, through the per-document functions."""
+    in rank order, from its own interval."""
+    intervals = intervals_by_id(ranked).items()
     if rule is CountingRule.FRACTIONAL:
-        return [
-            fractional_attribution(doc_id, ranked, scheme)
-            for doc_id in ranked.doc_ids_in_rank_order()
-        ]
-    return [
-        point_attribution(doc_id, ranked, scheme, rule, **options)
-        for doc_id in ranked.doc_ids_in_rank_order()
-    ]
+        return [_fractional(doc_id, interval, scheme) for doc_id, interval in intervals]
+    return [_point(doc_id, interval, scheme, rule, **options) for doc_id, interval in intervals]
 
 
 def first_difference(actual: str | bytes, expected: str | bytes) -> str:
@@ -159,7 +327,7 @@ def render_attributions_per_document(
 
     def values(a, ranked, citations):
         """(citations, low, high, and the rule's own values) of one document."""
-        interval = ranked.interval_of[a.doc_id]
+        interval = intervals_by_id(ranked)[a.doc_id]
         out = {"citations": citations[a.doc_id], "low": interval.low, "high": interval.high}
         if fractional:
             out.update(score=per_doc_score(a, scheme), fractions=a.fractions)

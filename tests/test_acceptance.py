@@ -26,10 +26,9 @@ from pctrank import (
     builtin_scheme,
     class_counts,
     compare_rules,
-    fractional_attribution,
     i3,
+    interval_for,
     per_doc_score,
-    point_quantile,
     pp_top,
     rank,
     render_attributions,
@@ -37,6 +36,7 @@ from pctrank import (
     topx_scheme,
 )
 from support import (
+    intervals_by_id,
     make_distinct,
     make_tied,
     overlap_fractions_oracle,
@@ -52,6 +52,10 @@ MID = CountingRule.MIDPOINT
 FRAC = CountingRule.FRACTIONAL
 
 
+def by_id(attributions) -> dict:
+    return {a.doc_id: a for a in attributions}
+
+
 @contextmanager
 def criterion(number: int, label: str):
     try:
@@ -65,20 +69,19 @@ def criterion(number: int, label: str):
 def test_criterion_01_even_split_of_the_middle_document():
     with criterion(1, "five documents: exact interval and even top50 split"):
         ranked = rank(make_distinct(5))
-        interval = ranked.interval_of["d3"]
+        interval = interval_for(ranked.groups[2], ranked.n)
         assert (interval.low, interval.high) == (F(2, 5), F(3, 5))
         top50 = builtin_scheme("top50")
-        assert fractional_attribution("d3", ranked, top50).fractions == (F(1, 2), F(1, 2))
-        counts = class_counts(attribute_all(ranked, top50, FRAC), top50)
+        attributions = attribute_all(ranked, top50, FRAC)
+        assert by_id(attributions)["d3"].fractions == (F(1, 2), F(1, 2))
+        counts = class_counts(attributions, top50)
         assert counts.counts == (F(5, 2), F(5, 2))
 
 
 def test_criterion_02_hundredth_class_spreading():
     with criterion(2, "middle of five spreads 1/20 over twenty hundredth-classes"):
         ranked = rank(make_distinct(5))
-        fractions = fractional_attribution(
-            "d3", ranked, builtin_scheme("pr100")
-        ).fractions
+        fractions = by_id(attribute_all(ranked, builtin_scheme("pr100"), FRAC))["d3"].fractions
         for index, fraction in enumerate(fractions, start=1):
             assert fraction == (F(1, 20) if 41 <= index <= 60 else 0)
 
@@ -87,15 +90,15 @@ def test_criterion_03_top_of_eight_scores():
     with criterion(3, "top of eight: exact scores and per-document contributions"):
         ranked = rank(make_distinct(8))
         pr6 = builtin_scheme("pr6")
-        score6 = per_doc_score(fractional_attribution("d8", ranked, pr6), pr6)
+        score6 = per_doc_score(by_id(attribute_all(ranked, pr6, FRAC))["d8"], pr6)
         assert score6 == F(107, 25)
         assert score6 / 8 == F(107, 200)
         pr100 = builtin_scheme("pr100")
-        score100 = per_doc_score(fractional_attribution("d8", ranked, pr100), pr100)
+        score100 = per_doc_score(by_id(attribute_all(ranked, pr100, FRAC))["d8"], pr100)
         assert score100 == F(2356, 25)
         assert score100 / 8 == F(589, 50)
         decile = topx_scheme(F(1, 10))
-        assert fractional_attribution("d8", ranked, decile).fractions == (F(1, 5), F(4, 5))
+        assert by_id(attribute_all(ranked, decile, FRAC))["d8"].fractions == (F(1, 5), F(4, 5))
 
 
 def distinct_random_set(rng: random.Random, n: int) -> DocumentSet:
@@ -198,8 +201,14 @@ def test_criterion_08_property_sweep():
             documents = random_document_set(rng, max_n=12)
             scheme = random_scheme(rng, max_classes=10)
             ranked = rank(documents)
-            for doc_id, interval in ranked.interval_of.items():
-                fractions = fractional_attribution(doc_id, ranked, scheme).fractions
+            fractional = attribute_all(ranked, scheme, FRAC)
+            points = [
+                attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
+                for rule in (CW, MID, CWE)
+            ]
+            for group in ranked.groups:
+                interval = interval_for(group, ranked.n)
+                fractions = fractional[group.rank_low - 1].fractions
                 assert sum(fractions) == 1
                 assert list(fractions) == overlap_fractions_oracle(
                     interval.low, interval.high, scheme.boundaries
@@ -209,14 +218,12 @@ def test_criterion_08_property_sweep():
                         min(interval.high, cls.upper) > max(interval.low, cls.lower)
                     )
                     assert (fraction > 0) == overlaps
-                low = point_quantile(doc_id, ranked, CW)
-                mid = point_quantile(doc_id, ranked, MID)
-                high = point_quantile(doc_id, ranked, CWE)
+                low, mid, high = (p[group.rank_low - 1].quantile for p in points)
                 assert low <= mid <= high
             shuffled = list(documents.records)
             rng.shuffle(shuffled)
             reranked = rank(DocumentSet(tuple(shuffled)))
-            assert reranked.interval_of == ranked.interval_of
+            assert intervals_by_id(reranked) == intervals_by_id(ranked)
             assert attribute_all(reranked, scheme, FRAC) == attribute_all(
                 ranked, scheme, FRAC
             )
@@ -269,11 +276,13 @@ def test_criterion_10_cli_csv_round_trip(tmp_path):
             )
             scheme = builtin_scheme(scheme_name)
             ranked = rank(documents)
+            intervals = intervals_by_id(ranked)
+            attributions = by_id(attribute_all(ranked, scheme, FRAC))
             for row in csv.DictReader(io.StringIO(out)):
-                interval = ranked.interval_of[row["id"]]
+                interval = intervals[row["id"]]
                 assert F(row["interval_low"]) == interval.low
                 assert F(row["interval_high"]) == interval.high
-                expected = fractional_attribution(row["id"], ranked, scheme)
+                expected = attributions[row["id"]]
                 assert F(row["score"]) == per_doc_score(expected, scheme)
                 for index, fraction in enumerate(expected.fractions, start=1):
                     assert F(row[f"f_{index}"]) == fraction

@@ -169,6 +169,26 @@ class TestInputEdgeCases:
         assert out == ""
         assert "line 3: field larger than field limit" in err
 
+    @pytest.mark.parametrize("command", ["attribute", "report"])
+    def test_nul_in_an_id_or_group_is_refused(self, run, tmp_path, command):
+        # Python 3.10's csv.writer cannot write NUL, and its csv.reader stops at
+        # one; every version refuses it, naming the document or line.
+        inputs = {
+            "id.json": ('[{"id": "a\\u0000b", "citations": 1}]', "document 1: "),
+            "group.json": ('[{"id": "a", "citations": 1, "group": "g\\u0000"}]',
+                           "document 1: "),
+            "id.csv": ("id,citations\nc,2\na\0b,1\n", "line 3: "),
+            "group.csv": ("id,citations,group\nc,2,g\na,1,\0\n", "line 3: "),
+        }
+        for name, (text, where) in inputs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run([command, "--scheme", "pr6", "--input", str(path),
+                                  "--format", "csv"])
+            assert (code, out) == (EXIT_DATA, "")
+            assert err.startswith(f"pct: input error: {where}"), err
+            assert "NUL" in err
+
     @pytest.mark.parametrize("wrap", ["{}", '{{"documents": {}}}'])
     def test_json_input_nested_too_deeply_is_refused(self, run, tmp_path, wrap):
         path = tmp_path / "deep.json"
@@ -644,6 +664,20 @@ class TestExitCodes:
                 code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
                 assert (code, out) == (EXIT_CONFIG, "")
                 assert err.startswith("pct: config error: ") and len(err) < 300, err
+
+    @pytest.mark.parametrize("command", ["schemes", "attribute", "indicators", "report"])
+    def test_a_scheme_value_too_long_to_write_out_is_refused(self, run, five_file, tmp_path,
+                                                             command):
+        scheme = tmp_path / "tiny.json"
+        scheme.write_text('{"boundaries": ["0", "1e-10000", "1"], "weights": ["1", "2"]}')
+        argv = [command] if command == "schemes" else [command, "--input", five_file]
+        for selector, message in (
+            ("topx=1e-10000", "invalid top share in 'topx=1e-10000': "),
+            (f"custom={scheme}", "boundaries[1]: "),
+        ):
+            code, out, err = run([*argv, "--scheme", selector])
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err == f"pct: config error: {message}invalid fraction '1e-10000'\n"
 
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(

@@ -27,7 +27,6 @@ from pctrank import (
     class_counts,
     compare_rules,
     compute_indicators,
-    fractional_attribution,
     i3,
     interval_for,
     per_doc_score,
@@ -41,6 +40,9 @@ from pctrank.scoring import _Grid
 from support import (
     attribute_each,
     first_difference,
+    fractional_attribution,
+    ids_in_rank_order,
+    intervals_by_id,
     make_distinct,
     make_tied,
     random_document_set,
@@ -253,7 +255,7 @@ def test_compare_rules_matches_the_per_document_path(ranked, scheme):
                 for doc_id in f.member_ids
             ] == flags
             disagreements = []
-            for position, doc_id in enumerate(ranked.doc_ids_in_rank_order()):
+            for position, doc_id in enumerate(ids_in_rank_order(ranked)):
                 classes = {rule: per_rule[rule][position].class_index for rule in POINT_RULES}
                 if len(set(classes.values())) > 1:
                     disagreements.append((doc_id, classes))
@@ -285,7 +287,7 @@ RENDER_OPTIONS = [
 
 def per_document_row(a, ranked, citations, scheme, rule, options) -> list[str]:
     """One csv row of render_attributions, formatted from one attribution."""
-    interval = ranked.interval_of[a.doc_id]
+    interval = intervals_by_id(ranked)[a.doc_id]
     row = [a.doc_id, str(citations[a.doc_id]), "g", str(interval.low), str(interval.high)]
     if rule is CountingRule.FRACTIONAL:
         return row + [str(per_doc_score(a, scheme))] + [str(f) for f in a.fractions]
@@ -403,7 +405,7 @@ def test_attribute_json_escapes_ids_and_group_keys():
         assert [group["group"] for group in payload["groups"]] == [key, "plain"]
         for group in payload["groups"]:
             ids = [document["id"] for document in group["documents"]]
-            assert ids == ranked.doc_ids_in_rank_order()
+            assert ids == ids_in_rank_order(ranked)
             assert sorted(ids) == sorted(AWKWARD_IDS)
 
 

@@ -20,7 +20,6 @@ from pctrank import (
     class_counts,
     compare_rules,
     compute_indicators,
-    grouped_indicators,
     i3,
     per_doc_score,
     pp_top,
@@ -31,7 +30,7 @@ from pctrank import (
     topx_scheme,
 )
 from pctrank.scoring import _Grid
-from support import attribute_each, make_distinct, make_tied
+from support import attribute_each, ids_in_rank_order, make_distinct, make_tied
 
 F = Fraction
 
@@ -199,7 +198,7 @@ class TestComputeIndicators:
         assert calls == decided
         assert result.per_doc_scores["d20"] == top_score
         assert calls == decided + 20  # one score per tie group
-        assert list(result.per_doc_scores) == list(ranked.doc_ids_in_rank_order())
+        assert list(result.per_doc_scores) == ids_in_rank_order(ranked)
         assert "d00" not in result.per_doc_scores
         assert calls == decided + 20
         with pytest.raises(TypeError):
@@ -207,31 +206,32 @@ class TestComputeIndicators:
 
 
 class TestGroupedIndicators:
+    """Each group's indicators come from its own ranked set: no pooling."""
+
     @pytest.fixture
     def sets(self):
         return {"solo": make_distinct(10), "herd": make_tied(10)}
 
     def test_fractional_pp_ignores_ties(self, sets):
-        results = grouped_indicators(sets, topx_scheme(F(1, 10)), FRAC)
+        scheme = topx_scheme(F(1, 10))
+        results = {key: compute_indicators(rank(s), scheme, FRAC) for key, s in sets.items()}
         assert results["solo"].pp == F(1, 10)
         assert results["herd"].pp == F(1, 10)
 
     def test_point_rules_break_on_full_ties(self, sets):
         scheme = topx_scheme(F(1, 10))
-        high = grouped_indicators(
-            sets, scheme, CWE, policy=BoundaryPolicy.LOWER
-        )
+        high = {
+            key: compute_indicators(rank(s), scheme, CWE, policy=BoundaryPolicy.LOWER)
+            for key, s in sets.items()
+        }
         assert high["solo"].pp == F(1, 10)
         assert high["herd"].pp == 1  # every tied document counts as top
-        mid = grouped_indicators(
-            sets, scheme, MID, policy=BoundaryPolicy.LOWER
-        )
+        mid = {
+            key: compute_indicators(rank(s), scheme, MID, policy=BoundaryPolicy.LOWER)
+            for key, s in sets.items()
+        }
         assert mid["solo"].pp == F(1, 10)
         assert mid["herd"].pp == 0  # and here none does
-
-    def test_keys_come_back_sorted(self, sets):
-        results = grouped_indicators(sets, builtin_scheme("top50"), FRAC)
-        assert list(results) == ["herd", "solo"]
 
 
 class TestCompareRules:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,13 @@ class TestParseFraction:
         with pytest.raises(ValueError):
             parse_fraction(bad)
 
+    @pytest.mark.parametrize("text", ["1e-10000", "1e10000", "2.5e5000", "-3e-4400"])
+    def test_a_value_too_long_to_write_out_is_refused(self, text):
+        with pytest.raises(ValueError, match=f"^invalid fraction '{text}'$"):
+            parse_fraction(text)
+        digits = sys.get_int_max_str_digits()
+        assert parse_fraction(f"1e-{digits - 1}") == F(1, 10 ** (digits - 1))
+
     def test_accepts_int_and_fraction(self):
         assert parse_fraction(7) == F(7)
         assert parse_fraction(F(2, 6)) == F(1, 3)
@@ -87,6 +95,11 @@ class TestRecordsAndSets:
         sets = partition_by_group([CitationRecord("a", 1), CitationRecord("b", 2, blank)])
         assert list(sets) == ["default"]
         assert [r.group for r in sets["default"].records] == [None, None]
+
+    @pytest.mark.parametrize("doc_id,group", [("a\0b", None), ("\0", "g"), ("a", "g\0")])
+    def test_nul_in_an_id_or_group_is_refused(self, doc_id, group):
+        with pytest.raises(DataError, match="holds a NUL character"):
+            CitationRecord(doc_id, 1, group)
 
     def test_ids_and_groups_keep_their_inner_whitespace(self):
         record = CitationRecord(" pad ", 1, " g ")
@@ -186,7 +199,7 @@ class TestSchemeConstruction:
     def test_single_class_scheme_is_valid(self):
         scheme = scheme_from_boundaries("one", (F(0), F(1)), (F(5),))
         assert scheme.k == 1
-        assert scheme.interior_boundaries == ()
+        assert scheme.boundaries == (F(0), F(1))
 
     def test_weights_may_repeat_and_dip(self):
         scheme = scheme_from_boundaries(

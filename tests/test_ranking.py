@@ -22,7 +22,7 @@ from pctrank import (
     rank,
     render_attributions,
 )
-from support import make_distinct, make_tied, random_document_set
+from support import intervals_by_id, make_distinct, make_tied, random_document_set
 
 F = Fraction
 
@@ -64,12 +64,12 @@ class TestRank:
         assert [g.member_ids for g in ranked.groups] == [
             ("d1",), ("d2",), ("d3",), ("d4",), ("d5",)
         ]
-        assert ranked.interval_of["d3"] == QuantileInterval(F(2, 5), F(3, 5))
-        assert ranked.interval_of["d5"] == QuantileInterval(F(4, 5), F(1))
+        assert intervals_by_id(ranked)["d3"] == QuantileInterval(F(2, 5), F(3, 5))
+        assert intervals_by_id(ranked)["d5"] == QuantileInterval(F(4, 5), F(1))
 
     def test_single_document_owns_the_axis(self):
         ranked = rank(make_distinct(1))
-        assert ranked.interval_of["d1"] == QuantileInterval(F(0), F(1))
+        assert intervals_by_id(ranked)["d1"] == QuantileInterval(F(0), F(1))
 
     def test_all_tied_share_one_group(self):
         ranked = rank(make_tied(3))
@@ -77,7 +77,7 @@ class TestRank:
         group = ranked.groups[0]
         assert group.member_ids == ("t1", "t2", "t3")
         assert (group.rank_low, group.rank_high, group.size) == (1, 3, 3)
-        assert ranked.interval_of["t2"] == QuantileInterval(F(0), F(1))
+        assert intervals_by_id(ranked)["t2"] == QuantileInterval(F(0), F(1))
 
     def test_mixed_ties(self):
         records = (
@@ -88,17 +88,17 @@ class TestRank:
         )
         ranked = rank(DocumentSet(records))
         assert [g.member_ids for g in ranked.groups] == [("w",), ("x", "y"), ("z",)]
-        assert ranked.interval_of["x"] == QuantileInterval(F(1, 4), F(3, 4))
-        assert ranked.interval_of["x"] is ranked.interval_of["y"]
-        assert ranked.doc_ids_in_rank_order() == ["w", "x", "y", "z"]
+        intervals = intervals_by_id(ranked)
+        assert intervals["x"] == intervals["y"] == QuantileInterval(F(1, 4), F(3, 4))
+        assert list(intervals) == ["w", "x", "y", "z"]
 
     def test_top_of_eight(self):
         ranked = rank(make_distinct(8))
-        assert ranked.interval_of["d8"] == QuantileInterval(F(7, 8), F(1))
+        assert intervals_by_id(ranked)["d8"] == QuantileInterval(F(7, 8), F(1))
 
     def test_group_widths_partition_the_axis(self):
         ranked = rank(random_document_set(random.Random(5)))
-        intervals = [ranked.interval_of[g.member_ids[0]] for g in ranked.groups]
+        intervals = [intervals_by_id(ranked)[g.member_ids[0]] for g in ranked.groups]
         assert intervals[0].low == 0
         assert intervals[-1].high == 1
         for left, right in zip(intervals, intervals[1:]):
@@ -107,7 +107,7 @@ class TestRank:
 
     def test_tie_width_is_group_size_over_n(self):
         ranked = rank(make_tied(4, citations=2))
-        assert ranked.interval_of["t1"].width == F(4, 4)
+        assert intervals_by_id(ranked)["t1"].width == F(4, 4)
         records = (
             CitationRecord("a", 1),
             CitationRecord("b", 5),
@@ -115,16 +115,10 @@ class TestRank:
             CitationRecord("d", 9),
         )
         ranked = rank(DocumentSet(records))
-        assert ranked.interval_of["b"].width == F(2, 4)
+        assert intervals_by_id(ranked)["b"].width == F(2, 4)
 
 
 class TestLazyIntervals:
-    def test_intervals_are_built_on_first_access(self):
-        ranked = rank(make_distinct(4))
-        assert "interval_of" not in ranked.__dict__
-        assert ranked.interval_of["d2"] == QuantileInterval(F(1, 4), F(1, 2))
-        assert ranked.interval_of is ranked.interval_of
-
     def test_cli_path_consumers_leave_the_intervals_unbuilt(self):
         # 20 documents under pr6: points land on 1/2, 3/4, 9/10 and 19/20.
         ranked = rank(make_distinct(20))
@@ -140,7 +134,8 @@ class TestLazyIntervals:
             attributions = attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
             for fmt in ("csv", "json", "table"):
                 render_attributions([("g", ranked, attributions)], scheme, rule, fmt=fmt)
-        assert "interval_of" not in ranked.__dict__
+        # No consumer keeps a per-document map on the ranked set.
+        assert set(vars(ranked)) == {"source", "groups"}
 
 
 class TestRankProperties:
@@ -152,7 +147,7 @@ class TestRankProperties:
         reranked = rank(DocumentSet(tuple(shuffled)))
         original = rank(document_set)
         assert reranked.groups == original.groups
-        assert reranked.interval_of == original.interval_of
+        assert intervals_by_id(reranked) == intervals_by_id(original)
 
     @given(st.randoms(use_true_random=False))
     def test_monotone_and_contiguous(self, rng):
@@ -160,7 +155,7 @@ class TestRankProperties:
         previous_high = F(0)
         previous_citations = -1
         for group in ranked.groups:
-            interval = ranked.interval_of[group.member_ids[0]]
+            interval = intervals_by_id(ranked)[group.member_ids[0]]
             assert group.citations > previous_citations
             assert interval.low == previous_high
             assert interval.width == F(group.size, ranked.n)
@@ -171,16 +166,16 @@ class TestRankProperties:
     def test_coarsening_ties_merges_intervals(self):
         base = make_distinct(6)
         before = rank(base)
-        union_low = before.interval_of["d3"].low
-        union_high = before.interval_of["d4"].high
+        union_low = intervals_by_id(before)["d3"].low
+        union_high = intervals_by_id(before)["d4"].high
         records = tuple(
             CitationRecord(r.doc_id, 3 if r.doc_id == "d4" else r.citations)
             for r in base.records
         )
         after = rank(DocumentSet(records))
-        merged = after.interval_of["d3"]
-        assert merged == after.interval_of["d4"]
+        merged = intervals_by_id(after)["d3"]
+        assert merged == intervals_by_id(after)["d4"]
         assert (merged.low, merged.high) == (union_low, union_high)
         # every other document keeps its old interval
         for doc_id in ("d1", "d2", "d5", "d6"):
-            assert after.interval_of[doc_id] == before.interval_of[doc_id]
+            assert intervals_by_id(after)[doc_id] == intervals_by_id(before)[doc_id]

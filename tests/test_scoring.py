@@ -1,3 +1,7 @@
+"""Unit tests of the counting rules: the per-document reference path in
+support.py (point_quantile, to_percentile, classify_point and the two
+attribution functions) and the package's attribute_all."""
+
 from __future__ import annotations
 
 from fractions import Fraction
@@ -16,19 +20,20 @@ from pctrank import (
     RoundingMode,
     attribute_all,
     builtin_scheme,
-    classify_point,
-    fractional_attribution,
-    point_attribution,
-    point_quantile,
     rank,
-    to_percentile,
     topx_scheme,
 )
 from support import (
+    classify_point,
+    fractional_attribution,
+    intervals_by_id,
     make_distinct,
     overlap_fractions_oracle,
+    point_attribution,
+    point_quantile,
     random_document_set,
     random_scheme,
+    to_percentile,
 )
 
 F = Fraction
@@ -315,7 +320,7 @@ class TestFractionalProperties:
     def test_matches_the_slow_oracle(self, rng):
         ranked = rank(random_document_set(rng))
         scheme = random_scheme(rng)
-        for doc_id, interval in ranked.interval_of.items():
+        for doc_id, interval in intervals_by_id(ranked).items():
             got = fractional_attribution(doc_id, ranked, scheme)
             expected = overlap_fractions_oracle(
                 interval.low, interval.high, scheme.boundaries
@@ -334,7 +339,7 @@ class TestFractionalProperties:
     def test_support_matches_positive_overlap(self, rng):
         ranked = rank(random_document_set(rng))
         scheme = random_scheme(rng)
-        for doc_id, interval in ranked.interval_of.items():
+        for doc_id, interval in intervals_by_id(ranked).items():
             fractions = fractional_attribution(doc_id, ranked, scheme).fractions
             for cls, fraction in zip(scheme.classes, fractions):
                 overlaps = min(interval.high, cls.upper) > max(interval.low, cls.lower)
@@ -345,7 +350,7 @@ class TestPointRuleProperties:
     @given(st.randoms(use_true_random=False))
     def test_point_quantiles_bracket_the_midpoint(self, rng):
         ranked = rank(random_document_set(rng))
-        for doc_id in ranked.interval_of:
+        for doc_id in intervals_by_id(ranked):
             low = point_quantile(doc_id, ranked, CW)
             mid = point_quantile(doc_id, ranked, MID)
             high = point_quantile(doc_id, ranked, CWE)
@@ -355,7 +360,7 @@ class TestPointRuleProperties:
     def test_classes_rise_with_the_rules(self, rng):
         ranked = rank(random_document_set(rng))
         scheme = random_scheme(rng)
-        for doc_id in ranked.interval_of:
+        for doc_id in intervals_by_id(ranked):
             classes = [
                 point_attribution(
                     doc_id, ranked, scheme, rule, policy=BoundaryPolicy.LOWER

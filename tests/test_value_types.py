@@ -29,6 +29,7 @@ from pctrank import (
     attribute_all,
     builtin_scheme,
     compare_rules,
+    interval_for,
     rank,
     read_records,
 )
@@ -94,7 +95,7 @@ def test_reprs_keep_the_dataclass_format(ranked):
     assert repr(ranked.groups[1]) == (
         "TieGroup(citations=2, member_ids=('b', 'c'), rank_low=2, rank_high=3)"
     )
-    assert repr(ranked.interval_of["b"]) == (
+    assert repr(interval_for(ranked.groups[1], ranked.n)) == (
         "QuantileInterval(low=Fraction(1, 4), high=Fraction(3, 4))"
     )
 
@@ -104,7 +105,7 @@ def test_values_are_immutable(ranked):
     values = [
         ranked.source.records[0],
         ranked.groups[0],
-        ranked.interval_of["a"],
+        interval_for(ranked.groups[0], ranked.n),
         scheme.classes[0],
         attribute_all(ranked, scheme, CountingRule.FRACTIONAL)[0],
         attribute_all(ranked, scheme, CountingRule.COUNT_WORSE)[0],
