@@ -28,7 +28,14 @@ from .io import (
 )
 from .model import BUILTIN_SCHEME_NAMES, PRScheme, builtin_scheme, load_custom_scheme
 from .ranking import rank
-from .scoring import BoundaryPolicy, CountingRule, MidpointRoute, RoundingMode, attribute_all
+from .scoring import (
+    BoundaryPolicy,
+    CountingRule,
+    MidpointRoute,
+    RoundingMode,
+    _group_heads,
+    attribute_all,
+)
 
 __version__ = "0.1.0"
 
@@ -198,19 +205,20 @@ def _run(args) -> str:
 
     precision = None if args.command == "report" else _resolve_precision(args)
     scheme = resolve_scheme(args.scheme)
-    sets = partition_by_group(read_records(args.input))
+    ranked_sets = [
+        (key, rank(documents))
+        for key, documents in partition_by_group(read_records(args.input)).items()
+    ]
     rounding = RoundingMode(args.rounding)
     midpoint_route = MidpointRoute(args.midpoint_route)
 
     if args.command == "report":
-        batches = []
-        for key in sorted(sets):
-            ranked = rank(sets[key])
-            batches.append(
-                (key, ranked, compare_rules(
-                    ranked, scheme, rounding=rounding, midpoint_route=midpoint_route
-                ))
-            )
+        batches = [
+            (key, ranked, compare_rules(
+                ranked, scheme, rounding=rounding, midpoint_route=midpoint_route
+            ))
+            for key, ranked in ranked_sets
+        ]
         return render_report(
             batches, scheme,
             rounding=rounding, midpoint_route=midpoint_route, fmt=args.format,
@@ -223,24 +231,23 @@ def _run(args) -> str:
     if args.command == "indicators":
         # Decided per tie group: no per-document attributions.
         results = [
-            (key, compute_indicators(rank(sets[key]), scheme, rule, **options))
-            for key in sorted(sets)
+            (key, compute_indicators(ranked, scheme, rule, **options))
+            for key, ranked in ranked_sets
         ]
         if warn_on_ambiguity:
             _warn_defaulted_ambiguities(sum(result.boundary_hits for _, result in results))
         return render_indicators(results, scheme, fmt=args.format, precision=precision)
 
-    batches = []
-    for key in sorted(sets):
-        ranked = rank(sets[key])
-        batches.append((key, ranked, attribute_all(ranked, scheme, rule, **options)))
+    batches = [
+        (key, ranked, attribute_all(ranked, scheme, rule, **options))
+        for key, ranked in ranked_sets
+    ]
     if warn_on_ambiguity and rule is not CountingRule.FRACTIONAL:
         _warn_defaulted_ambiguities(sum(
             group.size
             for _key, ranked, attributions in batches
-            for group in ranked.groups
-            # A group's members share one attribution; rank r sits at position r - 1.
-            if attributions[group.rank_low - 1].ambiguous
+            for group, head in _group_heads(ranked, attributions)
+            if head.ambiguous
         ))
     return render_attributions(
         batches, scheme, rule,

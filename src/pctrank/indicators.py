@@ -3,13 +3,13 @@ and the cross-rule ambiguity report."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SchemeError
 from .model import PRScheme
-from .ranking import RankedSet, TieGroup
+from .ranking import RankedSet
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -19,7 +19,8 @@ from .scoring import (
     MidpointRoute,
     RoundingMode,
     _Grid,
-    attribute_all,  # noqa: F401  (not called here; perfbench/tracing.py rebinds it)
+    _group_heads,
+    attribute_all,
 )
 
 
@@ -123,31 +124,30 @@ class IndicatorResult(NamedTuple):
     boundary_hits: int = 0
 
 
-# A tie group's per-document score, given the grid of its ranked set.
-_GroupScore = Callable[[_Grid, TieGroup], Fraction]
-
-
 class _MemberScores(Mapping):
     """Each document's contribution to I3, by id, in rank order: read-only.
 
-    The members of a tie group share one score. The scores are taken per
-    tie group on first lookup; len() is n without building them.
+    The members of a tie group share one score. On first lookup the ranked
+    set is attributed and one score is taken per tie group; len() is n
+    without that work.
     """
 
-    __slots__ = ("_ranked", "_scheme", "_score", "_scores")
+    __slots__ = ("_ranked", "_scheme", "_rule", "_options", "_scores")
 
-    def __init__(self, ranked: RankedSet, scheme: PRScheme, score: _GroupScore):
+    def __init__(self, ranked: RankedSet, scheme: PRScheme, rule: CountingRule, options: dict):
         self._ranked = ranked
         self._scheme = scheme
-        self._score = score
+        self._rule = rule
+        self._options = options
         self._scores: dict[str, Fraction] | None = None
 
     def _built(self) -> dict[str, Fraction]:
         if self._scores is None:
-            grid = _Grid(self._scheme, self._ranked.n)
+            ranked, scheme = self._ranked, self._scheme
+            attributions = attribute_all(ranked, scheme, self._rule, **self._options)
             scores: dict[str, Fraction] = {}
-            for group in self._ranked.groups:
-                scores.update(dict.fromkeys(group.member_ids, self._score(grid, group)))
+            for group, head in _group_heads(ranked, attributions):
+                scores.update(dict.fromkeys(group.member_ids, per_doc_score(head, scheme)))
             self._scores = scores
         return self._scores
 
@@ -162,18 +162,6 @@ class _MemberScores(Mapping):
 
     def __repr__(self) -> str:
         return repr(self._built())
-
-
-def _result(
-    ranked: RankedSet, totals: ClassCounts, rule: CountingRule, hits: int, score: _GroupScore
-) -> IndicatorResult:
-    scheme, n = totals.scheme, ranked.n
-    total = i3(totals)
-    pp = pp_top(totals, n) if scheme.k == 2 else None
-    return IndicatorResult(
-        scheme.name, rule, n, total, r_indicator(total, n), pp,
-        _MemberScores(ranked, scheme, score), hits,
-    )
 
 
 def compute_indicators(
@@ -194,22 +182,26 @@ def compute_indicators(
     BoundaryAmbiguityError. No per-document attribution is built, and
     per_doc_scores is taken only when it is read.
     """
-    if rule is CountingRule.FRACTIONAL:
-        return _result(ranked, _fractional_counts(scheme, ranked.n), rule, 0, _Grid.score)
-    grid = _Grid(scheme, ranked.n)
-    tallies = [0] * scheme.k
+    n = ranked.n
     hits = 0
-    for group in ranked.groups:
-        decision = grid.point(group, rule, rounding, policy, midpoint_route)
-        tallies[decision[3] - 1] += group.size
-        if decision[4] is not None:
-            hits += group.size
-
-    def score(grid: _Grid, group: TieGroup) -> Fraction:
-        decision = grid.point(group, rule, rounding, policy, midpoint_route)
-        return scheme.classes[decision[3] - 1].weight
-
-    return _result(ranked, ClassCounts(scheme, tuple(map(Fraction, tallies))), rule, hits, score)
+    if rule is CountingRule.FRACTIONAL:
+        totals = _fractional_counts(scheme, n)
+    else:
+        grid = _Grid(scheme, n)
+        tallies = [0] * scheme.k
+        for group in ranked.groups:
+            decision = grid.point(group, rule, rounding, policy, midpoint_route)
+            tallies[decision[3] - 1] += group.size
+            if decision[4] is not None:
+                hits += group.size
+        totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
+    total = i3(totals)
+    options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
+    return IndicatorResult(
+        scheme.name, rule, n, total, r_indicator(total, n),
+        pp_top(totals, n) if scheme.k == 2 else None,
+        _MemberScores(ranked, scheme, rule, options), hits,
+    )
 
 
 class BoundaryFlag(NamedTuple):

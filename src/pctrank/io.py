@@ -38,6 +38,7 @@ from .scoring import (
     MidpointRoute,
     PointAttribution,
     RoundingMode,
+    _group_heads,
 )
 
 SCHEMA_VERSION = "1"
@@ -68,18 +69,18 @@ def decimal_str(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     return text
 
 
-def percent_str(value: Fraction, decimals: int = PERCENT_DECIMALS) -> str:
+def percent_str(value: Fraction) -> str:
     """Quantile rendered as a percentage, trimmed ("2/5" -> "40%", "1/3" -> "33.33%")."""
-    return _percent(value.numerator, value.denominator, decimals)
+    return _percent(value.numerator, value.denominator)
 
 
-def _percent(p: int, q: int, decimals: int = PERCENT_DECIMALS) -> str:
+def _percent(p: int, q: int) -> str:
     """percent_str(Fraction(p, q)) for q > 0, without reducing p/q."""
-    scale = 10 ** decimals
+    scale = 10 ** PERCENT_DECIMALS
     units = (200 * scale * p + q) // (2 * q)  # half-up rounding of 100*scale*p/q
     whole, part = divmod(units, scale)
     if part:
-        digits = f"{part:0{decimals}d}".rstrip("0")
+        digits = f"{part:0{PERCENT_DECIMALS}d}".rstrip("0")
         return f"{whole}.{digits}%"
     return f"{whole}%"
 
@@ -553,15 +554,10 @@ def render_attributions(
         at a time: csv and json consume each pair at once, so no pair
         outlives its group (a live pair per document sets off extra passes
         of the cyclic garbage collector)."""
-        if len(attributions) != ranked.n:
-            raise ValueError(
-                f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
-            )
         n = ranked.n
-        # A group's members share one attribution; rank r sits at position r - 1.
         return (
-            (group.member_ids, shared(group_key, n, group, attributions[group.rank_low - 1]))
-            for group in ranked.groups
+            (group.member_ids, shared(group_key, n, group, head))
+            for group, head in _group_heads(ranked, attributions)
         )
 
     settings = {"rule": rule.value}

@@ -7,6 +7,7 @@ scores stay exact end to end; nothing here passes through binary floating point.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -153,6 +154,16 @@ class PRScheme:
             if cls.index != position:
                 raise SchemeError(f"class at position {position} carries index {cls.index}")
         self.lower_bounds: tuple[Fraction, ...] = tuple(cls.lower for cls in self.classes)
+        # The grid's D (scoring._Grid). Each derived value's denominator
+        # divides a small multiple of n times D times the weights' lcm.
+        self._boundary_lcm = math.lcm(*(b.denominator for b in self.lower_bounds))
+        limit = sys.get_int_max_str_digits()
+        common = self._boundary_lcm * math.lcm(*(w.denominator for w in self.weights))
+        if limit and common >= 10 ** limit:
+            raise SchemeError(
+                f"scheme {_shortened(name)} needs denominators of more than {limit} "
+                "digits; its values could not be written out"
+            )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -282,7 +293,7 @@ def theoretical_total(scheme: PRScheme, n: int) -> Fraction:
 _SCHEME_FIELDS = {"name", "boundaries", "weights"}
 
 
-def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PRScheme:
+def load_custom_scheme(source: dict | str | Path) -> PRScheme:
     """Load a scheme from a JSON document or file of the form
     {"boundaries": [fraction strings], "weights": [fraction strings]}.
 
@@ -325,8 +336,9 @@ def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PR
         if not isinstance(doc[field], list):
             raise SchemeError(f"scheme field {field!r} must be a list")
     doc_name = doc.get("name", default_name)
-    if not isinstance(doc_name, str) or not doc_name:
-        raise SchemeError("scheme field 'name' must be a non-empty string")
+    # csv output holds the name, and a NUL there is an error on Python 3.10.
+    if not isinstance(doc_name, str) or not doc_name or "\0" in doc_name:
+        raise SchemeError("scheme field 'name' must be a non-empty string without NUL")
 
     def parse_all(field: str) -> list[Fraction]:
         values = []
@@ -338,7 +350,7 @@ def load_custom_scheme(source: dict | str | Path, name: str | None = None) -> PR
         return values
 
     return scheme_from_boundaries(
-        name or doc_name, parse_all("boundaries"), parse_all("weights")
+        doc_name, parse_all("boundaries"), parse_all("weights")
     )
 
 

@@ -8,7 +8,6 @@ overlap length. All arithmetic is exact.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
@@ -97,17 +96,13 @@ _RANK_HIGH = attrgetter("rank_high")
 class _SchemeGrid:
     """The half of _Grid that depends on the scheme alone: the lcm D of the
     boundary denominators, the integer cuts, the cuts at percentile scale,
-    the class weights over their common denominator, and the one shared
-    (fractions, score) pair of each class, built on first use."""
+    and the one shared fractions tuple of each class, built on first use."""
 
     def __init__(self, scheme: PRScheme):
-        self.d = math.lcm(*(b.denominator for b in scheme.boundaries))
+        self.d = scheme._boundary_lcm
         self.cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
         self.percent_edges = [100 * c for c in self.cuts]
-        # Class weights over their common denominator: weight_i = units[i]/w_den.
-        self.w_den = math.lcm(*(w.denominator for w in scheme.weights))
-        self.units = [w.numerator * (self.w_den // w.denominator) for w in scheme.weights]
-        self.single: list[tuple[tuple[Fraction, ...], Fraction] | None] = [None] * scheme.k
+        self.single: list[tuple[Fraction, ...] | None] = [None] * scheme.k
 
 
 class _Grid:
@@ -118,10 +113,8 @@ class _Grid:
     compares with c_j*s, so each point scale s gets its list of scaled cuts.
     A tie group spanning ranks r_low..r_high of n is the span
     [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
-    1/(n*D). Rounded percentiles p are points at scale 100. Class weights
-    sit over their common denominator, so a group's fractional score is one
-    integer ratio. A group inside one class shares that class's fractions
-    tuple, and its score is the class weight.
+    1/(n*D). Rounded percentiles p are points at scale 100. A group inside
+    one class shares that class's fractions tuple.
 
     Only the cuts scaled by n and 2n belong to one ranked set. The rest, a
     _SchemeGrid, is built on the first grid of a scheme and kept on the
@@ -217,15 +210,13 @@ class _Grid:
         high = group.rank_high * self.d
         return low, high, range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k))
 
-    def single(self, i: int) -> tuple[tuple[Fraction, ...], Fraction]:
-        """The fractions and score of every tie group that lies inside class
-        i alone (position i, 0-based): one pair per class, built on first
-        use; the score is the class weight."""
+    def single(self, i: int) -> tuple[Fraction, ...]:
+        """The fractions of every tie group that lies inside class i alone
+        (position i, 0-based): one tuple per class, built on first use."""
         shared = self.base.single[i]
         if shared is None:
             k = self.scheme.k
-            fractions = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
-            shared = self.base.single[i] = (fractions, self.scheme.classes[i].weight)
+            shared = self.base.single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
         return shared
 
     def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
@@ -233,7 +224,7 @@ class _Grid:
         width: fractional_attribution in tests/support.py, per group."""
         low, high, classes = self.span(group)
         if len(classes) == 1:
-            return self.single(classes[0])[0]
+            return self.single(classes[0])
         # Spread over several classes: every overlap is shorter than the width.
         edges = self.edges[self.n]
         width = high - low
@@ -241,17 +232,6 @@ class _Grid:
         for i in classes:
             fractions[i] = Fraction(min(high, edges[i + 1]) - max(low, edges[i]), width)
         return tuple(fractions)
-
-    def score(self, group: TieGroup) -> Fraction:
-        """The per-document score of a tie group's members under the
-        fractional rule: the overlap-weighted sum of the class weights."""
-        low, high, classes = self.span(group)
-        if len(classes) == 1:
-            return self.single(classes[0])[1]
-        edges = self.edges[self.n]
-        units = self.base.units
-        weighted = sum((min(high, edges[i + 1]) - max(low, edges[i])) * units[i] for i in classes)
-        return Fraction(weighted, (high - low) * self.base.w_den)
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:
@@ -297,3 +277,15 @@ def attribute_all(
             out += [PointAttribution(doc_id, *fields) for doc_id in group.member_ids]
     return out
 
+
+def _group_heads(
+    ranked: RankedSet, attributions: Sequence[Attribution]
+) -> Iterator[tuple[TieGroup, Attribution]]:
+    """(tie group, the attribution its members share) per tie group of
+    attribute_all's output for `ranked`, in rank order."""
+    if len(attributions) != ranked.n:
+        raise ValueError(
+            f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
+        )
+    # A group's members share one attribution; rank r sits at position r - 1.
+    return ((group, attributions[group.rank_low - 1]) for group in ranked.groups)

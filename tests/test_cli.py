@@ -679,6 +679,32 @@ class TestExitCodes:
             assert (code, out) == (EXIT_CONFIG, "")
             assert err == f"pct: config error: {message}invalid fraction '1e-10000'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["schemes"], ["attribute"], ["attribute", "--rule", "midpoint"], ["indicators"],
+        ["report", "--format", "csv"],
+    ])
+    def test_a_scheme_whose_derived_values_are_too_long_is_refused(self, run, tmp_path, argv):
+        """Each value fits the integer-string limit, but the lcm of the
+        boundary denominators does not."""
+        limit = sys.get_int_max_str_digits()
+        power = 10 ** (limit - 300)
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({
+            "name": "n" * 5000,
+            "boundaries": ["0", f"1/{power + 1}", f"1/{power}", "1"],
+            "weights": ["1", "2", "3"],
+        }))
+        data = tmp_path / "three.csv"
+        data.write_text("id,citations\na,1\nb,2\nc,3\n")
+        if argv != ["schemes"]:
+            argv = [*argv, "--input", str(data)]
+        code, out, err = run([*argv, "--scheme", f"custom={scheme}"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (
+            f"pct: config error: scheme {'n' * 40!r}... (5000 characters) needs "
+            f"denominators of more than {limit} digits; its values could not be written out\n"
+        )
+
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(
             ["attribute", "--scheme", "top50",

@@ -343,10 +343,12 @@ def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
 def test_grid_score_matches_the_per_document_score(ranked, scheme):
-    grid = _Grid(scheme, ranked.n)
-    for group in ranked.groups:
-        reference = fractional_attribution(group.member_ids[0], ranked, scheme)
-        assert grid.score(group) == per_doc_score(reference, scheme)
+    """The fractional per_doc_scores, one per tie group from attribute_all,
+    match the score of each document's own reference attribution."""
+    scores = compute_indicators(ranked, scheme, CountingRule.FRACTIONAL).per_doc_scores
+    for doc_id in ids_in_rank_order(ranked):
+        reference = fractional_attribution(doc_id, ranked, scheme)
+        assert scores[doc_id] == per_doc_score(reference, scheme)
 
 
 def test_grids_of_one_scheme_share_its_scheme_part():

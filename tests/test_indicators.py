@@ -177,7 +177,7 @@ class TestComputeIndicators:
     @pytest.mark.parametrize("rule,top_score", [(FRAC, F(26, 5)), (CWE, 6)])
     def test_per_doc_scores_are_taken_on_first_lookup(self, monkeypatch, rule, top_score):
         calls = 0
-        score, point = _Grid.score, _Grid.point
+        fractions, point = _Grid.fractions, _Grid.point
 
         def counted(original):
             def wrapper(*args):
@@ -186,7 +186,7 @@ class TestComputeIndicators:
                 return original(*args)
             return wrapper
 
-        monkeypatch.setattr(_Grid, "score", counted(score))
+        monkeypatch.setattr(_Grid, "fractions", counted(fractions))
         monkeypatch.setattr(_Grid, "point", counted(point))
         ranked = rank(make_distinct(20))
         result = compute_indicators(
@@ -197,7 +197,7 @@ class TestComputeIndicators:
         assert len(result.per_doc_scores) == 20
         assert calls == decided
         assert result.per_doc_scores["d20"] == top_score
-        assert calls == decided + 20  # one score per tie group
+        assert calls == decided + 20  # one grid decision per tie group
         assert list(result.per_doc_scores) == ids_in_rank_order(ranked)
         assert "d00" not in result.per_doc_scores
         assert calls == decided + 20

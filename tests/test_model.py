@@ -207,6 +207,20 @@ class TestSchemeConstruction:
         )
         assert scheme.weights == (F(2), F(0), F(2))
 
+    def test_denominators_too_long_together_are_refused(self):
+        """Each value fits the integer-string limit; the lcm of the boundary
+        denominators times that of the weight denominators must too."""
+        limit = sys.get_int_max_str_digits()
+        tiny = F(1, 10 ** (limit - 1))  # a denominator of `limit` digits
+        assert scheme_from_boundaries("edge", (F(0), tiny, F(1)), (F(1), F(2))).k == 2
+        for boundaries, weights in (
+            ((F(0), tiny, F(1)), (F(1), F(1, 10))),
+            ((F(0), F(1, 2), F(1)), (F(1), tiny / 5)),
+            ((F(0), 1 / (1 / tiny + 1), tiny, F(1)), (F(1), F(2), F(3))),
+        ):
+            with pytest.raises(SchemeError, match=f"more than {limit} digits"):
+                scheme_from_boundaries("x" * 5000, boundaries, weights)
+
 
 class TestCustomSchemeDocuments:
     def test_load_from_dict(self):
@@ -239,6 +253,7 @@ class TestCustomSchemeDocuments:
             {"boundaries": ["0", "1"], "weights": ["1/0"]},
             {"boundaries": "0,1", "weights": ["1"]},
             {"boundaries": ["0", "0.3"], "weights": ["1"]},
+            {"boundaries": ["0", "1"], "weights": ["1"], "name": "a\0b"},
             ["0", "1"],
         ],
     )
