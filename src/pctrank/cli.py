@@ -209,6 +209,7 @@ def _run(args) -> str:
         (key, rank(documents))
         for key, documents in partition_by_group(read_records(args.input)).items()
     ]
+    scheme.check_digits(max((ranked.n for _, ranked in ranked_sets), default=0))
     rounding = RoundingMode(args.rounding)
     midpoint_route = MidpointRoute(args.midpoint_route)
 

@@ -177,8 +177,8 @@ def compute_indicators(
 
     Under the fractional rule the class counts are the closed form n times
     class width, so no group is looked at. Under a point rule each tie
-    group is decided once on the integer grid and adds its size to its
-    class; under the error policy the first boundary hit raises
+    group is decided once, in one walk of the integer grid, and adds its
+    size to its class; under the error policy the first boundary hit raises
     BoundaryAmbiguityError. No per-document attribution is built, and
     per_doc_scores is taken only when it is read.
     """
@@ -189,10 +189,10 @@ def compute_indicators(
     else:
         grid = _Grid(scheme, n)
         tallies = [0] * scheme.k
-        for group in ranked.groups:
-            decision = grid.point(group, rule, rounding, policy, midpoint_route)
-            tallies[decision[3] - 1] += group.size
-            if decision[4] is not None:
+        decisions = grid.points(ranked.groups, rule, rounding, policy, midpoint_route)
+        for group, (_, _, _, class_index, boundary, _) in zip(ranked.groups, decisions):
+            tallies[class_index - 1] += group.size
+            if boundary is not None:
                 hits += group.size
         totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
     total = i3(totals)
@@ -269,12 +269,14 @@ def compare_rules(
     margin = 0 if rounding is RoundingMode.NONE else 1
     flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
     disagreements: list[RuleDisagreement] = []
-    for group in grid.near_boundaries(ranked.groups, margin):
+    near = [*grid.near_boundaries(ranked.groups, margin)]
+    walks = [
+        grid.points(near, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
+        for rule in POINT_RULES
+    ]
+    for group, *decisions in zip(near, *walks):
         classes = {}
-        for rule in POINT_RULES:
-            a, scale, _, classes[rule], boundary, _ = grid.point(
-                group, rule, rounding, BoundaryPolicy.LOWER, midpoint_route
-            )
+        for rule, (a, scale, _, classes[rule], boundary, _) in zip(POINT_RULES, decisions):
             if boundary is not None:
                 flags[rule].append(BoundaryFlag(
                     rule, group.member_ids, Fraction(a, scale), boundary,

@@ -16,7 +16,7 @@ import re
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -491,13 +491,13 @@ def render_attributions(
             tails[id(head.fractions)] = tail
         return tail
 
-    def shared(group_key, n, group, head):
+    def shared(group_key, group, head, low, high, percents):
         """The cells of a row after the id (csv, table), or the JSON texts of
-        a document before and after its id, shared by a tie group's members."""
-        low, high = _ratio_str(group.rank_low - 1, n), _ratio_str(group.rank_high, n)
+        a document before and after its id, shared by a tie group's members,
+        from the interval's ends as text (and as percentages for a table)."""
         if fmt == "json":
             # Fraction strings ("p/q") need no escaping.
-            interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
+            interval = f'{{{_ITEM}"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}'
             text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
             if fractional:
                 text += fractional_tail(head)
@@ -522,11 +522,7 @@ def render_attributions(
         if fmt == "csv":
             cells = [str(group.citations), group_key, low, high]
         else:
-            cells = [
-                str(group.citations),
-                f"[{low}, {high}]",
-                f"{_percent(group.rank_low - 1, n)}–{_percent(group.rank_high, n)}",
-            ]
+            cells = [str(group.citations), f"[{low}, {high}]", "–".join(percents)]
         if fractional:
             return cells + fractional_tail(head)
         percentile = _percentile_exact(head)
@@ -553,11 +549,16 @@ def render_attributions(
         """(member_ids, shared cells) per tie group, in rank order. Made one
         at a time: csv and json consume each pair at once, so no pair
         outlives its group (a live pair per document sets off extra passes
-        of the cyclic garbage collector)."""
+        of the cyclic garbage collector). The intervals tile [0, 1], so each
+        end is formatted once: group j reads ends j and j + 1."""
         n = ranked.n
+        ends = [0, *[group.rank_high for group in ranked.groups]]
+        exact = [_ratio_str(end, n) for end in ends]
+        percents = pairwise([_percent(end, n) for end in ends]) if fmt == "table" else repeat(None)
         return (
-            (group.member_ids, shared(group_key, n, group, head))
-            for group, head in _group_heads(ranked, attributions)
+            (group.member_ids, shared(group_key, group, head, low, high, pair))
+            for (group, head), low, high, pair
+            in zip(_group_heads(ranked, attributions), exact, exact[1:], percents)
         )
 
     settings = {"rule": rule.value}

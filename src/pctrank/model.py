@@ -35,7 +35,12 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f"cannot parse {value!r} as a fraction")
     try:
-        fraction = Fraction(value.strip())
+        text = value.strip()
+        # Fraction reads "_" from Python 3.11 on and non-ASCII digits on every
+        # version; refusing both makes every version agree.
+        if "_" in text or not text.isascii():
+            raise ValueError
+        fraction = Fraction(text)
         # Refuses a numerator or denominator too long to be written out again.
         str(fraction)
     except (ValueError, ZeroDivisionError) as exc:
@@ -163,6 +168,21 @@ class PRScheme:
             raise SchemeError(
                 f"scheme {_shortened(name)} needs denominators of more than {limit} "
                 "digits; its values could not be written out"
+            )
+        self._value_bound = common * max(1, *(abs(w.numerator) for w in self.weights))
+
+    def check_digits(self, n: int) -> None:
+        """Refuse the scheme for sets of up to n documents when a value
+        derived for one could have more digits than int-to-str conversion
+        allows (SchemeError). Every such value is a fraction of size at most
+        2n times the largest weight, with a denominator dividing n times D
+        times the weights' lcm, so both its terms are below 2n times
+        _value_bound."""
+        limit = sys.get_int_max_str_digits()
+        if limit and 2 * n * self._value_bound >= 10 ** limit:
+            raise SchemeError(
+                f"scheme {_shortened(self.name)} needs values of more than {limit} "
+                f"digits for a set of {n} documents; they could not be written out"
             )
 
     def __eq__(self, other):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .model import DocumentSet
@@ -81,11 +82,11 @@ def rank(document_set: DocumentSet) -> RankedSet:
     """
     # Ids are unique, so sorting the pairs sorts by citations, then by id.
     ordered = sorted([(record.citations, record.doc_id) for record in document_set.records])
-    ids = [doc_id for _, doc_id in ordered]
-    groups: list[TieGroup] = []
-    done = 0
-    # Counted in rank order, so the counts come out by ascending citations.
-    for citations, size in Counter([citations for citations, _ in ordered]).items():
-        groups.append(TieGroup(citations, tuple(ids[done:done + size]), done + 1, done + size))
-        done += size
-    return RankedSet(document_set, tuple(groups))
+    ids = tuple([doc_id for _, doc_id in ordered])
+    # Counted in rank order, so the sizes come out by ascending citations.
+    sizes = Counter([citations for citations, _ in ordered])
+    ends = [*accumulate(sizes.values(), initial=0)]
+    return RankedSet(document_set, tuple([
+        tuple.__new__(TieGroup, (citations, ids[low:high], low + 1, high))
+        for citations, low, high in zip(sizes, ends, ends[1:])
+    ]))

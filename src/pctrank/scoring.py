@@ -116,6 +116,11 @@ class _Grid:
     1/(n*D). Rounded percentiles p are points at scale 100. A group inside
     one class shares that class's fractions tuple.
 
+    In rank order the spans tile [0, n*D], and each rule's point, rounded or
+    not, on either midpoint route, never goes down. So `fractions` and
+    `points` classify a ranked set's groups in one merge walk: a class
+    pointer that only moves forward over the cuts.
+
     Only the cuts scaled by n and 2n belong to one ranked set. The rest, a
     _SchemeGrid, is built on the first grid of a scheme and kept on the
     scheme object, so later grids of that scheme share it.
@@ -133,54 +138,50 @@ class _Grid:
         self.edges = {100: base.percent_edges}
         self.edges.update((scale, [c * scale for c in base.cuts]) for scale in (n, 2 * n))
 
-    def classify(self, a: int, scale: int, policy: BoundaryPolicy) -> tuple[int, Fraction | None]:
-        """The class of the quantile a/scale as classify_point in
-        tests/support.py decides it: (class index, boundary hit)."""
-        edges = self.edges[scale]
-        k = self.scheme.k
-        x = a * self.d
-        idx = bisect_left(edges, x, 0, k)
-        if idx < k and edges[idx] == x:
-            if idx == 0:
-                return 1, None
-            boundary = self.scheme.lower_bounds[idx]
-            if policy is BoundaryPolicy.ERROR:
-                raise BoundaryAmbiguityError(boundary)
-            return (idx if policy is BoundaryPolicy.LOWER else idx + 1), boundary
-        return idx, None
-
-    def point(
+    def points(
         self,
-        group: TieGroup,
+        groups: Sequence[TieGroup],
         rule: CountingRule,
         rounding: RoundingMode,
         policy: BoundaryPolicy,
         midpoint_route: MidpointRoute,
-    ) -> tuple:
-        """A point rule on one tie group, as point_attribution in
-        tests/support.py decides it for each member: (a, scale, percentile,
-        class index, boundary hit, endpoint percentiles), where the rule's
-        quantile is a/scale."""
-        n = self.n
-        if rule is CountingRule.COUNT_WORSE:
-            a, scale = group.rank_low - 1, n
-        elif rule is CountingRule.COUNT_WORSE_OR_EQUAL:
-            a, scale = group.rank_high, n
-        else:  # midpoint
-            a, scale = group.rank_low - 1 + group.rank_high, 2 * n
-        if rounding is RoundingMode.NONE:
-            return (a, scale, None, *self.classify(a, scale, policy), None)
-        endpoint_percentiles = None
-        if rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS:
-            endpoint_percentiles = (
-                _rounded_percent(group.rank_low - 1, n, rounding),
-                _rounded_percent(group.rank_high, n, rounding),
-            )
-            percentile = _rounded_percent(sum(endpoint_percentiles), 200, rounding)
-        else:
-            percentile = _rounded_percent(a, scale, rounding)
-        return (a, scale, percentile, *self.classify(percentile, 100, policy),
-                endpoint_percentiles)
+    ) -> Iterator[tuple]:
+        """A point rule on each of `groups`, tie groups of this ranked set in
+        rank order, as point_attribution in tests/support.py decides it for
+        each member: (a, scale, percentile, class index, boundary hit,
+        endpoint percentiles) per group, where the rule's quantile is
+        a/scale. Under the error policy the first boundary hit raises
+        BoundaryAmbiguityError."""
+        n, d, k = self.n, self.d, self.scheme.k
+        rounded, midpoint = rounding is not RoundingMode.NONE, rule is CountingRule.MIDPOINT
+        scale = 2 * n if midpoint else n
+        edges = self.edges[100 if rounded else scale]
+        # a is r_low - 1, r_high, or their sum at scale 2n.
+        low_end = rule is not CountingRule.COUNT_WORSE_OR_EQUAL
+        high_end = rule is not CountingRule.COUNT_WORSE
+        pairs = rounded and midpoint and midpoint_route is MidpointRoute.ENDPOINTS
+        percentile = pair = None
+        i = 0  # the first cut at or above the point, among the k below 1
+        for group in groups:
+            a = low_end * (group.rank_low - 1) + high_end * group.rank_high
+            if pairs:
+                pair = (
+                    _rounded_percent(group.rank_low - 1, n, rounding),
+                    _rounded_percent(group.rank_high, n, rounding),
+                )
+                percentile = _rounded_percent(sum(pair), 200, rounding)
+            elif rounded:
+                percentile = _rounded_percent(a, scale, rounding)
+            x = (a if percentile is None else percentile) * d
+            while i < k and edges[i] < x:
+                i += 1
+            if 0 < i < k and edges[i] == x:
+                boundary = self.scheme.lower_bounds[i]
+                if policy is BoundaryPolicy.ERROR:
+                    raise BoundaryAmbiguityError(boundary)
+                yield a, scale, percentile, i + (policy is BoundaryPolicy.UPPER), boundary, pair
+            else:
+                yield a, scale, percentile, i or 1, None, pair
 
     def near_boundaries(self, groups: Sequence[TieGroup], margin: int) -> Iterator[TieGroup]:
         """The tie groups (in rank order, as `groups` is) whose closed
@@ -201,37 +202,29 @@ class _Grid:
             yield from groups[start:stop]
             visited = stop
 
-    def span(self, group: TieGroup) -> tuple[int, int, range]:
-        """A tie group's interval [low, high] on the grid (against the cuts
-        scaled by n) and the positions of the classes it overlaps."""
-        edges = self.edges[self.n]
-        k = self.scheme.k
-        low = (group.rank_low - 1) * self.d
-        high = group.rank_high * self.d
-        return low, high, range(bisect_right(edges, low, 0, k) - 1, bisect_left(edges, high, 0, k))
-
-    def single(self, i: int) -> tuple[Fraction, ...]:
-        """The fractions of every tie group that lies inside class i alone
-        (position i, 0-based): one tuple per class, built on first use."""
-        shared = self.base.single[i]
-        if shared is None:
-            k = self.scheme.k
-            shared = self.base.single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
-        return shared
-
-    def fractions(self, group: TieGroup) -> tuple[Fraction, ...]:
-        """Overlap of one tie group's interval with each class, over its
-        width: fractional_attribution in tests/support.py, per group."""
-        low, high, classes = self.span(group)
-        if len(classes) == 1:
-            return self.single(classes[0])
-        # Spread over several classes: every overlap is shorter than the width.
-        edges = self.edges[self.n]
-        width = high - low
-        fractions = [_ZERO] * self.scheme.k
-        for i in classes:
-            fractions[i] = Fraction(min(high, edges[i + 1]) - max(low, edges[i]), width)
-        return tuple(fractions)
+    def fractions(self, groups: Sequence[TieGroup]) -> Iterator[tuple[Fraction, ...]]:
+        """Overlap of each tie group's interval with each class, over its
+        width, for all the groups of this ranked set in rank order:
+        fractional_attribution in tests/support.py, per group."""
+        edges, d, k = self.edges[self.n], self.d, self.scheme.k
+        single = self.base.single
+        i = 0  # the class holding the group's low end
+        for group in groups:
+            low, high = (group.rank_low - 1) * d, group.rank_high * d
+            while edges[i + 1] <= low:
+                i += 1
+            if high <= edges[i + 1]:
+                if single[i] is None:
+                    single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
+                yield single[i]
+                continue
+            # Spread over several classes: every overlap is shorter than the width.
+            fractions = [_ZERO] * k
+            j = i
+            while j < k and edges[j] < high:
+                fractions[j] = Fraction(min(high, edges[j + 1]) - max(low, edges[j]), high - low)
+                j += 1
+            yield tuple(fractions)
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:
@@ -255,26 +248,30 @@ def attribute_all(
 ) -> list[Attribution]:
     """Attribute every document, in rank order (ids sorted inside tie groups).
 
-    The members of a tie group share one interval, so each group is attributed
-    once and its members' attributions share that payload (under the
-    fractional rule, one `fractions` tuple). Groups are classified on an
-    integer grid; Fractions are made only for the values returned. rounding,
-    policy and midpoint_route only apply to point rules; the fractional rule
-    ignores them.
+    The members of a tie group share one interval, so each group is
+    attributed once, in one walk of the grid over all the groups, and its
+    members' attributions share that payload (under the fractional rule, one
+    `fractions` tuple); Fractions are made only for the values returned.
+    rounding, policy and midpoint_route only apply to point rules.
     """
     grid = _Grid(scheme, ranked.n)
-    out: list[Attribution] = []
-    for group in ranked.groups:
-        if rule is CountingRule.FRACTIONAL:
-            fractions = grid.fractions(group)
-            out += [FractionalAttribution(doc_id, fractions) for doc_id in group.member_ids]
+    groups = ranked.groups
+    # Per group, the fields of its members' attributions after the id.
+    if rule is CountingRule.FRACTIONAL:
+        kind, shared = FractionalAttribution, zip(grid.fractions(groups))
+    else:
+        kind, shared = PointAttribution, (
+            (Fraction(a, scale), percentile, class_index, boundary is not None, boundary, pair)
+            for a, scale, percentile, class_index, boundary, pair
+            in grid.points(groups, rule, rounding, policy, midpoint_route)
+        )
+    new, out = tuple.__new__, []
+    for group, fields in zip(groups, shared):
+        ids = group.member_ids
+        if len(ids) == 1:
+            out.append(new(kind, ids + fields))
         else:
-            a, scale, percentile, class_index, boundary, endpoints = grid.point(
-                group, rule, rounding, policy, midpoint_route
-            )
-            fields = (Fraction(a, scale), percentile, class_index, boundary is not None,
-                      boundary, endpoints)
-            out += [PointAttribution(doc_id, *fields) for doc_id in group.member_ids]
+            out += [new(kind, (doc_id, *fields)) for doc_id in ids]
     return out
 
 

@@ -705,6 +705,50 @@ class TestExitCodes:
             f"denominators of more than {limit} digits; its values could not be written out\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["attribute"], ["attribute", "--rule", "midpoint", "--format", "json"], ["indicators"],
+        ["indicators", "--rule", "count-worse", "--format", "csv"], ["report", "--format", "csv"],
+    ])
+    def test_a_scheme_too_long_for_the_input_is_refused(self, run, tmp_path, argv):
+        """The scheme fits the integer-string limit on its own, but values
+        derived for the input's n might not: a weight of `limit` nines on 50
+        rows, or a boundary of 1/10**(limit - 1) on 11 rows. The latter
+        still runs on 2 rows."""
+        limit = sys.get_int_max_str_digits()
+        scheme, data = tmp_path / "scheme.json", tmp_path / "rows.csv"
+        for boundaries, weights, rows, code in (
+            (["0", "1/2", "1"], ["1", "9" * limit], 50, EXIT_CONFIG),
+            (["0", f"1/{10 ** (limit - 1)}", "1"], ["1", "2"], 11, EXIT_CONFIG),
+            (["0", f"1/{10 ** (limit - 1)}", "1"], ["1", "2"], 2, EXIT_OK),
+        ):
+            scheme.write_text(json.dumps(
+                {"name": "n" * 5000, "boundaries": boundaries, "weights": weights}
+            ))
+            data.write_text("id,citations\n" + "".join(f"d{i},{i}\n" for i in range(rows)))
+            result = run([*argv, "--input", str(data), "--scheme", f"custom={scheme}"])
+            if code == EXIT_OK:
+                assert result[0] == EXIT_OK and result[1], result[2]
+                continue
+            assert result == (EXIT_CONFIG, "", (
+                f"pct: config error: scheme {'n' * 40!r}... (5000 characters) needs values "
+                f"of more than {limit} digits for a set of {rows} documents; they could "
+                "not be written out\n"
+            ))
+
+    @pytest.mark.parametrize("value", ["1/1_0", "0.1_5", "1/٣", "1/１0"])
+    def test_a_fraction_with_underscores_or_other_digits_is_refused(self, run, five_file,
+                                                                    tmp_path, value):
+        """On every Python version alike: 3.10 refuses "_" where 3.11 reads it."""
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"boundaries": ["0", value, "1"], "weights": ["0", "1"]}))
+        for selector, message in (
+            (f"topx={value}", f"invalid top share in 'topx={value}': "),
+            (f"custom={scheme}", "boundaries[1]: "),
+        ):
+            code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err == f"pct: config error: {message}invalid fraction {value!r}\n"
+
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(
             ["attribute", "--scheme", "top50",

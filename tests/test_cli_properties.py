@@ -2,9 +2,10 @@
 
 A fuzz of the input and scheme readers: whatever the text, a command exits
 with its code (0, or 2 for input and 3 for a scheme) and never with a
-traceback. And two metamorphic properties of the paper's intervals
-[(r_low - 1)/N, r_high/N] that need no oracle: coarsening pr100 into pr6, and
-replicating every document.
+traceback. And three metamorphic properties of the paper's intervals
+[(r_low - 1)/N, r_high/N] that need no oracle: coarsening pr100 into pr6,
+replicating every document, and adding or removing a group, which leaves
+every other group's output as it was.
 """
 
 from __future__ import annotations
@@ -234,3 +235,55 @@ def test_replicating_every_document_scales_counts_only(workdir, citations, m, sc
     assert int(after["n"]) == m * int(before["n"])
     for key in ("i3", "theoretical", "difference"):
         assert Fraction(after[key]) == m * Fraction(before[key])
+
+
+GROUP_COMMANDS = [
+    ["attribute", "--scheme", "pr6", "--precision", "4"],
+    ["attribute", "--scheme", "topx=1/10", "--rule", "midpoint", "--rounding", "floor",
+     "--midpoint-route", "endpoints", "--precision", "4"],
+    ["attribute", "--scheme", "pr100", "--rule", "count-worse-or-equal", "--boundary", "upper",
+     "--precision", "4"],
+    ["indicators", "--scheme", "topx=1/10", "--rule", "count-worse", "--rounding", "half-up",
+     "--precision", "4"],
+    ["indicators", "--scheme", "pr6", "--precision", "4"],
+    ["report", "--scheme", "pr6", "--rounding", "floor", "--midpoint-route", "endpoints"],
+    ["report", "--scheme", "topx=1/10"],
+]
+
+
+def rows_by_group(argv: list[str]) -> dict[str, list[list[str]]]:
+    """The csv rows of one run after the header, by their group column."""
+    code, out, err = pct([*argv, "--format", "csv"])
+    assert code == EXIT_OK, err
+    reader = csv.reader(io.StringIO(out))
+    column = next(reader).index("group")
+    groups: dict[str, list[list[str]]] = {}
+    for row in reader:
+        groups.setdefault(row[column], []).append(row)
+    return groups
+
+
+@PROPERTY
+@given(
+    groups=st.lists(CITATIONS, min_size=2, max_size=4),
+    dropped=st.integers(0, 3),
+    argv=st.sampled_from(GROUP_COMMANDS),
+)
+def test_adding_or_removing_a_group_leaves_the_others_alone(workdir, groups, dropped, argv):
+    """Each group is ranked and attributed on its own, so the rows of every
+    other group read the same with or without one group. Groups are output
+    in the order of their index, so the dropped one may come first, between
+    the others or last."""
+    dropped %= len(groups)
+    rows = [(f"d{g}-{i}", c, f"g{g}") for g, citations in enumerate(groups)
+            for i, c in enumerate(citations)]
+    path = workdir / "groups.csv"
+    path.write_text("id,citations,group\n" + "".join(f"{i},{c},{g}\n" for i, c, g in rows))
+    every = rows_by_group([*argv, "--input", str(path)])
+    path.write_text("id,citations,group\n" + "".join(
+        f"{i},{c},{g}\n" for i, c, g in rows if g != f"g{dropped}"
+    ))
+    fewer = rows_by_group([*argv, "--input", str(path)])
+    assert set(every) == {f"g{g}" for g in range(len(groups))}
+    del every[f"g{dropped}"]
+    assert fewer == every

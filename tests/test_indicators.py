@@ -177,17 +177,19 @@ class TestComputeIndicators:
     @pytest.mark.parametrize("rule,top_score", [(FRAC, F(26, 5)), (CWE, 6)])
     def test_per_doc_scores_are_taken_on_first_lookup(self, monkeypatch, rule, top_score):
         calls = 0
-        fractions, point = _Grid.fractions, _Grid.point
+        fractions, points = _Grid.fractions, _Grid.points
 
         def counted(original):
+            """The walk, counting the tie groups it decides."""
             def wrapper(*args):
                 nonlocal calls
-                calls += 1
-                return original(*args)
+                for decision in original(*args):
+                    calls += 1
+                    yield decision
             return wrapper
 
         monkeypatch.setattr(_Grid, "fractions", counted(fractions))
-        monkeypatch.setattr(_Grid, "point", counted(point))
+        monkeypatch.setattr(_Grid, "points", counted(points))
         ranked = rank(make_distinct(20))
         result = compute_indicators(
             ranked, builtin_scheme("pr6"), rule, policy=BoundaryPolicy.LOWER
@@ -274,14 +276,15 @@ class TestCompareRules:
         """Each pr6 boundary falls between two of 10 000 distinct documents,
         so the three rules classify those two groups and no other."""
         calls = 0
-        point = _Grid.point
+        points = _Grid.points
 
         def counted(*args):
             nonlocal calls
-            calls += 1
-            return point(*args)
+            for decision in points(*args):
+                calls += 1
+                yield decision
 
-        monkeypatch.setattr(_Grid, "point", counted)
+        monkeypatch.setattr(_Grid, "points", counted)
         pr6 = builtin_scheme("pr6")
         report = compare_rules(rank(make_distinct(10_000)), pr6)
         assert calls <= 3 * 2 * (pr6.k - 1)

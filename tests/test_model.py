@@ -56,6 +56,13 @@ class TestParseFraction:
         digits = sys.get_int_max_str_digits()
         assert parse_fraction(f"1e-{digits - 1}") == F(1, 10 ** (digits - 1))
 
+    @pytest.mark.parametrize("text", ["1_000", "1/1_0", "0.1_5", "1e1_0", "٣", "1/٣", "１"])
+    def test_only_ascii_digits_without_underscores(self, text):
+        """Python 3.11 reads "1_000" and every version reads "٣" as 3;
+        refusing both makes 3.10 to 3.13 agree."""
+        with pytest.raises(ValueError, match=f"^invalid fraction {text!r}$"):
+            parse_fraction(text)
+
     def test_accepts_int_and_fraction(self):
         assert parse_fraction(7) == F(7)
         assert parse_fraction(F(2, 6)) == F(1, 3)
@@ -221,6 +228,27 @@ class TestSchemeConstruction:
             with pytest.raises(SchemeError, match=f"more than {limit} digits"):
                 scheme_from_boundaries("x" * 5000, boundaries, weights)
 
+
+    def test_values_too_long_for_n_documents_are_refused(self):
+        """check_digits leaves room for n and for the weights' numerators:
+        a set's values stay below 2n times D, the weights' lcm and their
+        largest numerator."""
+        limit = sys.get_int_max_str_digits()
+        nines = F(int("9" * limit))  # a weight of `limit` digits
+        wide = scheme_from_boundaries("w" * 5000, (F(0), F(1, 2), F(1)), (F(1), nines))
+        tiny = scheme_from_boundaries(
+            "tiny", (F(0), F(1, 10 ** (limit - 1)), F(1)), (F(1), F(2))
+        )
+        tiny.check_digits(2)
+        for scheme, n in ((wide, 1), (wide, 50), (tiny, 3), (tiny, 11)):
+            with pytest.raises(SchemeError) as refused:
+                scheme.check_digits(n)
+            assert str(refused.value).endswith(
+                f"needs values of more than {limit} digits for a set of {n} documents; "
+                "they could not be written out"
+            )
+        assert len(str(refused.value)) < 200
+        builtin_scheme("pr100").check_digits(10 ** 12)
 
 class TestCustomSchemeDocuments:
     def test_load_from_dict(self):
