@@ -2,13 +2,15 @@
 
 Subcommands: attribute (per-document class attribution), indicators (I3, R and
 PP per group), report (boundary hits and cross-rule disagreements), schemes
-(list or inspect class schemes). Exit codes: 0 success, 2 input data errors,
-3 configuration/usage errors, 4 boundary policy refusals.
+(list or inspect class schemes). Exit codes: 0 success, 1 output that could not
+be written, 2 input data errors, 3 configuration/usage errors, 4 boundary
+policy refusals.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -40,6 +42,7 @@ from .scoring import (
 __version__ = "0.1.0"
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_BOUNDARY = 4
@@ -273,7 +276,20 @@ def main(argv: list[str] | None = None) -> int:
     except BoundaryAmbiguityError as exc:
         print(f"pct: {exc}", file=sys.stderr)
         return EXIT_BOUNDARY
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError included
+        print(f"pct: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        # The interpreter flushes stdout again at exit, which would fail the
+        # same way; what is still buffered goes to the null device instead
+        # (the Python docs' "Note on SIGPIPE").
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

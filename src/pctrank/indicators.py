@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from .errors import SchemeError
 from .model import PRScheme
-from .ranking import RankedSet
+from .ranking import RankedSet, interval_for
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -18,8 +18,9 @@ from .scoring import (
     FractionalAttribution,
     MidpointRoute,
     RoundingMode,
-    _Grid,
     _group_heads,
+    _near_boundaries,
+    _points,
     attribute_all,
 )
 
@@ -187,9 +188,8 @@ def compute_indicators(
     if rule is CountingRule.FRACTIONAL:
         totals = _fractional_counts(scheme, n)
     else:
-        grid = _Grid(scheme, n)
         tallies = [0] * scheme.k
-        decisions = grid.points(ranked.groups, rule, rounding, policy, midpoint_route)
+        decisions = _points(scheme, n, ranked.groups, rule, rounding, policy, midpoint_route)
         for group, (_, _, _, class_index, boundary, _) in zip(ranked.groups, decisions):
             tallies[class_index - 1] += group.size
             if boundary is not None:
@@ -263,15 +263,14 @@ def compare_rules(
     attached for reference: n times each class width.
     """
     n = ranked.n
-    grid = _Grid(scheme, n)
     # A rounded percentile p of a group [low, high] has p/100 within one
     # percentile point of it, on both midpoint routes.
     margin = 0 if rounding is RoundingMode.NONE else 1
     flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
     disagreements: list[RuleDisagreement] = []
-    near = [*grid.near_boundaries(ranked.groups, margin)]
+    near = [*_near_boundaries(scheme, n, ranked.groups, margin)]
     walks = [
-        grid.points(near, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
+        _points(scheme, n, near, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
         for rule in POINT_RULES
     ]
     for group, *decisions in zip(near, *walks):
@@ -280,7 +279,7 @@ def compare_rules(
             if boundary is not None:
                 flags[rule].append(BoundaryFlag(
                     rule, group.member_ids, Fraction(a, scale), boundary,
-                    Fraction(group.rank_low - 1, n), Fraction(group.rank_high, n),
+                    *interval_for(group, n),
                 ))
         if len(set(classes.values())) > 1:
             disagreements.append(RuleDisagreement(group.member_ids, classes))

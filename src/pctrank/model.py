@@ -159,17 +159,20 @@ class PRScheme:
             if cls.index != position:
                 raise SchemeError(f"class at position {position} carries index {cls.index}")
         self.lower_bounds: tuple[Fraction, ...] = tuple(cls.lower for cls in self.classes)
-        # The grid's D (scoring._Grid). Each derived value's denominator
-        # divides a small multiple of n times D times the weights' lcm.
-        self._boundary_lcm = math.lcm(*(b.denominator for b in self.lower_bounds))
+        # The scheme on scoring's integer grid: D, each boundary's cut b*D, and
+        # each class's one-hot fractions tuple, made on first use. A derived value's
+        # denominator divides a small multiple of n times D times the weights' lcm.
+        self._boundary_lcm = d = math.lcm(*(b.denominator for b in self.lower_bounds))
         limit = sys.get_int_max_str_digits()
-        common = self._boundary_lcm * math.lcm(*(w.denominator for w in self.weights))
+        common = d * math.lcm(*(w.denominator for w in self.weights))
         if limit and common >= 10 ** limit:
             raise SchemeError(
                 f"scheme {_shortened(name)} needs denominators of more than {limit} "
                 "digits; its values could not be written out"
             )
         self._value_bound = common * max(1, *(abs(w.numerator) for w in self.weights))
+        self._cuts = [b.numerator * (d // b.denominator) for b in self.boundaries]
+        self._one_hot: list[tuple[Fraction, ...] | None] = [None] * self.k
 
     def check_digits(self, n: int) -> None:
         """Refuse the scheme for sets of up to n documents when a value

@@ -93,138 +93,116 @@ _RANK_LOW = attrgetter("rank_low")
 _RANK_HIGH = attrgetter("rank_high")
 
 
-class _SchemeGrid:
-    """The half of _Grid that depends on the scheme alone: the lcm D of the
-    boundary denominators, the integer cuts, the cuts at percentile scale,
-    and the one shared fractions tuple of each class, built on first use."""
+# The integer grid. With D the lcm of the boundary denominators, boundary b_j is
+# the integer cut c_j = b_j*D (PRScheme._cuts). A quantile a/s lies below, on or
+# above b_j as a*D compares with c_j*s, so each walk scales the cuts once, by
+# the scale of its points. A tie group spanning ranks r_low..r_high of n is the
+# span [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
+# 1/(n*D). Rounded percentiles p are points at scale 100. A group inside one
+# class shares that class's fractions tuple, kept on the scheme object
+# (PRScheme._one_hot), so every walk over that object shares it.
+#
+# In rank order the spans tile [0, n*D], and each rule's point, rounded or not,
+# on either midpoint route, never goes down. So `_fractions` and `_points`
+# classify a ranked set's groups in one merge walk: a class pointer that only
+# moves forward over the cuts.
 
-    def __init__(self, scheme: PRScheme):
-        self.d = scheme._boundary_lcm
-        self.cuts = [b.numerator * (self.d // b.denominator) for b in scheme.boundaries]
-        self.percent_edges = [100 * c for c in self.cuts]
-        self.single: list[tuple[Fraction, ...] | None] = [None] * scheme.k
 
-
-class _Grid:
-    """A scheme's boundaries and a ranked set's quantiles on one integer grid.
-
-    With D the lcm of the boundary denominators, boundary b_j is the integer
-    cut c_j = b_j*D. A quantile a/s lies below, on or above b_j as a*D
-    compares with c_j*s, so each point scale s gets its list of scaled cuts.
-    A tie group spanning ranks r_low..r_high of n is the span
-    [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
-    1/(n*D). Rounded percentiles p are points at scale 100. A group inside
-    one class shares that class's fractions tuple.
-
-    In rank order the spans tile [0, n*D], and each rule's point, rounded or
-    not, on either midpoint route, never goes down. So `fractions` and
-    `points` classify a ranked set's groups in one merge walk: a class
-    pointer that only moves forward over the cuts.
-
-    Only the cuts scaled by n and 2n belong to one ranked set. The rest, a
-    _SchemeGrid, is built on the first grid of a scheme and kept on the
-    scheme object, so later grids of that scheme share it.
-    """
-
-    def __init__(self, scheme: PRScheme, n: int):
-        try:
-            base = scheme._grid
-        except AttributeError:
-            base = scheme._grid = _SchemeGrid(scheme)
-        self.scheme = scheme
-        self.n = n
-        self.base = base
-        self.d = base.d
-        self.edges = {100: base.percent_edges}
-        self.edges.update((scale, [c * scale for c in base.cuts]) for scale in (n, 2 * n))
-
-    def points(
-        self,
-        groups: Sequence[TieGroup],
-        rule: CountingRule,
-        rounding: RoundingMode,
-        policy: BoundaryPolicy,
-        midpoint_route: MidpointRoute,
-    ) -> Iterator[tuple]:
-        """A point rule on each of `groups`, tie groups of this ranked set in
-        rank order, as point_attribution in tests/support.py decides it for
-        each member: (a, scale, percentile, class index, boundary hit,
-        endpoint percentiles) per group, where the rule's quantile is
-        a/scale. Under the error policy the first boundary hit raises
-        BoundaryAmbiguityError."""
-        n, d, k = self.n, self.d, self.scheme.k
-        rounded, midpoint = rounding is not RoundingMode.NONE, rule is CountingRule.MIDPOINT
-        scale = 2 * n if midpoint else n
-        edges = self.edges[100 if rounded else scale]
-        # a is r_low - 1, r_high, or their sum at scale 2n.
-        low_end = rule is not CountingRule.COUNT_WORSE_OR_EQUAL
-        high_end = rule is not CountingRule.COUNT_WORSE
-        pairs = rounded and midpoint and midpoint_route is MidpointRoute.ENDPOINTS
-        percentile = pair = None
-        i = 0  # the first cut at or above the point, among the k below 1
-        for group in groups:
-            a = low_end * (group.rank_low - 1) + high_end * group.rank_high
-            if pairs:
-                pair = (
-                    _rounded_percent(group.rank_low - 1, n, rounding),
-                    _rounded_percent(group.rank_high, n, rounding),
-                )
-                percentile = _rounded_percent(sum(pair), 200, rounding)
-            elif rounded:
-                percentile = _rounded_percent(a, scale, rounding)
-            x = (a if percentile is None else percentile) * d
-            while i < k and edges[i] < x:
-                i += 1
-            if 0 < i < k and edges[i] == x:
-                boundary = self.scheme.lower_bounds[i]
-                if policy is BoundaryPolicy.ERROR:
-                    raise BoundaryAmbiguityError(boundary)
-                yield a, scale, percentile, i + (policy is BoundaryPolicy.UPPER), boundary, pair
-            else:
-                yield a, scale, percentile, i or 1, None, pair
-
-    def near_boundaries(self, groups: Sequence[TieGroup], margin: int) -> Iterator[TieGroup]:
-        """The tie groups (in rank order, as `groups` is) whose closed
-        interval [low, high] comes within margin/100 of an interior boundary
-        b: high >= b - margin/100 and low <= b + margin/100. Each boundary's
-        window is found by bisecting the groups' rank spans."""
-        n, scale = self.n, 100 * self.d
-        visited = 0
-        for cut in self.edges[100][1:-1]:  # 100*b*D
-            # r_high >= n*(b - margin/100), r_high an integer
-            start = bisect_left(
-                groups, -(-n * (cut - margin * self.d) // scale), visited, key=_RANK_HIGH
+def _points(
+    scheme: PRScheme,
+    n: int,
+    groups: Sequence[TieGroup],
+    rule: CountingRule,
+    rounding: RoundingMode,
+    policy: BoundaryPolicy,
+    midpoint_route: MidpointRoute,
+) -> Iterator[tuple]:
+    """A point rule on each of `groups`, tie groups of a ranked set of n
+    documents in rank order, as point_attribution in tests/support.py
+    decides it for each member: (a, scale, percentile, class index, boundary
+    hit, endpoint percentiles) per group, where the rule's quantile is
+    a/scale. Under the error policy the first boundary hit raises
+    BoundaryAmbiguityError."""
+    d, k = scheme._boundary_lcm, scheme.k
+    rounded, midpoint = rounding is not RoundingMode.NONE, rule is CountingRule.MIDPOINT
+    scale = 2 * n if midpoint else n
+    edges = [c * (100 if rounded else scale) for c in scheme._cuts]
+    # a is r_low - 1, r_high, or their sum at scale 2n.
+    low_end = rule is not CountingRule.COUNT_WORSE_OR_EQUAL
+    high_end = rule is not CountingRule.COUNT_WORSE
+    pairs = rounded and midpoint and midpoint_route is MidpointRoute.ENDPOINTS
+    percentile = pair = None
+    i = 0  # the first cut at or above the point, among the k below 1
+    for group in groups:
+        a = low_end * (group.rank_low - 1) + high_end * group.rank_high
+        if pairs:
+            pair = (
+                _rounded_percent(group.rank_low - 1, n, rounding),
+                _rounded_percent(group.rank_high, n, rounding),
             )
-            # r_low - 1 <= n*(b + margin/100)
-            stop = bisect_right(
-                groups, n * (cut + margin * self.d) // scale + 1, visited, key=_RANK_LOW
-            )
-            yield from groups[start:stop]
-            visited = stop
+            percentile = _rounded_percent(sum(pair), 200, rounding)
+        elif rounded:
+            percentile = _rounded_percent(a, scale, rounding)
+        x = (a if percentile is None else percentile) * d
+        while i < k and edges[i] < x:
+            i += 1
+        if 0 < i < k and edges[i] == x:
+            boundary = scheme.lower_bounds[i]
+            if policy is BoundaryPolicy.ERROR:
+                raise BoundaryAmbiguityError(boundary)
+            yield a, scale, percentile, i + (policy is BoundaryPolicy.UPPER), boundary, pair
+        else:
+            yield a, scale, percentile, i or 1, None, pair
 
-    def fractions(self, groups: Sequence[TieGroup]) -> Iterator[tuple[Fraction, ...]]:
-        """Overlap of each tie group's interval with each class, over its
-        width, for all the groups of this ranked set in rank order:
-        fractional_attribution in tests/support.py, per group."""
-        edges, d, k = self.edges[self.n], self.d, self.scheme.k
-        single = self.base.single
-        i = 0  # the class holding the group's low end
-        for group in groups:
-            low, high = (group.rank_low - 1) * d, group.rank_high * d
-            while edges[i + 1] <= low:
-                i += 1
-            if high <= edges[i + 1]:
-                if single[i] is None:
-                    single[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
-                yield single[i]
-                continue
-            # Spread over several classes: every overlap is shorter than the width.
-            fractions = [_ZERO] * k
-            j = i
-            while j < k and edges[j] < high:
-                fractions[j] = Fraction(min(high, edges[j + 1]) - max(low, edges[j]), high - low)
-                j += 1
-            yield tuple(fractions)
+
+def _near_boundaries(
+    scheme: PRScheme, n: int, groups: Sequence[TieGroup], margin: int
+) -> Iterator[TieGroup]:
+    """The tie groups of a ranked set of n documents (in rank order, as
+    `groups` is) whose closed interval [low, high] comes within margin/100
+    of an interior boundary b: high >= b - margin/100 and
+    low <= b + margin/100. Each boundary's window is found by bisecting the
+    groups' rank spans."""
+    d = scheme._boundary_lcm
+    visited = 0
+    for cut in scheme._cuts[1:-1]:  # b*D
+        # r_high >= n*(b - margin/100), r_high an integer
+        start = bisect_left(
+            groups, -(-n * (100 * cut - margin * d) // (100 * d)), visited, key=_RANK_HIGH
+        )
+        # r_low - 1 <= n*(b + margin/100)
+        stop = bisect_right(
+            groups, n * (100 * cut + margin * d) // (100 * d) + 1, visited, key=_RANK_LOW
+        )
+        yield from groups[start:stop]
+        visited = stop
+
+
+def _fractions(
+    scheme: PRScheme, n: int, groups: Sequence[TieGroup]
+) -> Iterator[tuple[Fraction, ...]]:
+    """Overlap of each tie group's interval with each class, over its width,
+    for all the groups of a ranked set of n documents in rank order:
+    fractional_attribution in tests/support.py, per group."""
+    d, k, one_hot = scheme._boundary_lcm, scheme.k, scheme._one_hot
+    edges = [c * n for c in scheme._cuts]
+    i = 0  # the class holding the group's low end
+    for group in groups:
+        low, high = (group.rank_low - 1) * d, group.rank_high * d
+        while edges[i + 1] <= low:
+            i += 1
+        if high <= edges[i + 1]:
+            if one_hot[i] is None:
+                one_hot[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
+            yield one_hot[i]
+            continue
+        # Spread over several classes: every overlap is shorter than the width.
+        fractions = [_ZERO] * k
+        j = i
+        while j < k and edges[j] < high:
+            fractions[j] = Fraction(min(high, edges[j + 1]) - max(low, edges[j]), high - low)
+            j += 1
+        yield tuple(fractions)
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:
@@ -254,16 +232,15 @@ def attribute_all(
     `fractions` tuple); Fractions are made only for the values returned.
     rounding, policy and midpoint_route only apply to point rules.
     """
-    grid = _Grid(scheme, ranked.n)
-    groups = ranked.groups
+    n, groups = ranked.n, ranked.groups
     # Per group, the fields of its members' attributions after the id.
     if rule is CountingRule.FRACTIONAL:
-        kind, shared = FractionalAttribution, zip(grid.fractions(groups))
+        kind, shared = FractionalAttribution, zip(_fractions(scheme, n, groups))
     else:
         kind, shared = PointAttribution, (
             (Fraction(a, scale), percentile, class_index, boundary is not None, boundary, pair)
             for a, scale, percentile, class_index, boundary, pair
-            in grid.points(groups, rule, rounding, policy, midpoint_route)
+            in _points(scheme, n, groups, rule, rounding, policy, midpoint_route)
         )
     new, out = tuple.__new__, []
     for group, fields in zip(groups, shared):

@@ -59,9 +59,9 @@ def overlap_fractions_oracle(
 # ---------------------------------------------------------------------------
 # The per-document reference path: every document's own quantile interval,
 # classified or spread over the classes in plain Fraction arithmetic. The
-# package decides each tie group once on an integer grid (scoring._Grid);
-# these functions share none of that code, so comparing the two means
-# something.
+# package decides each tie group once on an integer grid (scoring._points,
+# scoring._fractions); these functions share none of that code, so comparing
+# the two means something.
 
 def ids_in_rank_order(ranked: RankedSet) -> list[str]:
     """Ascending by citations, ids sorted inside each tie group."""

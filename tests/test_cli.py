@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
 from pctrank import main
-from pctrank.cli import EXIT_BOUNDARY, EXIT_CONFIG, EXIT_DATA, EXIT_OK
+from pctrank.cli import EXIT_BOUNDARY, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_OUTPUT
 
 F = Fraction
 
@@ -368,9 +371,11 @@ class TestIndicatorsWork:
 
     def test_fractional_rule_builds_no_grid(self, run, monkeypatch, no_attribution):
         def refuse(*args):
-            raise AssertionError("the fractional rule built a grid")
+            raise AssertionError("the fractional rule walked the grid")
 
-        monkeypatch.setattr("pctrank.scoring._Grid.__init__", refuse)
+        for walk in ("pctrank.indicators._points", "pctrank.scoring._points",
+                     "pctrank.scoring._fractions"):
+            monkeypatch.setattr(walk, refuse)
         code, out, err = run(
             ["indicators", "--scheme", "pr100", "--format", "json"], stdin_text=GROUPED_CSV
         )
@@ -748,6 +753,42 @@ class TestExitCodes:
             code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
             assert (code, out) == (EXIT_CONFIG, "")
             assert err == f"pct: config error: {message}invalid fraction {value!r}\n"
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+        BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["schemes"], ["attribute", "--scheme", "pr6"], ["indicators", "--scheme", "pr6"],
+        ["report", "--scheme", "pr6", "--format", "json"],
+    ])
+    def test_output_that_cannot_be_written(self, run, monkeypatch, method, error, argv):
+        class FailingStdout(io.StringIO):
+            pass
+
+        def fail(*args):
+            raise error
+
+        setattr(FailingStdout, method, fail)
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        code, _, err = run(argv, stdin_text=FIVE_CSV)
+        assert code == EXIT_OUTPUT == 1
+        assert err == f"pct: cannot write output: {error.strerror}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_gives_one_line_and_no_exit_flush_error(self):
+        # Buffered, as stdout is by default, so that the interpreter's exit
+        # flush has something to write unless main leaves nothing behind.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "pctrank", "schemes"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert (result.returncode, result.stderr) == (
+            EXIT_OUTPUT, "pct: cannot write output: No space left on device\n"
+        )
 
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(

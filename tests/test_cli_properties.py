@@ -2,10 +2,11 @@
 
 A fuzz of the input and scheme readers: whatever the text, a command exits
 with its code (0, or 2 for input and 3 for a scheme) and never with a
-traceback. And three metamorphic properties of the paper's intervals
+traceback. Three metamorphic properties of the paper's intervals
 [(r_low - 1)/N, r_high/N] that need no oracle: coarsening pr100 into pr6,
 replicating every document, and adding or removing a group, which leaves
-every other group's output as it was.
+every other group's output as it was. And the exact values that
+`indicators` and `report` write as csv, read back, are the library's.
 """
 
 from __future__ import annotations
@@ -17,10 +18,24 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from pctrank import main
+from pctrank import (
+    POINT_RULES,
+    BoundaryPolicy,
+    CitationRecord,
+    CountingRule,
+    DocumentSet,
+    MidpointRoute,
+    RoundingMode,
+    builtin_scheme,
+    compare_rules,
+    compute_indicators,
+    main,
+    rank,
+    theoretical_total,
+)
 from pctrank.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
 FUZZ = settings(
@@ -287,3 +302,115 @@ def test_adding_or_removing_a_group_leaves_the_others_alone(workdir, groups, dro
     assert set(every) == {f"g{g}" for g in range(len(groups))}
     del every[f"g{dropped}"]
     assert fewer == every
+
+
+# ---------------------------------------------------------------------------
+# csv output read back
+
+TIED_GROUPS = st.lists(
+    st.lists(st.integers(0, 6), min_size=1, max_size=30), min_size=2, max_size=4
+)
+REPARSE_SCHEMES = ["pr6", "pr100", "topx=1/10"]
+
+
+def ranked_groups(workdir, groups: list[list[int]]) -> tuple[str, dict]:
+    """A grouped csv input of the citation lists, and each group's ranked
+    set, built by the library from the same records."""
+    records = [CitationRecord(f"d{g}-{i}", c, f"g{g}") for g, citations in enumerate(groups)
+               for i, c in enumerate(citations)]
+    path = workdir / "tied-groups.csv"
+    path.write_text("id,citations,group\n" + "".join(f"{r.doc_id},{r.citations},{r.group}\n"
+                                                     for r in records))
+    return str(path), {
+        f"g{g}": rank(DocumentSet([r for r in records if r.group == f"g{g}"]))
+        for g in range(len(groups))
+    }
+
+
+@seed(20120415)
+@PROPERTY
+@given(
+    groups=TIED_GROUPS,
+    selector=st.sampled_from(REPARSE_SCHEMES),
+    rounding=st.sampled_from(list(RoundingMode)),
+    route=st.sampled_from(list(MidpointRoute)),
+    policy=st.sampled_from([BoundaryPolicy.LOWER, BoundaryPolicy.UPPER]),
+)
+def test_indicators_csv_reads_back_as_compute_indicators(
+    workdir, groups, selector, rounding, route, policy
+):
+    path, ranked_sets = ranked_groups(workdir, groups)
+    scheme = builtin_scheme(selector)
+    for rule in CountingRule:
+        code, out, err = pct([
+            "indicators", "--scheme", selector, "--rule", rule.value,
+            "--rounding", rounding.value, "--midpoint-route", route.value,
+            "--boundary", policy.value, "--precision", "4", "--input", path, "--format", "csv",
+        ])
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["group"] for row in rows] == list(ranked_sets)
+        for row in rows:
+            ranked = ranked_sets[row["group"]]
+            result = compute_indicators(
+                ranked, scheme, rule, rounding=rounding, policy=policy, midpoint_route=route
+            )
+            theoretical = theoretical_total(scheme, ranked.n)
+            assert (row["n"], row["scheme"], row["rule"]) == (
+                str(ranked.n), scheme.name, rule.value
+            )
+            pp = Fraction(row["pp"]) if row["pp"] else None  # blank for k != 2
+            assert (Fraction(row["i3"]), Fraction(row["r"]), pp) == (
+                result.i3, result.r, result.pp
+            )
+            assert (Fraction(row["theoretical"]), Fraction(row["difference"])) == (
+                theoretical, result.i3 - theoretical
+            )
+
+
+@seed(20120416)
+@PROPERTY
+@given(
+    groups=TIED_GROUPS,
+    selector=st.sampled_from(REPARSE_SCHEMES),
+    rounding=st.sampled_from(list(RoundingMode)),
+    route=st.sampled_from(list(MidpointRoute)),
+)
+def test_report_csv_reads_back_as_compare_rules(workdir, groups, selector, rounding, route):
+    path, ranked_sets = ranked_groups(workdir, groups)
+    code, out, err = pct([
+        "report", "--scheme", selector, "--rounding", rounding.value,
+        "--midpoint-route", route.value, "--input", path, "--format", "csv",
+    ])
+    assert code == EXIT_OK, err
+    read: dict[str, list[tuple]] = {key: [] for key in ranked_sets}
+    for row in csv.DictReader(io.StringIO(out)):
+        if row["record"] == "flag":
+            read[row["group"]].append((row["record"], CountingRule(row["rule"]), row["id"], *(
+                Fraction(row[key])
+                for key in ("interval_low", "interval_high", "quantile", "boundary")
+            )))
+        elif row["record"] == "disagreement":
+            read[row["group"]].append((row["record"], row["id"], *(
+                int(row[f"class_{rule.value.replace('-', '_')}"]) for rule in POINT_RULES
+            )))
+        else:
+            assert row["record"] == "fractional_count"
+            read[row["group"]].append(
+                (row["record"], int(row["class_index"]), Fraction(row["count"]))
+            )
+    scheme = builtin_scheme(selector)
+    for key, ranked in ranked_sets.items():
+        report = compare_rules(ranked, scheme, rounding=rounding, midpoint_route=route)
+        expected = [
+            ("flag", flag.rule, doc_id, flag.interval_low, flag.interval_high, flag.quantile,
+             flag.boundary)
+            for flag in report.flags for doc_id in flag.member_ids
+        ] + [
+            ("disagreement", doc_id, *(d.classes[rule] for rule in POINT_RULES))
+            for d in report.disagreements for doc_id in d.member_ids
+        ] + [
+            ("fractional_count", index, count)
+            for index, count in enumerate(report.fractional_counts.counts, start=1)
+        ]
+        assert read[key] == expected

@@ -36,7 +36,7 @@ from pctrank import (
     render_report,
     scheme_from_boundaries,
 )
-from pctrank.scoring import _Grid
+from pctrank.scoring import _fractions, _points
 from support import (
     attribute_each,
     first_difference,
@@ -181,7 +181,7 @@ def test_error_policy_refuses_exactly_when_the_per_document_path_does(oracle_cas
         assert raised.value.boundary == reference[first].boundary_hit
         decided = 0
         with pytest.raises(BoundaryAmbiguityError):
-            for _ in _Grid(scheme, ranked.n).points(ranked.groups, rule, **options):
+            for _ in _points(scheme, ranked.n, ranked.groups, rule, **options):
                 decided += 1
         assert decided == sum(group.rank_high <= first for group in ranked.groups)
 
@@ -372,18 +372,22 @@ def test_grid_score_matches_the_per_document_score(ranked, scheme):
 
 
 def test_grids_of_one_scheme_share_its_scheme_part():
+    """The integer cuts and each class's one-hot tuple belong to the scheme
+    object: every walk over it shares them, an equal scheme built separately
+    gets its own, and walking it leaves its equality and hash alone."""
     pr100 = builtin_scheme("pr100")
-    small, large = _Grid(pr100, 40), _Grid(pr100, 1000)
-    assert small.base is large.base
-    assert small.edges[100] is large.edges[100]
-    # The ten groups inside class 1 share one tuple, kept on the scheme part.
-    fractions = [*large.fractions(rank(make_distinct(1000)).groups)]
+    assert pr100._cuts == list(range(101))  # D = 100
+    groups = rank(make_distinct(1000)).groups
+    # The ten groups inside class 1 share one tuple, kept on the scheme.
+    fractions = [*_fractions(pr100, 1000, groups)]
     assert all(f is fractions[0] for f in fractions[:10])
-    assert fractions[0] is small.base.single[0]
-    assert small.edges[40] == [c * 40 for c in small.base.cuts]
-    assert large.edges[2000] == [c * 2000 for c in large.base.cuts]
-    # An equal scheme built separately gets its own.
-    assert _Grid(builtin_scheme("pr100"), 40).base is not small.base
+    assert fractions[0] is pr100._one_hot[0]
+    assert next(_fractions(pr100, 1000, groups)) is fractions[0]
+    other = builtin_scheme("pr100")
+    assert other._cuts is not pr100._cuts and other._one_hot is not pr100._one_hot
+    assert next(_fractions(other, 1000, groups)) is not fractions[0]
+    assert other._one_hot[0] == fractions[0]
+    assert other == pr100 and hash(other) == hash(pr100)
 
 
 def assert_dumps_layout(text: str) -> dict:

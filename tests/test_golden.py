@@ -65,12 +65,18 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def run_cli(stem: str, fmt: str) -> tuple[int, bytes]:
-    """Exit code and UTF-8 stdout of one golden command."""
+def golden_argv(stem: str, fmt: str) -> list[str]:
+    """The arguments of one golden command; CI runs them through the
+    installed `pct` as well."""
     argv = COMMANDS[stem] + ["--format", fmt]
     if argv[0] != "schemes":
         argv += ["--input", str(INPUT)]
-    code, out = run_main(argv)
+    return argv
+
+
+def run_cli(stem: str, fmt: str) -> tuple[int, bytes]:
+    """Exit code and UTF-8 stdout of one golden command."""
+    code, out = run_main(golden_argv(stem, fmt))
     return code, out.encode("utf-8")
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pctrank.indicators
+import pctrank.scoring
 from pctrank import (
     BoundaryPolicy,
     CitationRecord,
@@ -29,7 +31,6 @@ from pctrank import (
     theoretical_total,
     topx_scheme,
 )
-from pctrank.scoring import _Grid
 from support import attribute_each, ids_in_rank_order, make_distinct, make_tied
 
 F = Fraction
@@ -177,7 +178,6 @@ class TestComputeIndicators:
     @pytest.mark.parametrize("rule,top_score", [(FRAC, F(26, 5)), (CWE, 6)])
     def test_per_doc_scores_are_taken_on_first_lookup(self, monkeypatch, rule, top_score):
         calls = 0
-        fractions, points = _Grid.fractions, _Grid.points
 
         def counted(original):
             """The walk, counting the tie groups it decides."""
@@ -188,8 +188,10 @@ class TestComputeIndicators:
                     yield decision
             return wrapper
 
-        monkeypatch.setattr(_Grid, "fractions", counted(fractions))
-        monkeypatch.setattr(_Grid, "points", counted(points))
+        # Each walk is patched where it is looked up.
+        for module, name in ((pctrank.scoring, "_fractions"), (pctrank.scoring, "_points"),
+                             (pctrank.indicators, "_points")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         ranked = rank(make_distinct(20))
         result = compute_indicators(
             ranked, builtin_scheme("pr6"), rule, policy=BoundaryPolicy.LOWER
@@ -276,7 +278,7 @@ class TestCompareRules:
         """Each pr6 boundary falls between two of 10 000 distinct documents,
         so the three rules classify those two groups and no other."""
         calls = 0
-        points = _Grid.points
+        points = pctrank.indicators._points
 
         def counted(*args):
             nonlocal calls
@@ -284,7 +286,7 @@ class TestCompareRules:
                 calls += 1
                 yield decision
 
-        monkeypatch.setattr(_Grid, "points", counted)
+        monkeypatch.setattr(pctrank.indicators, "_points", counted)
         pr6 = builtin_scheme("pr6")
         report = compare_rules(rank(make_distinct(10_000)), pr6)
         assert calls <= 3 * 2 * (pr6.k - 1)
