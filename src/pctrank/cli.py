@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -57,9 +58,32 @@ class _Parser(argparse.ArgumentParser):
     """Parser whose usage failures exit with the configuration error code."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_CONFIG)
+
+
+def _say(message: str) -> None:
+    """Print one line to stderr. With stderr closed (None, as Python leaves it
+    when file descriptor 2 is closed at start-up) or failing, the line is
+    dropped: the exit code and stdout stay what they would be."""
+    if sys.stderr is None:
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        _to_null_device(sys.stderr)
+
+
+def _to_null_device(stream) -> None:
+    """Point the file descriptor under a stream whose write failed at the null
+    device. The interpreter flushes the stream again at exit, which would fail
+    the same way; what is still buffered goes to the null device instead (the
+    Python docs' "Note on SIGPIPE")."""
+    with contextlib.suppress(OSError, ValueError):
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def resolve_scheme(selector: str) -> PRScheme:
@@ -101,10 +125,9 @@ def _warn_defaulted_ambiguities(hits: int) -> None:
     """Say how many documents a defaulted policy put on a boundary, if any."""
     if hits:
         noun = "attribution" if hits == 1 else "attributions"
-        print(
+        _say(
             f"pct: warning: {hits} {noun} landed exactly on a class boundary and "
-            "went to the class below; pass --boundary to choose",
-            file=sys.stderr,
+            "went to the class below; pass --boundary to choose"
         )
 
 
@@ -268,27 +291,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         output = _run(args)
     except DataError as exc:
-        print(f"pct: input error: {exc}", file=sys.stderr)
+        _say(f"pct: input error: {exc}")
         return EXIT_DATA
     except ConfigError as exc:
-        print(f"pct: config error: {exc}", file=sys.stderr)
+        _say(f"pct: config error: {exc}")
         return EXIT_CONFIG
     except BoundaryAmbiguityError as exc:
-        print(f"pct: {exc}", file=sys.stderr)
+        _say(f"pct: {exc}")
         return EXIT_BOUNDARY
     try:
+        if sys.stdout is None:  # file descriptor 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(output)
         sys.stdout.flush()
     except OSError as exc:  # BrokenPipeError included
-        print(f"pct: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        # The interpreter flushes stdout again at exit, which would fail the
-        # same way; what is still buffered goes to the null device instead
-        # (the Python docs' "Note on SIGPIPE").
-        with contextlib.suppress(OSError, ValueError):
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        _say(f"pct: cannot write output: {exc.strerror or exc}")
+        if sys.stdout is not None:
+            _to_null_device(sys.stdout)
         return EXIT_OUTPUT
     return EXIT_OK
 

@@ -61,12 +61,6 @@ def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> Class
     return ClassCounts(scheme, tuple(counts))
 
 
-def _fractional_counts(scheme: PRScheme, n: int) -> ClassCounts:
-    """Fractional class counts of n ranked documents. Tie group intervals tile
-    [0, 1], so the fractional mass of class k is exactly n times its width."""
-    return ClassCounts(scheme, tuple(n * cls.width for cls in scheme.classes))
-
-
 def i3(counts: ClassCounts) -> Fraction:
     """Weighted sum of the class counts."""
     return sum(
@@ -176,17 +170,20 @@ def compute_indicators(
 ) -> IndicatorResult:
     """The indicator set of a ranked set, decided per tie group.
 
-    Under the fractional rule the class counts are the closed form n times
-    class width, so no group is looked at. Under a point rule each tie
-    group is decided once, in one walk of the integer grid, and adds its
-    size to its class; under the error policy the first boundary hit raises
+    Under the fractional rule class j holds n times its width, so the
+    result needs only n: I3 is n*T and R is T, for the scheme's constant
+    T = sum(weight * width), and PP is the top class's width. The tie
+    groups are not built. Under a point rule each tie group is decided
+    once, in one walk of the integer grid, and adds its size to its class;
+    under the error policy the first boundary hit raises
     BoundaryAmbiguityError. No per-document attribution is built, and
     per_doc_scores is taken only when it is read.
     """
     n = ranked.n
     hits = 0
     if rule is CountingRule.FRACTIONAL:
-        totals = _fractional_counts(scheme, n)
+        total, r = n * scheme._mean_weight, scheme._mean_weight
+        pp = scheme.classes[-1].width if scheme.k == 2 else None
     else:
         tallies = [0] * scheme.k
         decisions = _points(scheme, n, ranked.groups, rule, rounding, policy, midpoint_route)
@@ -195,12 +192,12 @@ def compute_indicators(
             if boundary is not None:
                 hits += group.size
         totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
-    total = i3(totals)
+        total = i3(totals)
+        r = r_indicator(total, n)
+        pp = pp_top(totals, n) if scheme.k == 2 else None
     options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
     return IndicatorResult(
-        scheme.name, rule, n, total, r_indicator(total, n),
-        pp_top(totals, n) if scheme.k == 2 else None,
-        _MemberScores(ranked, scheme, rule, options), hits,
+        scheme.name, rule, n, total, r, pp, _MemberScores(ranked, scheme, rule, options), hits,
     )
 
 
@@ -287,5 +284,7 @@ def compare_rules(
         scheme,
         tuple(flag for rule in POINT_RULES for flag in flags[rule]),
         tuple(disagreements),
-        _fractional_counts(scheme, n),
+        # Tie group intervals tile [0, 1], so the fractional mass of class j
+        # is exactly n times its width.
+        ClassCounts(scheme, tuple(n * cls.width for cls in scheme.classes)),
     )

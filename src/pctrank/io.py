@@ -138,6 +138,8 @@ def _read_text(source: str | Path | TextIO) -> str:
         return source.read()
     try:
         if source == "-":
+            if sys.stdin is None:  # file descriptor 0 was closed at start-up
+                raise DataError("cannot read input -: standard input is closed")
             # Decoded here, not by the locale; a stream without bytes is read as text.
             stdin = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")

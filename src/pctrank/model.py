@@ -173,6 +173,11 @@ class PRScheme:
         self._value_bound = common * max(1, *(abs(w.numerator) for w in self.weights))
         self._cuts = [b.numerator * (d // b.denominator) for b in self.boundaries]
         self._one_hot: list[tuple[Fraction, ...] | None] = [None] * self.k
+        # T = sum(weight * width): class j holds n times its width of any n
+        # ranked documents under the fractional rule, so I3 is n*T and R is T.
+        self._mean_weight = sum(
+            (cls.weight * cls.width for cls in self.classes), start=Fraction(0)
+        )
 
     def check_digits(self, n: int) -> None:
         """Refuse the scheme for sets of up to n documents when a value
@@ -307,10 +312,11 @@ def builtin_scheme(name: str) -> PRScheme:
 
 def theoretical_total(scheme: PRScheme, n: int) -> Fraction:
     """The weighted count total a set of n documents must reach when class mass
-    is proportional to class width: n * sum(weight_k * width_k)."""
+    is proportional to class width: n * sum(weight_k * width_k). The sum is
+    the scheme's one constant, taken when the scheme is built."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return n * sum((cls.weight * cls.width for cls in scheme.classes), start=Fraction(0))
+    return n * scheme._mean_weight
 
 
 _SCHEME_FIELDS = {"name", "boundaries", "weights"}

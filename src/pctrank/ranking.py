@@ -52,12 +52,22 @@ class TieGroup(NamedTuple):
 
 
 class RankedSet:
-    """A document set with its tie groups, in rank order; interval_for gives a
-    group's quantile interval."""
+    """A document set ranked ascending by citation count.
 
-    def __init__(self, source: DocumentSet, groups: tuple[TieGroup, ...]):
+    `groups`, its tie groups in rank order, is built by `_tie_groups` on
+    first read and kept; n needs no sorting. interval_for gives a group's
+    quantile interval.
+    """
+
+    def __init__(self, source: DocumentSet):
         self.source = source
-        self.groups = groups
+        self._groups: tuple[TieGroup, ...] | None = None
+
+    @property
+    def groups(self) -> tuple[TieGroup, ...]:
+        if self._groups is None:
+            self._groups = _tie_groups(self.source)
+        return self._groups
 
     @property
     def n(self) -> int:
@@ -74,6 +84,16 @@ def interval_for(group: TieGroup, n: int) -> QuantileInterval:
 
 
 def rank(document_set: DocumentSet) -> RankedSet:
+    """Rank a document set ascending by citation count.
+
+    Nothing is sorted here: the ranked set sorts and splits the documents
+    into tie groups when its `groups` is first read. A caller that needs
+    only n, such as fractional `compute_indicators`, never pays for it.
+    """
+    return RankedSet(document_set)
+
+
+def _tie_groups(document_set: DocumentSet) -> tuple[TieGroup, ...]:
     """Sort ascending by citation count and split into tie groups.
 
     Tied documents form one group with one rank span, hence one shared
@@ -86,7 +106,7 @@ def rank(document_set: DocumentSet) -> RankedSet:
     # Counted in rank order, so the sizes come out by ascending citations.
     sizes = Counter([citations for citations, _ in ordered])
     ends = [*accumulate(sizes.values(), initial=0)]
-    return RankedSet(document_set, tuple([
+    return tuple([
         tuple.__new__(TieGroup, (citations, ids[low:high], low + 1, high))
         for citations, low, high in zip(sizes, ends, ends[1:])
-    ]))
+    ])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import pctrank.ranking
 from pctrank import DocumentSet, RankedSet, rank
 from support import make_distinct
 
@@ -26,3 +27,18 @@ def eight_distinct() -> DocumentSet:
 @pytest.fixture
 def eight_ranked(eight_distinct) -> RankedSet:
     return rank(eight_distinct)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The document sets that the tie group builder behind RankedSet.groups
+    is called on, in order."""
+    calls = []
+    build = pctrank.ranking._tie_groups
+
+    def counted(document_set):
+        calls.append(document_set)
+        return build(document_set)
+
+    monkeypatch.setattr(pctrank.ranking, "_tie_groups", counted)
+    return calls

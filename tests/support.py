@@ -10,6 +10,8 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from pctrank import (
@@ -26,6 +28,7 @@ from pctrank import (
     QuantileInterval,
     RankedSet,
     RoundingMode,
+    TieGroup,
     interval_for,
     per_doc_score,
     scheme_from_boundaries,
@@ -62,6 +65,18 @@ def overlap_fractions_oracle(
 # package decides each tie group once on an integer grid (scoring._points,
 # scoring._fractions); these functions share none of that code, so comparing
 # the two means something.
+
+def tie_groups_oracle(document_set: DocumentSet) -> tuple[TieGroup, ...]:
+    """Reference tie groups: itertools.groupby over the sorted (citations, id)
+    pairs, with each group's rank span counted from the sizes before it."""
+    pairs = sorted((record.citations, record.doc_id) for record in document_set.records)
+    groups, below = [], 0
+    for citations, members in groupby(pairs, key=itemgetter(0)):
+        ids = tuple(doc_id for _, doc_id in members)
+        groups.append(TieGroup(citations, ids, below + 1, below + len(ids)))
+        below += len(ids)
+    return tuple(groups)
+
 
 def ids_in_rank_order(ranked: RankedSet) -> list[str]:
     """Ascending by citations, ids sorted inside each tie group."""

@@ -382,6 +382,16 @@ class TestIndicatorsWork:
         assert code == EXIT_OK, err
         assert [group["i3"] for group in json.loads(out)["groups"]] == ["303/2", "101"]
 
+    @pytest.mark.parametrize("rule,sets", [("fractional", 0), ("count-worse", 2)])
+    def test_only_point_rules_build_tie_groups(self, run, builds, rule, sets):
+        code, out, err = run(
+            ["indicators", "--scheme", "pr6", "--rule", rule, "--format", "csv"],
+            stdin_text=GROUPED_CSV,
+        )
+        assert code == EXIT_OK, err
+        assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["3", "2"]
+        assert len(builds) == sets
+
 
 class TestIndicators:
     def test_json_for_eight_documents(self, run, eight_file):
@@ -789,6 +799,43 @@ class TestExitCodes:
         assert (result.returncode, result.stderr) == (
             EXIT_OUTPUT, "pct: cannot write output: No space left on device\n"
         )
+
+    @staticmethod
+    def run_with_closed(fd: int, argv: list[str]) -> subprocess.CompletedProcess:
+        """`python -m pctrank` in a child whose file descriptor fd is closed,
+        as `<&-`, `>&-` or `2>&-` leaves it."""
+        return subprocess.run(
+            [sys.executable, "-m", "pctrank", *argv],
+            capture_output=True, text=True, preexec_fn=lambda: os.close(fd),
+        )
+
+    def test_a_closed_stdout_gives_one_line(self):
+        result = self.run_with_closed(1, ["schemes"])
+        assert (result.returncode, result.stderr) == (
+            EXIT_OUTPUT, "pct: cannot write output: Bad file descriptor\n"
+        )
+
+    def test_a_closed_stdin_is_an_input_error(self):
+        result = self.run_with_closed(0, ["indicators", "--scheme", "pr6", "--input", "-"])
+        assert (result.returncode, result.stdout, result.stderr) == (
+            EXIT_DATA, "", "pct: input error: cannot read input -: standard input is closed\n"
+        )
+
+    @pytest.mark.parametrize("code,argv", [
+        (EXIT_DATA, ["indicators", "--scheme", "pr6", "--input", "absent.csv"]),
+        (EXIT_CONFIG, ["indicators", "--scheme", "top7", "--input", "one.csv"]),
+        (EXIT_BOUNDARY, ["attribute", "--scheme", "top50", "--rule", "midpoint",
+                         "--boundary", "error", "--input", "one.csv"]),
+        (EXIT_OK, ["attribute", "--scheme", "top50", "--rule", "midpoint",
+                   "--input", "one.csv"]),
+    ], ids=["data", "config", "boundary", "warning"])
+    def test_a_closed_stderr_keeps_the_exit_code_and_stdout(self, run, tmp_path, code, argv):
+        (tmp_path / "one.csv").write_text("id,citations\na,1\n")
+        argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+        open_code, out, err = run(argv)
+        assert (open_code, err[:5]) == (code, "pct: ")
+        result = self.run_with_closed(2, argv)
+        assert (result.returncode, result.stdout) == (code, out)
 
     def test_missing_input_file(self, run, tmp_path):
         code, _, err = run(

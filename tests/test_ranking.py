@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pctrank import (
@@ -16,13 +16,22 @@ from pctrank import (
     TieGroup,
     attribute_all,
     builtin_scheme,
+    class_counts,
     compare_rules,
     compute_indicators,
+    i3,
     interval_for,
     rank,
     render_attributions,
+    theoretical_total,
 )
-from support import intervals_by_id, make_distinct, make_tied, random_document_set
+from support import (
+    intervals_by_id,
+    make_distinct,
+    make_tied,
+    random_document_set,
+    tie_groups_oracle,
+)
 
 F = Fraction
 
@@ -135,7 +144,88 @@ class TestLazyIntervals:
             for fmt in ("csv", "json", "table"):
                 render_attributions([("g", ranked, attributions)], scheme, rule, fmt=fmt)
         # No consumer keeps a per-document map on the ranked set.
-        assert set(vars(ranked)) == {"source", "groups"}
+        assert set(vars(ranked)) == {"source", "_groups"}
+
+
+MIXED = DocumentSet((
+    CitationRecord("w", 0), CitationRecord("x", 3), CitationRecord("y", 3),
+    CitationRecord("z", 9), CitationRecord("v", 3),
+))
+
+
+class TestGroupsOnFirstRead:
+    def test_rank_builds_nothing_until_groups_is_read(self, builds):
+        ranked = rank(MIXED)
+        assert (ranked.source, ranked.n) == (MIXED, 5)
+        assert builds == []
+        groups = ranked.groups
+        assert builds == [MIXED]
+        assert ranked.groups is groups
+        assert builds == [MIXED]
+        assert [g.member_ids for g in groups] == [("w",), ("v", "x", "y"), ("z",)]
+
+    @pytest.mark.parametrize("selector", ["top50", "pr6", "pr100", "topx(1/10)"])
+    def test_fractional_indicators_need_only_n(self, builds, selector):
+        scheme = builtin_scheme(selector)
+        ranked = rank(MIXED)
+        result = compute_indicators(ranked, scheme, CountingRule.FRACTIONAL)
+        assert len(result.per_doc_scores) == 5
+        assert builds == []
+        assert result.i3 == theoretical_total(scheme, 5)
+        assert result.r == result.i3 / 5
+        assert result.pp == (scheme.classes[-1].width if scheme.k == 2 else None)
+        # The same values summed from every document's fractions.
+        counts = class_counts(attribute_all(ranked, scheme, CountingRule.FRACTIONAL), scheme)
+        assert builds == [MIXED]
+        assert result.i3 == i3(counts)
+        if scheme.k == 2:
+            assert result.pp == counts.counts[-1] / 5
+
+    @pytest.mark.parametrize("consumer", [
+        lambda ranked, scheme: compute_indicators(
+            ranked, scheme, CountingRule.FRACTIONAL).per_doc_scores["x"],
+        lambda ranked, scheme: compute_indicators(
+            ranked, scheme, CountingRule.MIDPOINT, policy=BoundaryPolicy.LOWER),
+        lambda ranked, scheme: attribute_all(ranked, scheme, CountingRule.FRACTIONAL),
+        lambda ranked, scheme: compare_rules(ranked, scheme),
+    ], ids=["per_doc_scores", "point_indicators", "attribute_all", "compare_rules"])
+    def test_what_needs_the_groups_builds_them_once(self, builds, consumer):
+        ranked, scheme = rank(MIXED), builtin_scheme("top50")
+        consumer(ranked, scheme)
+        assert builds == [MIXED]
+        consumer(ranked, scheme)
+        assert builds == [MIXED]
+
+
+@st.composite
+def ranked_inputs(draw):
+    """Records with random unique ids and one of three tie shapes, and the
+    same records in another order."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["one-document groups", "one huge tie", "mixed"]))
+    n = rng.randint(1, 400 if shape == "one huge tie" else 60)
+    ids = rng.sample([f"{prefix}{i}" for prefix in "abc" for i in range(n)], n)
+    if shape == "one-document groups":
+        citations = rng.sample(range(10 * n), n)
+    elif shape == "one huge tie":
+        citations = [rng.randint(0, 5)] * n
+    else:
+        spread = rng.randint(1, n)
+        citations = [rng.randint(0, spread) for _ in range(n)]
+    records = [CitationRecord(doc_id, c) for doc_id, c in zip(ids, citations)]
+    permuted = records[:]
+    rng.shuffle(permuted)
+    return DocumentSet(tuple(records)), DocumentSet(tuple(permuted))
+
+
+@settings(max_examples=60, deadline=None)
+@seed(20120417)
+@given(ranked_inputs())
+def test_tie_groups_match_a_plain_sort_and_split(inputs):
+    original, permuted = inputs
+    expected = tie_groups_oracle(original)
+    assert rank(original).groups == expected
+    assert rank(permuted).groups == expected
 
 
 class TestRankProperties:
