@@ -55,11 +55,19 @@ MAX_PRECISION = 100
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage failures exit with the configuration error code."""
+    """Parser whose usage failures exit with the configuration error code, and
+    whose help and version text is written as a command's output is."""
 
     def error(self, message):
         _say(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_CONFIG)
+
+    def _print_message(self, message, file=None):
+        # argparse passes sys.stdout, which is None when fd 1 was closed.
+        if file is not sys.stdout:
+            super()._print_message(message, file)
+        elif message and _write(message) != EXIT_OK:
+            raise SystemExit(EXIT_OUTPUT)
 
 
 def _say(message: str) -> None:
@@ -299,6 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     except BoundaryAmbiguityError as exc:
         _say(f"pct: {exc}")
         return EXIT_BOUNDARY
+    return _write(output)
+
+
+def _write(output: str) -> int:
+    """Write to stdout; a failed write is one line on stderr and EXIT_OUTPUT."""
     try:
         if sys.stdout is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))

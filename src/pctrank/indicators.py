@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import SchemeError
@@ -191,10 +192,10 @@ def compute_indicators(
             tallies[class_index - 1] += group.size
             if boundary is not None:
                 hits += group.size
-        totals = ClassCounts(scheme, tuple(map(Fraction, tallies)))
-        total = i3(totals)
-        r = r_indicator(total, n)
-        pp = pp_top(totals, n) if scheme.k == 2 else None
+        # I3 in units of 1/W, W the weights' lcm: integer products only.
+        units = sum(map(mul, tallies, scheme._weight_units))
+        total, r = Fraction(units, scheme._weight_lcm), Fraction(units, scheme._weight_lcm * n)
+        pp = Fraction(tallies[-1], n) if scheme.k == 2 else None
     options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
     return IndicatorResult(
         scheme.name, rule, n, total, r, pp, _MemberScores(ranked, scheme, rule, options), hits,

@@ -16,6 +16,7 @@ import re
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import chain, pairwise, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -46,7 +47,6 @@ DEFAULT_GROUP = "default"
 DEFAULT_PRECISION = 4
 PERCENT_DECIMALS = 2
 
-_CITATIONS_RE = re.compile(r"^[0-9]+$")
 _KNOWN_COLUMNS = ("id", "citations", "group")
 _KNOWN_FIELDS = frozenset(_KNOWN_COLUMNS)
 
@@ -61,12 +61,17 @@ def decimal_str(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """
     if value == 0:
         return "0"
-    context = Context(prec=max(1, precision), rounding=ROUND_HALF_UP)
+    context = _decimal_context(max(1, precision))
     quotient = context.divide(Decimal(value.numerator), Decimal(value.denominator))
     text = format(quotient, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text
+
+
+@cache
+def _decimal_context(precision: int) -> Context:
+    return Context(prec=precision, rounding=ROUND_HALF_UP)
 
 
 def percent_str(value: Fraction) -> str:
@@ -162,7 +167,8 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
             break
         blank += 1
     stream.seek(0)
-    reader = csv.reader(stream, delimiter="\t" if "\t" in line else ",")
+    delimiter = "\t" if "\t" in line else ","
+    reader = csv.reader(stream, delimiter=delimiter)
     rows = _csv_rows(reader)
     for _ in range(blank):
         next(rows)
@@ -175,11 +181,15 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
         raise DataError("repeated column name in header", line=header_line)
     if "id" not in header or "citations" not in header:
         raise DataError("header must name the id and citations columns", line=header_line)
+    records = _plain_columns(text, blank + 1, delimiter, header)
+    if records is not None:
+        return records
+
+    # Row by row, only when a column check failed: the first bad row raises.
     columns = len(header)
     id_at, citations_at = header.index("id"), header.index("citations")
     group_at = header.index("group") if "group" in header else None
-
-    records: list[CitationRecord] = []
+    records = []
     seen: dict[str, int] = {}
     last_line = reader.line_num
     for row in rows:
@@ -199,7 +209,7 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
             )
         seen[doc_id] = line_no
         raw_citations = row[citations_at].strip()
-        if not _CITATIONS_RE.match(raw_citations):
+        if not (raw_citations.isascii() and raw_citations.isdigit()):
             raise DataError(
                 f"citations must be a base-10 non-negative integer, got {raw_citations!r}",
                 line=line_no,
@@ -216,6 +226,47 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     if not records:
         raise DataError("no data rows in input")
     return records
+
+
+def _plain_columns(text, skip, delimiter, header) -> list[CitationRecord] | None:
+    """The records of the data lines after the first `skip`, checked column
+    by column, or None when a check fails. Only plain text qualifies: no quote
+    and no carriage return, and every data line holds one cell per column and
+    is shorter than the csv field limit, so str.split gives the cells that
+    csv.reader would."""
+    lines = [] if '"' in text or "\r" in text else text.removesuffix("\n").split("\n")[skip:]
+    if (not lines or set(map(str.count, lines, repeat(delimiter))) != {len(header) - 1}
+            or max(map(len, lines)) >= csv.field_size_limit()):
+        return None
+    cells = delimiter.join(lines).split(delimiter)
+    del lines
+    ids, counts, groups = (
+        [*map(str.strip, cells[header.index(name)::len(header)])] if name in header else None
+        for name in _KNOWN_COLUMNS
+    )
+    del cells
+    digits, limit = "".join(counts), sys.get_int_max_str_digits()
+    if not (all(counts) and digits.isascii() and digits.isdigit()
+            and (not limit or max(map(len, counts)) <= limit)):
+        return None
+    return _checked_columns(ids, [*map(int, counts)], groups or [None] * len(ids))
+
+
+def _checked_columns(ids: list, citations: list, groups: list) -> list[CitationRecord] | None:
+    """The records of whole columns, or None when a row check of either
+    reader would fail: an id that is not a string, is blank or repeats, a
+    count that is not a non-negative int, a group neither string nor None,
+    or a NUL in an id or group."""
+    if not (
+        ids and set(map(type, ids)) == {str} and all(map(str.strip, ids))
+        and len(set(ids)) == len(ids) and set(map(type, citations)) == {int}
+        and min(citations) >= 0 and set(map(type, groups)) <= {str, type(None)}
+        and "\0" not in "".join(ids) + "".join(filter(None, groups))
+    ):
+        return None
+    # A blank group is no group; other names stay as written.
+    groups = [group if group and not group.isspace() else None for group in groups]
+    return [*map(tuple.__new__, repeat(CitationRecord), zip(ids, citations, groups))]
 
 
 def _too_many_digits(digits: str) -> str:
@@ -256,7 +307,12 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
     rows = doc.get("documents") if isinstance(doc, dict) else doc
     if not isinstance(rows, list):
         raise DataError('JSON input must be a list of records or {"documents": [...]}')
-    records: list[CitationRecord] = []
+    if set(map(type, rows)) == {dict} and _KNOWN_FIELDS.issuperset(chain.from_iterable(rows)):
+        records = _checked_columns(*(list(map(dict.get, rows, repeat(k))) for k in _KNOWN_COLUMNS))
+        if records is not None:
+            return records
+    # Row by row, only when a column check failed: the first bad row raises.
+    records = []
     seen: set[str] = set()
     try:
         for pos, row in enumerate(rows, start=1):

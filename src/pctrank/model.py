@@ -159,12 +159,15 @@ class PRScheme:
             if cls.index != position:
                 raise SchemeError(f"class at position {position} carries index {cls.index}")
         self.lower_bounds: tuple[Fraction, ...] = tuple(cls.lower for cls in self.classes)
-        # The scheme on scoring's integer grid: D, each boundary's cut b*D, and
-        # each class's one-hot fractions tuple, made on first use. A derived value's
-        # denominator divides a small multiple of n times D times the weights' lcm.
+        # The scheme on scoring's integer grid: D, each boundary's cut b*D, each
+        # weight in units of 1/W for the weights' lcm W, and each class's one-hot
+        # fractions tuple, made on first use. A derived value's denominator
+        # divides a small multiple of n times D times W.
         self._boundary_lcm = d = math.lcm(*(b.denominator for b in self.lower_bounds))
+        self._weight_lcm = lcm = math.lcm(*(w.denominator for w in self.weights))
+        self._weight_units = [w.numerator * (lcm // w.denominator) for w in self.weights]
         limit = sys.get_int_max_str_digits()
-        common = d * math.lcm(*(w.denominator for w in self.weights))
+        common = d * lcm
         if limit and common >= 10 ** limit:
             raise SchemeError(
                 f"scheme {_shortened(name)} needs denominators of more than {limit} "

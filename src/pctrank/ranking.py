@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import DocumentSet
@@ -100,11 +101,13 @@ def _tie_groups(document_set: DocumentSet) -> tuple[TieGroup, ...]:
     interval. Member ids are sorted, so the result is identical for any
     permutation of the input records.
     """
-    # Ids are unique, so sorting the pairs sorts by citations, then by id.
-    ordered = sorted([(record.citations, record.doc_id) for record in document_set.records])
-    ids = tuple([doc_id for _, doc_id in ordered])
+    # By id, then stably by citations: ordered by citations, then by id.
+    by_id, by_citations = itemgetter(0), itemgetter(1)
+    ordered = sorted(document_set.records, key=by_id)
+    ordered.sort(key=by_citations)
+    ids = tuple(map(by_id, ordered))
     # Counted in rank order, so the sizes come out by ascending citations.
-    sizes = Counter([citations for citations, _ in ordered])
+    sizes = Counter(map(by_citations, ordered))
     ends = [*accumulate(sizes.values(), initial=0)]
     return tuple([
         tuple.__new__(TieGroup, (citations, ids[low:high], low + 1, high))

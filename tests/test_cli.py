@@ -815,6 +815,23 @@ class TestExitCodes:
             EXIT_OUTPUT, "pct: cannot write output: Bad file descriptor\n"
         )
 
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["report", "--help"]])
+    def test_help_and_version_with_a_closed_stdout_give_one_line(self, argv):
+        result = self.run_with_closed(1, argv)
+        assert (result.returncode, result.stderr) == (
+            EXIT_OUTPUT, "pct: cannot write output: Bad file descriptor\n"
+        )
+
+    @pytest.mark.parametrize("argv,start", [
+        (["--version"], "pct 0.1.0\n"), (["--help"], "usage: pct "),
+        (["report", "--help"], "usage: pct report "),
+    ])
+    def test_help_and_version_still_print_and_exit_0(self, run, capsys, argv, start):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(start)
+
     def test_a_closed_stdin_is_an_input_error(self):
         result = self.run_with_closed(0, ["indicators", "--scheme", "pr6", "--input", "-"])
         assert (result.returncode, result.stdout, result.stderr) == (

@@ -3,12 +3,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pctrank.io
 from pctrank import (
     BoundaryPolicy,
     CitationRecord,
@@ -136,6 +139,12 @@ class TestReadRecords:
             read_records(io.StringIO(text))
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("digits", ["٣", "１", "²", "1٣"])
+    def test_citations_other_than_ascii_digits_are_refused(self, digits):
+        message = f"^line 3: citations must be a base-10 non-negative integer, got '{digits}'$"
+        with pytest.raises(DataError, match=message):
+            read_records(io.StringIO(f"id,citations\na,1\nb,{digits}\n"))
+
     def test_duplicate_ids_name_both_lines(self):
         text = "id,citations\na,1\nb,2\na,3\n"
         with pytest.raises(DataError) as err:
@@ -257,6 +266,172 @@ class TestRoundTrip:
         ])))
         assert from_csv == from_json == [CitationRecord("a", 1), CitationRecord("b", 2)]
         assert list(partition_by_group(from_json)) == ["default"]
+
+
+def read_outcome(text: str):
+    """The records read_records gives text, or its DataError message."""
+    try:
+        return read_records(io.StringIO(text, newline=""))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def row_loop_outcome(text: str):
+    """read_outcome with every column check failing, so that each reader
+    runs its row loop alone."""
+    with mock.patch.object(pctrank.io, "_checked_columns", lambda *columns: None):
+        return read_outcome(text)
+
+
+INT_DIGITS = sys.get_int_max_str_digits() or 4300
+FIELD_LIMIT = csv.field_size_limit()
+BLANK_LINES = ["", " ", "\t", " \t "]
+# Cells that some row check refuses, or that only a row loop reads right.
+SPECIAL_CELLS = {
+    "id": ["", " ", " pad ", "d0", "x y", "é", 'q"x', '"d1"', "a\rb", "a\0b",
+           "x" * FIELD_LIMIT, "x" * (FIELD_LIMIT + 1)],
+    "citations": ["", " 3 ", "007", "٣", "１", "²", "+1", "-1", "1.5", "1e3", "x",
+                  "9" * INT_DIGITS, "9" * (INT_DIGITS + 1)],
+    "group": ["", " ", " g2 ", "default", "a\0b", "x" * (FIELD_LIMIT + 1)],
+}
+# JSON texts of values that some row check refuses, by field.
+SPECIAL_JSON = {
+    "id": ['""', '" "', '" pad "', '"d0"', "3", "null", "true", '"a\\u0000b"'],
+    "citations": ["true", "false", "1.5", "2.0", "1e2", "-1", '"7"', "null",
+                  "9" * (INT_DIGITS + 1)],
+    "group": ['""', '" "', '"g1"', "3", "null", "false", '"a\\u0000b"'],
+    "extra": ["1"],
+}
+
+
+@st.composite
+def delimited_inputs(draw):
+    """csv or tsv, mostly clean, with blank lines, CRLF, quoted fields,
+    trailing delimiters, short and long rows and special cells injected."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    header = draw(st.permutations(["id", "citations", "group"]))
+    if draw(st.booleans()):
+        header.remove("group")
+    lines = draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+    lines.append(delimiter.join(header))
+    for i in range(draw(st.integers(1, 6))):
+        cells = {"id": f"d{i}", "citations": str(draw(st.integers(0, 99))),
+                 "group": draw(st.sampled_from(["", "g1", "g2"]))}
+        if draw(st.integers(0, 5)) == 0:
+            name = draw(st.sampled_from(header))
+            cells[name] = draw(st.sampled_from(SPECIAL_CELLS[name]))
+        row = [cells[name] for name in header]
+        shape = draw(st.sampled_from(["plain"] * 16 + ["quoted", "trailing", "short", "long"]))
+        if shape == "quoted":
+            at = draw(st.integers(0, len(row) - 1))
+            row[at] = '"' + row[at].replace('"', '""') + '"'
+        elif shape == "trailing":
+            row.append("")
+        elif shape == "short":
+            row.pop()
+        elif shape == "long":
+            row.append("1")
+        lines.append(delimiter.join(row))
+        lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=1))
+    end = draw(st.sampled_from([newline, "", newline + " " + newline]))
+    return newline.join(lines) + end
+
+
+@st.composite
+def json_inputs(draw):
+    """JSON lists or {"documents": [...]}, mostly clean, with booleans,
+    floats, integers read as Decimals, blank groups, other types, unknown
+    fields, missing fields and non-object rows injected."""
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        fields = {"id": f'"d{i}"', "citations": str(draw(st.integers(0, 99)))}
+        if draw(st.booleans()):
+            fields["group"] = draw(st.sampled_from(['"g1"', '"g2"', '""']))
+        injected = draw(st.integers(0, 7))
+        if injected == 0:
+            name = draw(st.sampled_from(sorted(SPECIAL_JSON)))
+            fields[name] = draw(st.sampled_from(SPECIAL_JSON[name]))
+        elif injected == 1:
+            del fields[draw(st.sampled_from(["id", "citations"]))]
+        rows.append(
+            "{" + ", ".join(f'"{name}": {value}' for name, value in fields.items()) + "}"
+            if draw(st.integers(0, 19)) else draw(st.sampled_from(["3", "[]", "null"]))
+        )
+    text = "[" + ", ".join(rows) + "]"
+    return f'{{"documents": {text}}}' if draw(st.booleans()) else text
+
+
+class TestColumnChecks:
+    """The column checks take the records straight from whole columns; when
+    any check fails, the reader's row loop runs as it always did."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.one_of(delimited_inputs(), json_inputs()))
+    def test_columns_and_row_loop_agree(self, text):
+        assert read_outcome(text) == row_loop_outcome(text)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["csv", "tsv"])
+    @pytest.mark.parametrize("name,cell", [
+        pytest.param(name, cell, id=f"{name}-{i}")
+        for name, cells in SPECIAL_CELLS.items() for i, cell in enumerate(cells)
+    ])
+    def test_each_special_cell(self, name, cell, delimiter):
+        rows = [{"id": f"d{i}", "citations": str(i), "group": "g"} for i in range(3)]
+        rows[1][name] = cell
+        text = "\n".join(
+            delimiter.join(row) for row in [["id", "citations", "group"]]
+            + [[row["id"], row["citations"], row["group"]] for row in rows]
+        ) + "\n"
+        assert read_outcome(text) == row_loop_outcome(text)
+
+    @pytest.mark.parametrize("name,value", [
+        pytest.param(name, value, id=f"{name}-{i}")
+        for name, values in SPECIAL_JSON.items() for i, value in enumerate(values)
+    ] + [pytest.param(None, "3", id="number-row"), pytest.param(None, "[]", id="list-row")])
+    def test_each_special_json_value(self, name, value):
+        rows = [f'{{"id": "d{i}", "citations": {i}, "group": "g"}}' for i in range(3)]
+        rows[1] = value if name is None else rows[1][:-1] + f', "{name}": {value}}}'
+        text = "[" + ", ".join(rows) + "]"
+        assert read_outcome(text) == row_loop_outcome(text)
+
+    @pytest.mark.parametrize("text", [
+        "id,citations\na,1\nb,2,\n",
+        "id,citations\na,1\nb\n",
+        "id,citations\na,1\r\nb,2\r\n",
+        "id,citations\na,1\n\nb,2\n \n",
+        "id,citations\na,1\n , \nb,2\n",
+        "id,citations\na,1\rb,2\n",
+        'id,citations\n"a",1\n"b,c",2\n',
+        "id\tcitations\na\t1\t\n",
+        "id,citations\n",
+        "id,citations,group\na,1,default\nb,2,\n",
+    ])
+    def test_each_row_shape(self, text):
+        assert read_outcome(text) == row_loop_outcome(text)
+
+    @pytest.mark.parametrize("text", [
+        CSV_TEXT,
+        CSV_TEXT.replace(",", "\t"),
+        "\n \n" + CSV_TEXT,
+        CSV_TEXT.rstrip("\n"),
+        "id,citations\n a , 5\nb,007\n",
+        "group,citations,id\n,1,a\n \t,2,b\ng,3,c\n",
+        json.dumps([{"id": "a", "citations": 12, "group": "alpha"}, {"id": " b", "citations": 0}]),
+        json.dumps({"documents": [{"id": "a", "citations": 1, "group": " "}]}),
+    ])
+    def test_clean_input_never_enters_a_row_loop(self, text):
+        checked, original = [], pctrank.io._checked_columns
+
+        def spy(*columns):
+            checked.append(original(*columns))
+            return checked[-1]
+
+        with mock.patch.object(pctrank.io, "_checked_columns", spy):
+            records = read_records(io.StringIO(text))
+        # The records are the ones the column checks built.
+        assert len(checked) == 1 and records is checked[0]
+        assert records == row_loop_outcome(text)
 
 
 class TestPartitionByGroup:
