@@ -27,6 +27,7 @@ from .model import (
     CitationRecord,
     DocumentSet,
     PRScheme,
+    has_surrogate,
     scheme_to_document,
     theoretical_total,
 )
@@ -221,6 +222,8 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
         group = row[group_at].strip() if group_at is not None else ""
         if "\0" in doc_id or "\0" in group:
             raise DataError("an id or group holds a NUL character", line=line_no)
+        if has_surrogate(doc_id + group):
+            raise DataError("an id or group holds a lone surrogate", line=line_no)
         # Checked above, so the record skips CitationRecord's own checks.
         records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
     if not records:
@@ -230,11 +233,13 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
 
 def _plain_columns(text, skip, delimiter, header) -> list[CitationRecord] | None:
     """The records of the data lines after the first `skip`, checked column
-    by column, or None when a check fails. Only plain text qualifies: no quote
-    and no carriage return, and every data line holds one cell per column and
-    is shorter than the csv field limit, so str.split gives the cells that
-    csv.reader would."""
-    lines = [] if '"' in text or "\r" in text else text.removesuffix("\n").split("\n")[skip:]
+    by column, or None when a check fails. Only plain text qualifies: no quote,
+    no carriage return but in a CRLF line end, and every data line holds one
+    cell per column and is shorter than the csv field limit, so str.split and
+    str.strip give the cells that csv.reader would."""
+    # Counting "\r\n" is slow, so text without "\r" skips it.
+    plain = '"' not in text and ("\r" not in text or text.count("\r") == text.count("\r\n"))
+    lines = text.removesuffix("\n").split("\n")[skip:] if plain else []
     if (not lines or set(map(str.count, lines, repeat(delimiter))) != {len(header) - 1}
             or max(map(len, lines)) >= csv.field_size_limit()):
         return None
@@ -256,12 +261,13 @@ def _checked_columns(ids: list, citations: list, groups: list) -> list[CitationR
     """The records of whole columns, or None when a row check of either
     reader would fail: an id that is not a string, is blank or repeats, a
     count that is not a non-negative int, a group neither string nor None,
-    or a NUL in an id or group."""
+    or a NUL or lone surrogate in an id or group."""
     if not (
         ids and set(map(type, ids)) == {str} and all(map(str.strip, ids))
         and len(set(ids)) == len(ids) and set(map(type, citations)) == {int}
         and min(citations) >= 0 and set(map(type, groups)) <= {str, type(None)}
-        and "\0" not in "".join(ids) + "".join(filter(None, groups))
+        and "\0" not in (text := "".join(ids) + "".join(filter(None, groups)))
+        and not has_surrogate(text)
     ):
         return None
     # A blank group is no group; other names stay as written.
@@ -337,6 +343,8 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
                 raise DataError("group must be a string when present")
             if "\0" in doc_id or group and "\0" in group:
                 raise DataError("an id or group holds a NUL character")
+            if has_surrogate(doc_id + (group or "")):
+                raise DataError("an id or group holds a lone surrogate")
             # A blank group is no group, as in csv; other names stay as written.
             group = group if group and group.strip() else None
             records.append(tuple.__new__(CitationRecord, (doc_id, citations, group)))
@@ -382,10 +390,6 @@ def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) ->
         for ids, head, tail in zip(member_ids, heads, tails)
         for doc_id in ids
     ]
-
-
-def _table_or_none(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
-    return _render_table(header, groups, id_at) if groups else ["  none"]
 
 
 class _Rows(list):
@@ -722,98 +726,79 @@ def render_report(
     fmt: str = "table",
 ) -> str:
     """Boundary hits, cross-rule class disagreements and fractional class
-    counts per group, one row or object per document. A flag or
-    disagreement covers a tie group: its shared cells (or JSON texts) are
-    formatted once and each member adds only its id."""
-    if fmt == "csv":
-        rows = []
-        for group_key, _, report in batches:
-            rows += [
-                (flag.member_ids, [
-                    group_key, "flag", flag.rule.value, str(flag.interval_low),
-                    str(flag.interval_high), str(flag.quantile), str(flag.boundary), *[""] * 5,
-                ])
-                for flag in report.flags
-            ]
-            rows += [
-                (d.member_ids, [group_key, "disagreement", *[""] * 5,
-                                *(d.classes[rule] for rule in POINT_RULES), "", ""])
-                for d in report.disagreements
-            ]
-            # A count row has no id: a group of one blank id.
-            rows += [
-                (("",), [group_key, "fractional_count", *[""] * 8, i, count])
-                for i, count in enumerate(report.fractional_counts.counts, start=1)
-            ]
-        return _csv_text(_REPORT_COLUMNS, rows, id_at=_REPORT_COLUMNS.index("id"))
-    if fmt == "json":
-        groups, members = [], []
-        for group_key, ranked, report in batches:
-            flags = []
-            for flag in report.flags:
-                interval = _json_items(
-                    [f'"low": "{flag.interval_low}"', f'"high": "{flag.interval_high}"'], "{", "}"
-                )
-                flags.append((flag.member_ids, (
-                    f'{_DOC}{{{_FIELD}"rule": "{flag.rule.value}",{_FIELD}"id": ',
+    counts per group, one row or object per document, in one pass over the
+    groups. A flag or disagreement covers a tie group: its shared cells (or
+    JSON texts) are formatted once and each member adds only its id."""
+    # csv rows, JSON groups or table sections; JSON members go in `members`.
+    out, members = [], []
+    for group_key, ranked, report in batches:
+        flags = []
+        for flag in report.flags:
+            rule, low, high = flag.rule.value, flag.interval_low, flag.interval_high
+            if fmt == "csv":
+                cells = [group_key, "flag", rule, str(low), str(high), str(flag.quantile),
+                         str(flag.boundary), *[""] * 5]
+            elif fmt == "json":
+                interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
+                cells = (
+                    f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": ',
                     f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": "{flag.boundary}"'
                     f',{_FIELD}"interval": {interval}{_DOC}}}',
-                )))
-            disagreements = []
-            for d in report.disagreements:
-                classes = _json_items(
-                    (f'"{rule.value}": {d.classes[rule]}' for rule in POINT_RULES), "{", "}"
                 )
-                disagreements.append(
-                    (d.member_ids, (_ID_FIELD, f',{_FIELD}"classes": {classes}{_DOC}}}'))
-                )
+            else:
+                cells = [rule, f"[{low}, {high}]", interval_percent_str(low, high),
+                         str(flag.quantile), str(flag.boundary)]
+            flags.append((flag.member_ids, cells))
+        disagreements = []
+        for d in report.disagreements:
+            classes = [d.classes[rule] for rule in POINT_RULES]
+            if fmt == "csv":
+                cells = [group_key, "disagreement", *[""] * 5, *map(str, classes), "", ""]
+            elif fmt == "json":
+                items = (f'"{rule.value}": {c}' for rule, c in zip(POINT_RULES, classes))
+                cells = (_ID_FIELD, f',{_FIELD}"classes": {_json_items(items, "{", "}")}{_DOC}}}')
+            else:
+                cells = [*map(str, classes)]
+            disagreements.append((d.member_ids, cells))
+        counts = [*map(str, report.fractional_counts.counts)]
+        if fmt == "csv":
+            # A count row has no id: a group of one blank id.
+            out += flags + disagreements + [
+                (("",), [group_key, "fractional_count", *[""] * 8, str(i), count])
+                for i, count in enumerate(counts, start=1)
+            ]
+            continue
+        flag_counts = {rule.value: count for rule, count in report.flag_counts.items()}
+        disagreeing = sum(len(d.member_ids) for d in report.disagreements)
+        if fmt == "json":
             members += [_json_members(flags), _json_members(disagreements)]
-            groups.append({
-                "group": group_key,
-                "n": ranked.n,
-                "flags": [],
-                "disagreements": [],
-                "fractional_class_counts": [str(c) for c in report.fractional_counts.counts],
-                "summary": {
-                    "flag_counts": {rule.value: c for rule, c in report.flag_counts.items()},
-                    "disagreements": sum(len(d.member_ids) for d in report.disagreements),
-                },
+            out.append({
+                "group": group_key, "n": ranked.n, "flags": [], "disagreements": [],
+                "fractional_class_counts": counts,
+                "summary": {"flag_counts": flag_counts, "disagreements": disagreeing},
             })
+        else:
+            flag_header = ["rule", "id", "interval", "percent", "quantile", "boundary"]
+            out.append([
+                f"# group={group_key} n={ranked.n} scheme={scheme.name}"
+                f" rounding={rounding.value} route={midpoint_route.value}",
+                "boundary hits:",
+                *(_render_table(flag_header, flags, id_at=1) if flags else ["  none"]),
+                "class disagreements:",
+                *(_render_table(["id", *(rule.value for rule in POINT_RULES)], disagreements)
+                  if disagreements else ["  none"]),
+                f"fractional class counts: {', '.join(counts)}",
+                "summary: flags [" + ", ".join(f"{r}={c}" for r, c in flag_counts.items())
+                + f"], disagreements {disagreeing}",
+            ])
+    if fmt == "csv":
+        return _csv_text(_REPORT_COLUMNS, out, id_at=_REPORT_COLUMNS.index("id"))
+    if fmt == "json":
         return _json_spliced(_envelope(
             "report", scheme, rounding=rounding.value, midpoint_route=midpoint_route.value,
-            groups=groups,
+            groups=out,
         ), members)
-    sections = []
-    for group_key, ranked, report in batches:
-        flag_rows = []
-        for flag in report.flags:
-            low, high = flag.interval_low, flag.interval_high
-            flag_rows.append((flag.member_ids, [
-                flag.rule.value, f"[{low}, {high}]", interval_percent_str(low, high),
-                str(flag.quantile), str(flag.boundary),
-            ]))
-        disagreement_rows = [
-            (d.member_ids, [str(d.classes[rule]) for rule in POINT_RULES])
-            for d in report.disagreements
-        ]
-        flag_summary = ", ".join(
-            f"{rule.value}={count}" for rule, count in report.flag_counts.items()
-        )
-        disagreeing = sum(len(d.member_ids) for d in report.disagreements)
-        sections.append([
-            f"# group={group_key} n={ranked.n} scheme={scheme.name}"
-            f" rounding={rounding.value} route={midpoint_route.value}",
-            "boundary hits:",
-            *_table_or_none(
-                ["rule", "id", "interval", "percent", "quantile", "boundary"], flag_rows, id_at=1
-            ),
-            "class disagreements:",
-            *_table_or_none(["id", *(rule.value for rule in POINT_RULES)], disagreement_rows),
-            "fractional class counts: "
-            + ", ".join(str(c) for c in report.fractional_counts.counts),
-            f"summary: flags [{flag_summary}], disagreements {disagreeing}",
-        ])
-    return _sections(sections)
+    return _sections(out)
 
 
 # ---------------------------------------------------------------------------

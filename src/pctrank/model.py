@@ -48,6 +48,15 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
     return fraction
 
 
+def has_surrogate(text: str) -> bool:
+    """Whether text holds a lone surrogate (JSON can escape one): no UTF-8 output can."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _shortened(text: str, limit: int = 40) -> str:
     """repr(text), cut to its first `limit` characters when it is longer, so
     that an error message does not echo a huge value."""
@@ -66,9 +75,10 @@ class CitationRecord(_CitationRecord):
     """One document: an opaque id, its citation count, and an optional group key.
 
     The constructor checks every field and, as the readers do, refuses an
-    id made only of whitespace or an id or group holding NUL, and reads a
-    blank group as no group. The readers, which check rows themselves,
-    build records with `tuple.__new__(CitationRecord, fields)`.
+    id made only of whitespace or an id or group holding NUL or a lone
+    surrogate, and reads a blank group as no group. The readers, which
+    check rows themselves, build records with
+    `tuple.__new__(CitationRecord, fields)`.
     """
 
     __slots__ = ()
@@ -82,6 +92,8 @@ class CitationRecord(_CitationRecord):
             raise DataError(f"citations for {doc_id!r} must be non-negative")
         if "\0" in doc_id or isinstance(group, str) and "\0" in group:
             raise DataError(f"the id or group of {doc_id!r} holds a NUL character")
+        if has_surrogate(doc_id) or isinstance(group, str) and has_surrogate(group):
+            raise DataError(f"the id or group of {doc_id!r} holds a lone surrogate")
         if isinstance(group, str) and not group.strip():
             group = None
         return tuple.__new__(cls, (doc_id, citations, group))
@@ -371,6 +383,8 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
     # csv output holds the name, and a NUL there is an error on Python 3.10.
     if not isinstance(doc_name, str) or not doc_name or "\0" in doc_name:
         raise SchemeError("scheme field 'name' must be a non-empty string without NUL")
+    if has_surrogate(doc_name):
+        raise SchemeError(f"scheme name {doc_name!r} holds a lone surrogate")
 
     def parse_all(field: str) -> list[Fraction]:
         values = []

@@ -809,6 +809,55 @@ class TestExitCodes:
             capture_output=True, text=True, preexec_fn=lambda: os.close(fd),
         )
 
+    @staticmethod
+    def run_children(argvs: list[list[str]]) -> list[tuple[int, bytes, bytes]]:
+        """(exit code, stdout, stderr) of `python -m pctrank` with each argv,
+        the children side by side, on the streams the locale gives them
+        (surrogateescape in the C locale)."""
+        children = [
+            subprocess.Popen([sys.executable, "-m", "pctrank", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for argv in argvs
+        ]
+        results = []
+        for child in children:
+            out, err = child.communicate()
+            results.append((child.returncode, out, err))
+        return results
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("command", ["attribute", "indicators", "report"])
+    def test_a_lone_surrogate_in_an_id_or_group_is_refused(self, tmp_path, command, fmt):
+        """JSON can escape a lone surrogate, which UTF-8 cannot encode and
+        the C locale's surrogateescape writes as a raw byte: refused as NUL
+        is, in every format, with one line and no traceback."""
+        argvs = []
+        for i, (field, char) in enumerate([("id", "\ud800"), ("id", "\udc80"),
+                                           ("group", "\ud800"), ("group", "\udc80")]):
+            path = tmp_path / f"{i}.json"
+            # json.dumps writes each surrogate as a \u escape.
+            path.write_text(json.dumps([{"id": "b", "citations": 2},
+                                        {"id": "a", "citations": 1, field: f"x{char}"}]))
+            argvs.append([command, "--scheme", "top50", "--format", fmt, "--input", str(path)])
+        message = b"pct: input error: document 2: an id or group holds a lone surrogate\n"
+        assert self.run_children(argvs) == [(EXIT_DATA, b"", message)] * 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_a_lone_surrogate_in_a_scheme_name_is_refused(self, tmp_path, fmt):
+        """Named in the file, or named by a file name's stem that holds a
+        byte which is not UTF-8 (0x80, which the child reads as \\udc80)."""
+        named, unnamed = tmp_path / "s.json", tmp_path / "\udc80.json"
+        scheme = {"boundaries": ["0", "1/2", "1"], "weights": ["0", "1"]}
+        named.write_text(json.dumps({"name": "s\udc80", **scheme}))
+        unnamed.write_text(json.dumps(scheme))
+        results = self.run_children([
+            ["schemes", "--scheme", f"custom={path}", "--format", fmt] for path in (named, unnamed)
+        ])
+        assert results == [
+            (EXIT_CONFIG, b"", f"pct: config error: scheme name {name!r} holds a lone surrogate\n"
+             .encode()) for name in ("s\udc80", "\udc80")
+        ]
+
     def test_a_closed_stdout_gives_one_line(self):
         result = self.run_with_closed(1, ["schemes"])
         assert (result.returncode, result.stderr) == (

@@ -100,6 +100,8 @@ class TestScoresAndI3:
             a.doc_id: a for a in attribute_all(eight_ranked, pr100, FRAC)
         }
         assert per_doc_score(by_id["d8"], pr100) == F(2356, 25)
+        with pytest.raises(ValueError, match="^attribution for 'd8' does not match the scheme$"):
+            per_doc_score(by_id["d8"], pr6)
 
     def test_top_of_eight_midpoint_with_floor(self, eight_ranked):
         pr6 = builtin_scheme("pr6")
@@ -147,6 +149,8 @@ class TestRAndPP:
         scheme = topx_scheme(F(1, 10))
         counts = counts_for(rank(make_distinct(10)), scheme, FRAC)
         assert pp_top(counts, 10) == F(1, 10)
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            pp_top(counts, 0)
 
 
 class TestComputeIndicators:
@@ -159,6 +163,10 @@ class TestComputeIndicators:
         assert result.r == F(1, 2)
         assert result.pp == F(1, 2)
         assert result.per_doc_scores["d3"] == F(1, 2)
+        assert repr(result.per_doc_scores) == (
+            "{'d1': Fraction(0, 1), 'd2': Fraction(0, 1), 'd3': Fraction(1, 2), "
+            "'d4': Fraction(1, 1), 'd5': Fraction(1, 1)}"
+        )
 
     def test_eight_documents_pr6(self, eight_ranked):
         result = compute_indicators(eight_ranked, builtin_scheme("pr6"), FRAC)

@@ -145,6 +145,13 @@ class TestReadRecords:
         with pytest.raises(DataError, match=message):
             read_records(io.StringIO(f"id,citations\na,1\nb,{digits}\n"))
 
+    @pytest.mark.parametrize("row", ["b\ud800,2,g", "b,2,\udc80g"])
+    def test_a_lone_surrogate_in_a_text_stream_is_refused(self, row):
+        # Files and stdin are decoded as UTF-8, which refuses surrogates; a
+        # text stream passed in may still hold one.
+        with pytest.raises(DataError, match="^line 3: an id or group holds a lone surrogate$"):
+            read_records(io.StringIO(f"id,citations,group\na,1,g\n{row}\n"))
+
     def test_duplicate_ids_name_both_lines(self):
         text = "id,citations\na,1\nb,2\na,3\n"
         with pytest.raises(DataError) as err:
@@ -288,18 +295,19 @@ FIELD_LIMIT = csv.field_size_limit()
 BLANK_LINES = ["", " ", "\t", " \t "]
 # Cells that some row check refuses, or that only a row loop reads right.
 SPECIAL_CELLS = {
-    "id": ["", " ", " pad ", "d0", "x y", "é", 'q"x', '"d1"', "a\rb", "a\0b",
+    "id": ["", " ", " pad ", "d0", "x y", "é", 'q"x', '"d1"', "a\rb", "a\0b", "a\ud800b",
            "x" * FIELD_LIMIT, "x" * (FIELD_LIMIT + 1)],
     "citations": ["", " 3 ", "007", "٣", "１", "²", "+1", "-1", "1.5", "1e3", "x",
                   "9" * INT_DIGITS, "9" * (INT_DIGITS + 1)],
-    "group": ["", " ", " g2 ", "default", "a\0b", "x" * (FIELD_LIMIT + 1)],
+    "group": ["", " ", " g2 ", "default", "a\0b", "\udc80", "x" * (FIELD_LIMIT + 1)],
 }
 # JSON texts of values that some row check refuses, by field.
 SPECIAL_JSON = {
-    "id": ['""', '" "', '" pad "', '"d0"', "3", "null", "true", '"a\\u0000b"'],
+    "id": ['""', '" "', '" pad "', '"d0"', "3", "null", "true", '"a\\u0000b"',
+           '"a\\ud800b"', '"\\ud83d\\ude00"'],
     "citations": ["true", "false", "1.5", "2.0", "1e2", "-1", '"7"', "null",
                   "9" * (INT_DIGITS + 1)],
-    "group": ['""', '" "', '"g1"', "3", "null", "false", '"a\\u0000b"'],
+    "group": ['""', '" "', '"g1"', "3", "null", "false", '"a\\u0000b"', '"\\udc80"'],
     "extra": ["1"],
 }
 
@@ -399,6 +407,8 @@ class TestColumnChecks:
         "id,citations\na,1\nb,2,\n",
         "id,citations\na,1\nb\n",
         "id,citations\na,1\r\nb,2\r\n",
+        "id,citations\r\na,1\nb,2\r\n",
+        "id,citations\r\na,1\r\n\r\nb,2\r\r\n",
         "id,citations\na,1\n\nb,2\n \n",
         "id,citations\na,1\n , \nb,2\n",
         "id,citations\na,1\rb,2\n",
@@ -413,6 +423,8 @@ class TestColumnChecks:
     @pytest.mark.parametrize("text", [
         CSV_TEXT,
         CSV_TEXT.replace(",", "\t"),
+        CSV_TEXT.replace("\n", "\r\n"),
+        "\r\n" + CSV_TEXT.replace(",", " \t").replace("\n", " \r\n"),
         "\n \n" + CSV_TEXT,
         CSV_TEXT.rstrip("\n"),
         "id,citations\n a , 5\nb,007\n",

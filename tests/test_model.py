@@ -108,6 +108,13 @@ class TestRecordsAndSets:
         with pytest.raises(DataError, match="holds a NUL character"):
             CitationRecord(doc_id, 1, group)
 
+    @pytest.mark.parametrize("doc_id,group", [("a\ud800", None), ("\udc80", "g"),
+                                              ("a", "g\udfff")])
+    def test_a_lone_surrogate_in_an_id_or_group_is_refused(self, doc_id, group):
+        with pytest.raises(DataError, match="holds a lone surrogate"):
+            CitationRecord(doc_id, 1, group)
+        assert CitationRecord("\U0001f600", 1, "\u00e9").doc_id == "\U0001f600"
+
     def test_ids_and_groups_keep_their_inner_whitespace(self):
         record = CitationRecord(" pad ", 1, " g ")
         assert (record.doc_id, record.group) == (" pad ", " g ")
@@ -134,6 +141,13 @@ class TestBuiltinSchemes:
         scheme = builtin_scheme("top50")
         assert scheme.boundaries == (F(0), F(1, 2), F(1))
         assert scheme.weights == (F(0), F(1))
+        assert repr(scheme) == (
+            "PRScheme(name='top50', classes=("
+            "PRClass(index=1, lower=Fraction(0, 1), upper=Fraction(1, 2), weight=Fraction(0, 1)), "
+            "PRClass(index=2, lower=Fraction(1, 2), upper=Fraction(1, 1), weight=Fraction(1, 1))))"
+        )
+        # Only another scheme compares: anything else is left to its own __eq__.
+        assert scheme.__eq__(scheme.classes) is NotImplemented and scheme != "top50"
 
     def test_pr6_layout(self):
         scheme = builtin_scheme("pr6")
@@ -166,6 +180,8 @@ class TestBuiltinSchemes:
     def test_unknown_name(self):
         with pytest.raises(SchemeError):
             builtin_scheme("pr7")
+        with pytest.raises(SchemeError, match=r"^unknown scheme 'topx 1/10'; write topx=1/10 "):
+            builtin_scheme("topx 1/10")
 
 
 class TestTheoreticalTotal:
@@ -282,6 +298,7 @@ class TestCustomSchemeDocuments:
             {"boundaries": "0,1", "weights": ["1"]},
             {"boundaries": ["0", "0.3"], "weights": ["1"]},
             {"boundaries": ["0", "1"], "weights": ["1"], "name": "a\0b"},
+            {"boundaries": ["0", "1"], "weights": ["1"], "name": "s\udc80"},
             ["0", "1"],
         ],
     )
