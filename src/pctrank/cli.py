@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     scheme_required = argparse.ArgumentParser(add_help=False)
     scheme_required.add_argument(
         "--scheme", required=True,
-        help="top50 | pr6 | pr100 | topx=<fraction> | custom=<path>",
+        help=" | ".join([*BUILTIN_SCHEME_NAMES, "topx=<fraction>", "custom=<path>"]),
     )
 
     rule_config = argparse.ArgumentParser(add_help=False)

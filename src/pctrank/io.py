@@ -27,6 +27,7 @@ from .model import (
     CitationRecord,
     DocumentSet,
     PRScheme,
+    _shortened,
     has_surrogate,
     scheme_to_document,
     theoretical_total,
@@ -177,7 +178,9 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     header_line = blank + 1
     unknown = [name for name in header if name not in _KNOWN_COLUMNS]
     if unknown:
-        raise DataError(f"unknown column(s): {', '.join(unknown)}", line=header_line)
+        raise DataError(
+            f"unknown column(s): {', '.join(map(_shortened, unknown))}", line=header_line
+        )
     if len(set(header)) != len(header):
         raise DataError("repeated column name in header", line=header_line)
     if "id" not in header or "citations" not in header:
@@ -205,14 +208,15 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
             raise DataError("empty document id", line=line_no)
         if doc_id in seen:
             raise DataError(
-                f"duplicate document id {doc_id!r} (first seen on line {seen[doc_id]})",
+                f"duplicate document id {_shortened(doc_id)} (first seen on line {seen[doc_id]})",
                 line=line_no,
             )
         seen[doc_id] = line_no
         raw_citations = row[citations_at].strip()
         if not (raw_citations.isascii() and raw_citations.isdigit()):
             raise DataError(
-                f"citations must be a base-10 non-negative integer, got {raw_citations!r}",
+                "citations must be a base-10 non-negative integer, "
+                f"got {_shortened(raw_citations)}",
                 line=line_no,
             )
         try:
@@ -326,12 +330,12 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
                 raise DataError("expected an object")
             if not _KNOWN_FIELDS.issuperset(row):
                 unknown = sorted(set(row) - _KNOWN_FIELDS)
-                raise DataError(f"unknown field(s): {', '.join(unknown)}")
+                raise DataError(f"unknown field(s): {', '.join(map(_shortened, unknown))}")
             doc_id = row.get("id")
             if not isinstance(doc_id, str) or not doc_id.strip():
                 raise DataError("id must be a non-empty string")
             if doc_id in seen:
-                raise DataError(f"duplicate document id {doc_id!r}")
+                raise DataError(f"duplicate document id {_shortened(doc_id)}")
             seen.add(doc_id)
             citations = row.get("citations")
             if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:

@@ -15,7 +15,13 @@ from typing import NamedTuple, Sequence
 
 from .errors import DataError, SchemeError
 
-BUILTIN_SCHEME_NAMES = ("top50", "pr6", "pr100")
+# Each built-in scheme's class lower bounds, in percent, and class weights.
+_BUILTINS = {
+    "top50": ((0, 50), (0, 1)),
+    "pr6": ((0, 50, 75, 90, 95, 99), range(1, 7)),
+    "pr100": (range(100), range(1, 101)),
+}
+BUILTIN_SCHEME_NAMES = tuple(_BUILTINS)
 
 
 def parse_fraction(value: str | int | Fraction) -> Fraction:
@@ -33,7 +39,7 @@ def parse_fraction(value: str | int | Fraction) -> Fraction:
     if isinstance(value, float):
         raise ValueError("refusing to convert a binary float; pass a string instead")
     if not isinstance(value, str):
-        raise ValueError(f"cannot parse {value!r} as a fraction")
+        raise ValueError(f"cannot parse {_shortened(value)} as a fraction")
     try:
         text = value.strip()
         # Fraction reads "_" from Python 3.11 on and non-ASCII digits on every
@@ -57,12 +63,15 @@ def has_surrogate(text: str) -> bool:
     return False
 
 
-def _shortened(text: str, limit: int = 40) -> str:
-    """repr(text), cut to its first `limit` characters when it is longer, so
-    that an error message does not echo a huge value."""
+def _shortened(value: object, limit: int = 40) -> str:
+    """repr(value), so that an error message does not echo a huge value or a
+    raw control character. A string longer than `limit` characters is cut to
+    the repr of its first `limit`; another value's repr is cut to its first
+    `limit` characters when it is longer."""
+    text, shown = (value, repr) if isinstance(value, str) else (repr(value), str)
     if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
+        return shown(text)
+    return f"{shown(text[:limit])}... ({len(text)} characters)"
 
 
 class _CitationRecord(NamedTuple):
@@ -87,13 +96,13 @@ class CitationRecord(_CitationRecord):
         if not isinstance(doc_id, str) or not doc_id.strip():
             raise DataError("document id must be a non-empty string")
         if isinstance(citations, bool) or not isinstance(citations, int):
-            raise DataError(f"citations for {doc_id!r} must be an integer")
+            raise DataError(f"citations for {_shortened(doc_id)} must be an integer")
         if citations < 0:
-            raise DataError(f"citations for {doc_id!r} must be non-negative")
+            raise DataError(f"citations for {_shortened(doc_id)} must be non-negative")
         if "\0" in doc_id or isinstance(group, str) and "\0" in group:
-            raise DataError(f"the id or group of {doc_id!r} holds a NUL character")
+            raise DataError(f"the id or group of {_shortened(doc_id)} holds a NUL character")
         if has_surrogate(doc_id) or isinstance(group, str) and has_surrogate(group):
-            raise DataError(f"the id or group of {doc_id!r} holds a lone surrogate")
+            raise DataError(f"the id or group of {_shortened(doc_id)} holds a lone surrogate")
         if isinstance(group, str) and not group.strip():
             group = None
         return tuple.__new__(cls, (doc_id, citations, group))
@@ -110,7 +119,7 @@ class DocumentSet:
             seen: set[str] = set()
             for record in self.records:
                 if record.doc_id in seen:
-                    raise DataError(f"duplicate document id {record.doc_id!r}")
+                    raise DataError(f"duplicate document id {_shortened(record.doc_id)}")
                 seen.add(record.doc_id)
 
     @property
@@ -275,35 +284,13 @@ def topx_scheme(x: Fraction) -> PRScheme:
 def builtin_scheme(name: str) -> PRScheme:
     """Return a built-in scheme by name.
 
-    Accepts "top50", "pr6", "pr100", and a parameterized top share as
+    Accepts a name of BUILTIN_SCHEME_NAMES, and a parameterized top share as
     "topx(F)" or "topx=F" where F is an exact fraction strictly between 0 and 1.
     """
     key = name.strip()
-    if key == "top50":
-        return scheme_from_boundaries(
-            "top50",
-            (Fraction(0), Fraction(1, 2), Fraction(1)),
-            (Fraction(0), Fraction(1)),
-        )
-    if key == "pr6":
-        return scheme_from_boundaries(
-            "pr6",
-            (
-                Fraction(0),
-                Fraction(1, 2),
-                Fraction(3, 4),
-                Fraction(9, 10),
-                Fraction(19, 20),
-                Fraction(99, 100),
-                Fraction(1),
-            ),
-            tuple(Fraction(w) for w in range(1, 7)),
-        )
-    if key == "pr100":
-        bounds = tuple(Fraction(i, 100) for i in range(101))
-        return scheme_from_boundaries(
-            "pr100", bounds, tuple(Fraction(w) for w in range(1, 101))
-        )
+    if key in _BUILTINS:
+        lowers, weights = _BUILTINS[key]
+        return scheme_from_boundaries(key, [Fraction(b, 100) for b in lowers] + [1], weights)
     if key.startswith("topx"):
         rest = key[len("topx"):].strip()
         if rest.startswith("(") and rest.endswith(")"):
@@ -349,7 +336,7 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
         path = Path(source)
         default_name = path.stem
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
         except OSError as exc:
             raise SchemeError(f"cannot read scheme file {path}: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -373,7 +360,7 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
         raise SchemeError("a scheme document must be a JSON object")
     unknown = sorted(set(doc) - _SCHEME_FIELDS)
     if unknown:
-        raise SchemeError(f"unknown scheme field(s): {', '.join(unknown)}")
+        raise SchemeError(f"unknown scheme field(s): {', '.join(map(_shortened, unknown))}")
     for field in ("boundaries", "weights"):
         if field not in doc:
             raise SchemeError(f"scheme document is missing the {field!r} field")
@@ -384,7 +371,7 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
     if not isinstance(doc_name, str) or not doc_name or "\0" in doc_name:
         raise SchemeError("scheme field 'name' must be a non-empty string without NUL")
     if has_surrogate(doc_name):
-        raise SchemeError(f"scheme name {doc_name!r} holds a lone surrogate")
+        raise SchemeError(f"scheme name {_shortened(doc_name)} holds a lone surrogate")
 
     def parse_all(field: str) -> list[Fraction]:
         values = []

@@ -24,6 +24,9 @@ GROUPED_CSV = (
     "a1,1,alpha\na2,2,alpha\na3,3,alpha\n"
     "b1,5,beta\nb2,5,beta\n"
 )
+# A name that would split an error line and reach the terminal as an escape.
+CONTROL_NAME = "x\ny\x1b[31m"
+LONG = "z" * 100_000
 
 
 @pytest.fixture(autouse=True)
@@ -533,6 +536,19 @@ class TestSchemes:
         rows = {row["id"]: row for row in csv.DictReader(io.StringIO(out))}
         assert F(rows["d2"]["f_1"]) == F(1, 2)  # [1/5, 2/5] straddles 3/10
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_byte_order_mark_before_a_scheme_file(self, run, tmp_path, fmt):
+        """Ignored, as before input csv or JSON; the file's stem names the
+        scheme, so both files are called s.json."""
+        body = json.dumps({"boundaries": ["0", "1/3", "1"], "weights": ["0", "1"]}).encode()
+        outputs = []
+        for folder, prefix in (("plain", b""), ("bom", "\ufeff".encode())):
+            path = tmp_path / folder / "s.json"
+            path.parent.mkdir()
+            path.write_bytes(prefix + body)
+            outputs.append(run(["schemes", "--scheme", f"custom={path}", "--format", fmt]))
+        assert outputs[1] == outputs[0] and outputs[0][0] == EXIT_OK
+
     def test_scheme_file_that_is_not_utf8_is_refused(self, run, tmp_path, five_file):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"name": "caf\xe9", "boundaries": ["0", "1"], "weights": ["1"]}')
@@ -679,6 +695,36 @@ class TestExitCodes:
                 code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
                 assert (code, out) == (EXIT_CONFIG, "")
                 assert err.startswith("pct: config error: ") and len(err) < 300, err
+
+    @pytest.mark.parametrize("name,text", [
+        ("column.csv", f'id,citations,"{CONTROL_NAME}"\na,1,2\n'),
+        ("field.json", json.dumps([{"id": "a", "citations": 1, CONTROL_NAME: 2}])),
+        ("citations.csv", f"id,citations\na,{LONG}\n"),
+        ("ids.csv", f"id,citations\n{LONG},1\n{LONG},2\n"),
+        ("ids.json", json.dumps([{"id": LONG, "citations": 1}, {"id": LONG, "citations": 2}])),
+    ], ids=["column", "field", "citations", "csv-id", "json-id"])
+    def test_an_input_value_is_named_escaped_and_cut(self, run, tmp_path, name, text):
+        """One printable line: a value an error names is escaped, and cut to
+        its first 40 characters."""
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(["indicators", "--scheme", "pr6", "--input", str(path)])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("pct: input error: ") and err[:-1].isprintable(), err
+        assert len(err) < 300, err
+
+    @pytest.mark.parametrize("document", [
+        {CONTROL_NAME: "x", "boundaries": ["0", "1"], "weights": ["1"]},
+        {"boundaries": ["0", "1"], "weights": [list(range(20_000))]},
+        {"name": "\udc80" + LONG, "boundaries": ["0", "1"], "weights": ["1"]},
+    ], ids=["field", "weight", "name"])
+    def test_a_scheme_file_value_is_named_escaped_and_cut(self, run, tmp_path, document):
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(["schemes", "--scheme", f"custom={path}"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("pct: config error: ") and err[:-1].isprintable(), err
+        assert len(err) < 300, err
 
     @pytest.mark.parametrize("command", ["schemes", "attribute", "indicators", "report"])
     def test_a_scheme_value_too_long_to_write_out_is_refused(self, run, five_file, tmp_path,
@@ -918,13 +964,16 @@ class TestExitCodes:
         assert "config error" in err
 
     def test_usage_errors_exit_with_the_config_code(self, run, five_file):
-        with pytest.raises(SystemExit) as excinfo:
-            run(["attribute", "--scheme", "top50", "--input", five_file,
-                 "--rule", "bogus"])
-        assert excinfo.value.code == EXIT_CONFIG
-        with pytest.raises(SystemExit) as excinfo:
-            run([])
-        assert excinfo.value.code == EXIT_CONFIG
+        # report compares every counting rule, so it takes neither rule option.
+        for argv in (
+            ["attribute", "--scheme", "top50", "--input", five_file, "--rule", "bogus"],
+            [],
+            ["report", "--scheme", "pr6", "--input", five_file, "--rule", "midpoint"],
+            ["report", "--scheme", "pr6", "--input", five_file, "--boundary", "upper"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == EXIT_CONFIG
 
     def test_version_flag(self, run, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -35,6 +35,9 @@ FORMATS = {"csv": "csv", "json": "json", "table": "txt"}
 COMMANDS = {
     "schemes": ["schemes"],
     "schemes-custom": ["schemes", "--scheme", f"custom={SCHEME}"],
+    "schemes-top50": ["schemes", "--scheme", "top50"],
+    "schemes-pr6": ["schemes", "--scheme", "pr6"],
+    "schemes-pr100": ["schemes", "--scheme", "pr100"],
     "attribute-fractional-pr6": ["attribute", "--scheme", "pr6"],
     "attribute-fractional-custom": ["attribute", "--scheme", f"custom={SCHEME}"],
     "attribute-midpoint-half-up-endpoints": [

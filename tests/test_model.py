@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pctrank import (
+    BUILTIN_SCHEME_NAMES,
     CitationRecord,
     DataError,
     DocumentSet,
@@ -48,6 +49,14 @@ class TestParseFraction:
     def test_rejects_garbage_and_floats(self, bad):
         with pytest.raises(ValueError):
             parse_fraction(bad)
+
+    @pytest.mark.parametrize("value,named", [
+        (None, "None"), ([0] * 20, "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (60 characters)"),
+    ], ids=["None", "list"])
+    def test_a_value_that_is_not_a_string_is_named_by_its_cut_repr(self, value, named):
+        with pytest.raises(ValueError) as caught:
+            parse_fraction(value)
+        assert str(caught.value) == f"cannot parse {named} as a fraction"
 
     @pytest.mark.parametrize("text", ["1e-10000", "1e10000", "2.5e5000", "-3e-4400"])
     def test_a_value_too_long_to_write_out_is_refused(self, text):
@@ -148,6 +157,12 @@ class TestBuiltinSchemes:
         )
         # Only another scheme compares: anything else is left to its own __eq__.
         assert scheme.__eq__(scheme.classes) is NotImplemented and scheme != "top50"
+
+    def test_names(self):
+        assert BUILTIN_SCHEME_NAMES == ("top50", "pr6", "pr100")
+        assert [builtin_scheme(name).name for name in BUILTIN_SCHEME_NAMES] == [
+            "top50", "pr6", "pr100"
+        ]
 
     def test_pr6_layout(self):
         scheme = builtin_scheme("pr6")

@@ -154,8 +154,12 @@ def test_reader_records_are_validated_records(text, tmp_path):
     (lambda: CitationRecord(3, 1), DataError, "document id must be a non-empty string"),
     (lambda: CitationRecord("a", "3"), DataError, "citations for 'a' must be an integer"),
     (lambda: CitationRecord("a", -1), DataError, "citations for 'a' must be non-negative"),
+    (lambda: CitationRecord("i" * 50, -1), DataError,
+     f"citations for {'i' * 40!r}... (50 characters) must be non-negative"),
     (lambda: DocumentSet([CitationRecord("a", 1), CitationRecord("b", 1), CitationRecord("a", 2)]),
      DataError, "duplicate document id 'a'"),
+    (lambda: DocumentSet([CitationRecord("a\x1b" * 30, 1)] * 2),
+     DataError, "duplicate document id " + repr("a\x1b" * 20) + "... (60 characters)"),
     (lambda: DocumentSet([]), DataError, "a document set needs at least one record"),
     (lambda: PRClass(2, F(1, 2), F(1, 2), F(1)), SchemeError,
      "class 2: need 0 <= lower < upper <= 1, got [1/2, 1/2]"),
