@@ -29,7 +29,7 @@ from .io import (
     render_scheme_detail,
     render_scheme_list,
 )
-from .model import BUILTIN_SCHEME_NAMES, PRScheme, builtin_scheme, load_custom_scheme
+from .model import BUILTIN_SCHEME_NAMES, PRScheme, _shortened, builtin_scheme, load_custom_scheme
 from .ranking import rank
 from .scoring import (
     BoundaryPolicy,
@@ -114,7 +114,9 @@ def _resolve_precision(args) -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise ConfigError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+            raise ConfigError(
+                f"{PRECISION_ENV} must be an integer, got {_shortened(raw)}"
+            ) from None
     if value < 1:
         raise ConfigError("precision must be at least 1")
     if value > MAX_PRECISION:
@@ -150,70 +152,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    io_common = argparse.ArgumentParser(add_help=False)
-    io_common.add_argument(
-        "--input", default="-", help="input file (csv, tsv or json), or - for stdin"
-    )
-    io_common.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table",
-        help="output format (default table; csv/json carry exact p/q values)",
-    )
+    for command, summary in (
+        ("attribute", "per-document class attribution"),
+        ("indicators", "I3, R and PP per group"),
+        ("report", "boundary hits and cross-rule class disagreements"),
+    ):
+        sub = subparsers.add_parser(command, help=summary)
+        sub.add_argument(
+            "--input", default="-", help="input file (csv, tsv or json), or - for stdin"
+        )
+        sub.add_argument(
+            "--format", choices=("table", "csv", "json"), default="table",
+            help="output format (default table; csv/json carry exact p/q values)",
+        )
+        # report prints no decimals, and it compares every counting rule.
+        if command != "report":
+            sub.add_argument(
+                "--precision", type=int, default=None,
+                help=f"significant digits for decimal renderings, 1 to {MAX_PRECISION} "
+                     f"(default {DEFAULT_PRECISION}; env {PRECISION_ENV})",
+            )
+        sub.add_argument(
+            "--scheme", required=True,
+            help=" | ".join([*BUILTIN_SCHEME_NAMES, "topx=<fraction>", "custom=<path>"]),
+        )
+        if command != "report":
+            sub.add_argument(
+                "--rule", choices=[rule.value for rule in CountingRule],
+                default=CountingRule.FRACTIONAL.value,
+                help="counting rule (default fractional)",
+            )
+            sub.add_argument(
+                "--boundary", choices=[policy.value for policy in BoundaryPolicy],
+                default=None,
+                help="class for a point landing on an interior boundary "
+                     "(default lower, with a warning)",
+            )
+        sub.add_argument(
+            "--rounding", choices=[mode.value for mode in RoundingMode],
+            default=RoundingMode.NONE.value,
+            help="rounding of 100*q before classification (default none)",
+        )
+        sub.add_argument(
+            "--midpoint-route", dest="midpoint_route",
+            choices=[route.value for route in MidpointRoute],
+            default=MidpointRoute.EXACT.value,
+            help="midpoint taken exactly, or as the rounded middle of rounded "
+                 "endpoint percentiles (default exact)",
+        )
 
-    # Only attribute and indicators print decimals.
-    precision_config = argparse.ArgumentParser(add_help=False)
-    precision_config.add_argument(
-        "--precision", type=int, default=None,
-        help=f"significant digits for decimal renderings, 1 to {MAX_PRECISION} "
-             f"(default {DEFAULT_PRECISION}; env {PRECISION_ENV})",
-    )
-
-    scheme_required = argparse.ArgumentParser(add_help=False)
-    scheme_required.add_argument(
-        "--scheme", required=True,
-        help=" | ".join([*BUILTIN_SCHEME_NAMES, "topx=<fraction>", "custom=<path>"]),
-    )
-
-    rule_config = argparse.ArgumentParser(add_help=False)
-    rule_config.add_argument(
-        "--rule", choices=[rule.value for rule in CountingRule],
-        default=CountingRule.FRACTIONAL.value,
-        help="counting rule (default fractional)",
-    )
-    rule_config.add_argument(
-        "--boundary", choices=[policy.value for policy in BoundaryPolicy], default=None,
-        help="class for a point landing on an interior boundary "
-             "(default lower, with a warning)",
-    )
-
-    rounding_config = argparse.ArgumentParser(add_help=False)
-    rounding_config.add_argument(
-        "--rounding", choices=[mode.value for mode in RoundingMode],
-        default=RoundingMode.NONE.value,
-        help="rounding of 100*q before classification (default none)",
-    )
-    rounding_config.add_argument(
-        "--midpoint-route", dest="midpoint_route",
-        choices=[route.value for route in MidpointRoute],
-        default=MidpointRoute.EXACT.value,
-        help="midpoint taken exactly, or as the rounded middle of rounded "
-             "endpoint percentiles (default exact)",
-    )
-
-    subparsers.add_parser(
-        "attribute",
-        parents=[io_common, precision_config, scheme_required, rule_config, rounding_config],
-        help="per-document class attribution",
-    )
-    subparsers.add_parser(
-        "indicators",
-        parents=[io_common, precision_config, scheme_required, rule_config, rounding_config],
-        help="I3, R and PP per group",
-    )
-    subparsers.add_parser(
-        "report",
-        parents=[io_common, scheme_required, rounding_config],
-        help="boundary hits and cross-rule class disagreements",
-    )
     schemes_parser = subparsers.add_parser(
         "schemes", help="list built-in schemes or inspect/validate one"
     )

@@ -317,6 +317,9 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
     rows = doc.get("documents") if isinstance(doc, dict) else doc
     if not isinstance(rows, list):
         raise DataError('JSON input must be a list of records or {"documents": [...]}')
+    if isinstance(doc, dict) and len(doc) > 1:
+        unknown = ", ".join(map(_shortened, sorted(set(doc) - {"documents"})))
+        raise DataError(f'unknown field(s) beside "documents": {unknown}')
     if set(map(type, rows)) == {dict} and _KNOWN_FIELDS.issuperset(chain.from_iterable(rows)):
         records = _checked_columns(*(list(map(dict.get, rows, repeat(k))) for k in _KNOWN_COLUMNS))
         if records is not None:

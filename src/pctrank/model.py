@@ -65,10 +65,13 @@ def has_surrogate(text: str) -> bool:
 
 def _shortened(value: object, limit: int = 40) -> str:
     """repr(value), so that an error message does not echo a huge value or a
-    raw control character. A string longer than `limit` characters is cut to
-    the repr of its first `limit`; another value's repr is cut to its first
-    `limit` characters when it is longer."""
+    raw control character; a Fraction is named as it prints, as p/q. A string
+    longer than `limit` characters is cut to the repr of its first `limit`;
+    another value's text is cut to its first `limit` characters when it is
+    longer."""
     text, shown = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if isinstance(value, Fraction):
+        text = str(value)
     if len(text) <= limit:
         return shown(text)
     return f"{shown(text[:limit])}... ({len(text)} characters)"
@@ -150,7 +153,8 @@ class PRClass(_PRClass):
     def __new__(cls, index: int, lower: Fraction, upper: Fraction, weight: Fraction):
         if not (0 <= lower < upper <= 1):
             raise SchemeError(
-                f"class {index}: need 0 <= lower < upper <= 1, got [{lower}, {upper}]"
+                f"class {index}: need 0 <= lower < upper <= 1, "
+                f"got [{_shortened(lower)}, {_shortened(upper)}]"
             )
         return tuple.__new__(cls, (index, lower, upper, weight))
 
@@ -174,12 +178,16 @@ class PRScheme:
             if cur.lower != prev.upper:
                 raise SchemeError(
                     f"classes {prev.index} and {cur.index} do not meet: "
-                    f"{prev.upper} vs {cur.lower}"
+                    f"{_shortened(prev.upper)} vs {_shortened(cur.lower)}"
                 )
         for position, cls in enumerate(self.classes, start=1):
             if cls.index != position:
                 raise SchemeError(f"class at position {position} carries index {cls.index}")
+        self.k = len(self.classes)
         self.lower_bounds: tuple[Fraction, ...] = tuple(cls.lower for cls in self.classes)
+        # All k+1 cut points from 0 to 1 inclusive.
+        self.boundaries = self.lower_bounds + (Fraction(1),)
+        self.weights = tuple(cls.weight for cls in self.classes)
         # The scheme on scoring's integer grid: D, each boundary's cut b*D, each
         # weight in units of 1/W for the weights' lcm W, and each class's one-hot
         # fractions tuple, made on first use. A derived value's denominator
@@ -228,19 +236,6 @@ class PRScheme:
     def __repr__(self):
         return f"PRScheme(name={self.name!r}, classes={self.classes!r})"
 
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    @property
-    def boundaries(self) -> tuple[Fraction, ...]:
-        """All k+1 cut points from 0 to 1 inclusive."""
-        return self.lower_bounds + (Fraction(1),)
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(cls.weight for cls in self.classes)
-
 
 def scheme_from_boundaries(
     name: str,
@@ -255,13 +250,9 @@ def scheme_from_boundaries(
             f"{len(boundaries)} boundaries define {len(boundaries) - 1} classes "
             f"but {len(weights)} weights were given"
         )
+    # PRClass refuses a cut outside [0, 1] or out of order, and PRScheme
+    # one that does not start at 0 or end at 1.
     bounds = [Fraction(b) for b in boundaries]
-    for bound in bounds:
-        if not (0 <= bound <= 1):
-            raise SchemeError(f"boundary {bound} lies outside [0, 1]")
-    for low, high in zip(bounds, bounds[1:]):
-        if low >= high:
-            raise SchemeError(f"boundaries must increase strictly; got {low} then {high}")
     classes = tuple(
         PRClass(i + 1, bounds[i], bounds[i + 1], Fraction(weights[i]))
         for i in range(len(weights))
@@ -273,7 +264,7 @@ def topx_scheme(x: Fraction) -> PRScheme:
     """Two classes: below the top share x (weight 0) and the top share (weight 1)."""
     x = Fraction(x)
     if not (0 < x < 1):
-        raise SchemeError(f"top share must lie strictly between 0 and 1, got {x}")
+        raise SchemeError(f"top share must lie strictly between 0 and 1, got {_shortened(x)}")
     return scheme_from_boundaries(
         f"topx({x})",
         (Fraction(0), 1 - x, Fraction(1)),

@@ -12,8 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from pctrank import main
-from pctrank.cli import EXIT_BOUNDARY, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_OUTPUT
+from pctrank import SchemeError, main, scheme_from_boundaries
+from pctrank.cli import (
+    EXIT_BOUNDARY,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_OUTPUT,
+    build_parser,
+)
 
 F = Fraction
 
@@ -558,6 +565,27 @@ class TestSchemes:
             assert out == ""
             assert "not valid UTF-8" in err and "byte offset 13" in err
 
+    @pytest.mark.parametrize("boundaries,weights", [
+        (["-1/4", "1/2", "1"], ["1", "2"]),
+        (["0", "1/2", "2"], ["1", "2"]),
+        (["0", "1/2", "1/2", "1"], ["1", "2", "3"]),
+        (["0", "3/4", "1/2", "1"], ["1", "2", "3"]),
+        (["1/4", "1/2", "1"], ["1", "2"]),
+        (["0", "1/2", "3/4"], ["1", "2"]),
+        (["0"], []),
+        ([], []),
+        (["0", "1/2", "1"], ["1"]),
+    ], ids=["below-0", "above-1", "repeated", "decreasing", "not-from-0", "not-to-1",
+            "one-boundary", "no-boundary", "weight-count"])
+    def test_a_bad_boundary_list_is_refused(self, run, tmp_path, boundaries, weights):
+        with pytest.raises(SchemeError):
+            scheme_from_boundaries("bad", [F(b) for b in boundaries], [F(w) for w in weights])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"boundaries": boundaries, "weights": weights}))
+        code, out, err = run(["schemes", "--scheme", f"custom={path}"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("pct: config error: ") and err.count("\n") == 1, err
+
 
 class TestPrecision:
     ARGS = ["indicators", "--scheme", "pr6", "--rule", "midpoint",
@@ -673,10 +701,11 @@ class TestExitCodes:
         code, _, err = run(["attribute", "--scheme", "pr6", "--input", str(path)])
         assert code == EXIT_DATA
         assert err == "pct: input error: document 1: id must be a non-empty string\n"
-        # Outside the documents it is not read at all.
+        # Outside the documents it is not read as citations: the key is refused.
         path.write_text(f'{{"documents": [{{"id": "a", "citations": 1}}], "note": {digits}}}')
-        code, out, _ = run(["indicators", "--scheme", "pr6", "--input", str(path)])
-        assert code == EXIT_OK and "default" in out
+        code, out, err = run(["indicators", "--scheme", "pr6", "--input", str(path)])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == "pct: input error: unknown field(s) beside \"documents\": 'note'\n"
         # Malformed or deeply nested text after it is still a data error.
         for tail, message in ((", oops]", "invalid JSON input"), (", " + "[" * 100_000, "deeply")):
             path.write_text(f'[{{"id": "a", "citations": {digits}}}{tail}')
@@ -695,6 +724,23 @@ class TestExitCodes:
                 code, out, err = run(["attribute", "--scheme", selector, "--input", five_file])
                 assert (code, out) == (EXIT_CONFIG, "")
                 assert err.startswith("pct: config error: ") and len(err) < 300, err
+
+    @pytest.mark.parametrize("case", ["boundary", "top-share", "precision-env"])
+    def test_a_long_scheme_or_precision_value_is_cut(self, run, five_file, tmp_path, case):
+        """A value that parses but is out of range is named by its first 40
+        characters, on one line."""
+        scheme = tmp_path / "long.json"
+        scheme.write_text(json.dumps({"boundaries": ["0", "9" * 4000, "1"], "weights": ["1", "2"]}))
+        argv, env = {
+            "boundary": (["schemes", "--scheme", f"custom={scheme}"], None),
+            "top-share": (["schemes", "--scheme", "topx=" + "9" * 3000], None),
+            "precision-env": (["indicators", "--scheme", "pr6", "--input", five_file],
+                              {"PCT_PRECISION": "9" * 5000}),
+        }[case]
+        code, out, err = run(argv, env=env)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("pct: config error: ") and err.count("\n") == 1, err
+        assert len(err) < 300 and "characters)" in err, err
 
     @pytest.mark.parametrize("name,text", [
         ("column.csv", f'id,citations,"{CONTROL_NAME}"\na,1,2\n'),
@@ -970,6 +1016,9 @@ class TestExitCodes:
             [],
             ["report", "--scheme", "pr6", "--input", five_file, "--rule", "midpoint"],
             ["report", "--scheme", "pr6", "--input", five_file, "--boundary", "upper"],
+            # report and schemes print no decimals; schemes takes no rule either.
+            ["report", "--scheme", "pr6", "--input", five_file, "--precision", "3"],
+            ["schemes", "--rule", "midpoint"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 run(argv)
@@ -979,3 +1028,61 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run(["--version"])
         assert excinfo.value.code == 0
+
+
+# Each run command's options in order: flags, dest, default, choices,
+# required and help. argparse's own help action comes first in each.
+INPUT = (["--input"], "input", "-", None, False, "input file (csv, tsv or json), or - for stdin")
+FORMAT = (["--format"], "format", "table", ["table", "csv", "json"], False,
+          "output format (default table; csv/json carry exact p/q values)")
+PRECISION = (["--precision"], "precision", None, None, False,
+             "significant digits for decimal renderings, 1 to 100 (default 4; env PCT_PRECISION)")
+SCHEME = (["--scheme"], "scheme", None, None, True,
+          "top50 | pr6 | pr100 | topx=<fraction> | custom=<path>")
+RULE = (["--rule"], "rule", "fractional",
+        ["count-worse", "count-worse-or-equal", "midpoint", "fractional"], False,
+        "counting rule (default fractional)")
+BOUNDARY = (["--boundary"], "boundary", None, ["lower", "upper", "error"], False,
+            "class for a point landing on an interior boundary (default lower, with a warning)")
+ROUNDING = (["--rounding"], "rounding", "none", ["floor", "ceil", "half-up", "none"], False,
+            "rounding of 100*q before classification (default none)")
+MIDPOINT_ROUTE = (["--midpoint-route"], "midpoint_route", "exact", ["exact", "endpoints"], False,
+                  "midpoint taken exactly, or as the rounded middle of rounded endpoint "
+                  "percentiles (default exact)")
+RUN_OPTIONS = [INPUT, FORMAT, PRECISION, SCHEME, RULE, BOUNDARY, ROUNDING, MIDPOINT_ROUTE]
+
+
+class TestParser:
+    @pytest.fixture
+    def commands(self):
+        parser = build_parser()
+        return next(action for action in parser._actions if action.dest == "command")
+
+    def test_each_command_and_its_help(self, commands):
+        assert [(action.dest, action.help) for action in commands._choices_actions] == [
+            ("attribute", "per-document class attribution"),
+            ("indicators", "I3, R and PP per group"),
+            ("report", "boundary hits and cross-rule class disagreements"),
+            ("schemes", "list built-in schemes or inspect/validate one"),
+        ]
+
+    @pytest.mark.parametrize("command,options", [
+        ("attribute", RUN_OPTIONS),
+        ("indicators", RUN_OPTIONS),
+        ("report", [INPUT, FORMAT, SCHEME, ROUNDING, MIDPOINT_ROUTE]),
+        ("schemes", [
+            (["--scheme"], "scheme", None, None, False,
+             "scheme to show in full (builtin selector or custom=<path>); "
+             "omit to list the built-ins"),
+            (["--format"], "format", "table", ["table", "csv", "json"], False, None),
+        ]),
+    ])
+    def test_each_command_takes_its_options_in_order(self, commands, command, options):
+        actions = commands.choices[command]._actions
+        assert actions[0].option_strings == ["-h", "--help"]
+        assert [
+            (action.option_strings, action.dest, action.default,
+             None if action.choices is None else list(action.choices),
+             action.required, action.help)
+            for action in actions[1:]
+        ] == options

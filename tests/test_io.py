@@ -184,6 +184,8 @@ class TestReadRecords:
         [
             ("[]", "no documents"),
             ('{"rows": []}', "documents"),
+            ('{"documents": [{"id": "a", "citations": 1}], "documents2": 5}',
+             "unknown field(s) beside \"documents\": 'documents2'"),
             ('[{"id": "a", "citations": 1, "extra": 2}]', "unknown field"),
             ('[{"citations": 1}]', "id must be"),
             ('[{"id": "a"}]', "citations must be"),
