@@ -7,60 +7,27 @@ class boundary.
 """
 
 from .cli import __version__, main
-from .errors import (
-    BoundaryAmbiguityError,
-    ConfigError,
-    DataError,
-    PctrankError,
-    SchemeError,
-)
-from .io import (
-    DEFAULT_GROUP,
-    DEFAULT_PRECISION,
-    SCHEMA_VERSION,
-    decimal_str,
-    interval_percent_str,
-    partition_by_group,
-    percent_str,
-    read_records,
-    render_attributions,
-    render_indicators,
-    render_report,
-    render_scheme_detail,
-    render_scheme_list,
-)
+from .errors import BoundaryAmbiguityError, ConfigError, DataError, PctrankError, SchemeError
 from .indicators import (
     AmbiguityReport,
     BoundaryFlag,
     ClassCounts,
     IndicatorResult,
     RuleDisagreement,
-    class_counts,
     compare_rules,
     compute_indicators,
-    i3,
-    per_doc_score,
-    pp_top,
-    r_indicator,
 )
+from .io import read_records, render_attributions
 from .model import (
-    BUILTIN_SCHEME_NAMES,
     CitationRecord,
     DocumentSet,
     PRClass,
     PRScheme,
     builtin_scheme,
-    load_custom_scheme,
-    parse_fraction,
-    scheme_from_boundaries,
-    scheme_to_document,
     theoretical_total,
-    topx_scheme,
 )
 from .ranking import QuantileInterval, RankedSet, TieGroup, interval_for, rank
 from .scoring import (
-    POINT_RULES,
-    Attribution,
     BoundaryPolicy,
     CountingRule,
     FractionalAttribution,
@@ -71,7 +38,7 @@ from .scoring import (
 )
 
 # The names README "Library" documents, with the enums and errors they take
-# or raise; the other imports above stay importable from the package.
+# or raise. Other names are imported from their module, such as `pctrank.io`.
 __all__ = [
     "AmbiguityReport",
     "BoundaryAmbiguityError",
@@ -98,7 +65,9 @@ __all__ = [
     "builtin_scheme",
     "compare_rules",
     "compute_indicators",
+    "interval_for",
     "rank",
     "read_records",
     "render_attributions",
+    "theoretical_total",
 ]

@@ -8,7 +8,6 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import SchemeError
 from .model import PRScheme
 from .ranking import RankedSet, interval_for
 from .scoring import (
@@ -31,10 +30,6 @@ class ClassCounts(NamedTuple):
 
     scheme: PRScheme
     counts: tuple[Fraction, ...]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.counts, start=Fraction(0))
 
 
 def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> ClassCounts:
@@ -62,14 +57,6 @@ def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> Class
     return ClassCounts(scheme, tuple(counts))
 
 
-def i3(counts: ClassCounts) -> Fraction:
-    """Weighted sum of the class counts."""
-    return sum(
-        (cls.weight * count for cls, count in zip(counts.scheme.classes, counts.counts)),
-        start=Fraction(0),
-    )
-
-
 def per_doc_score(attribution: Attribution, scheme: PRScheme) -> Fraction:
     """One document's contribution to I3: its class weight, or the
     fraction-weighted sum of weights under the fractional rule."""
@@ -85,22 +72,6 @@ def per_doc_score(attribution: Attribution, scheme: PRScheme) -> Fraction:
             start=Fraction(0),
         )
     return scheme.classes[attribution.class_index - 1].weight
-
-
-def r_indicator(i3_value: Fraction, n: int) -> Fraction:
-    """Size-independent indicator: I3 divided by the number of documents."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Fraction(i3_value) / n
-
-
-def pp_top(counts: ClassCounts, n: int) -> Fraction:
-    """Share of total document mass sitting in the top class of a 2-class scheme."""
-    if counts.scheme.k != 2:
-        raise SchemeError("pp_top needs a 2-class scheme such as top50 or topx")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return counts.counts[-1] / n
 
 
 class IndicatorResult(NamedTuple):

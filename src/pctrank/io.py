@@ -28,6 +28,7 @@ from .model import (
     DocumentSet,
     PRScheme,
     _shortened,
+    _unique_keys,
     has_surrogate,
     scheme_to_document,
     theoretical_total,
@@ -305,11 +306,13 @@ def _csv_rows(reader) -> Iterator[list[str]]:
 
 def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
     try:
-        doc = json.loads(text, parse_int=parse_int)
+        doc = json.loads(text, parse_int=parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON input: {exc}") from None
     except RecursionError:
         raise DataError("JSON input is nested too deeply to read") from None
+    except DataError:  # a repeated key, before ValueError catches it
+        raise
     except ValueError:
         # An integer past Python's integer-string limit: read again with
         # such integers as Decimals, to name the document that holds one.

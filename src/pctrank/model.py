@@ -77,6 +77,19 @@ def _shortened(value: object, limit: int = 40) -> str:
     return f"{shown(text[:limit])}... ({len(text)} characters)"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads' object_pairs_hook: the object as a dict, or a DataError
+    where json.loads alone would keep the last value of a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DataError(f"repeated key {_shortened(key)} in a JSON object")
+            seen.add(key)
+    return doc
+
+
 class _CitationRecord(NamedTuple):
     doc_id: str
     citations: int
@@ -335,9 +348,11 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
                 f"scheme file {path} is not valid UTF-8 at byte offset {exc.start}"
             ) from None
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemeError(f"scheme file {path} is not valid JSON: {exc}") from None
+        except DataError as exc:  # a repeated key, before ValueError catches it
+            raise SchemeError(f"scheme file {path}: {exc}") from None
         except RecursionError:
             raise SchemeError(f"scheme file {path} is nested too deeply to read") from None
         except ValueError:

@@ -19,10 +19,6 @@ class _QuantileInterval(NamedTuple):
     def width(self) -> Fraction:
         return self.high - self.low
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
-
 
 class QuantileInterval(_QuantileInterval):
     """The exact slice of the quantile axis a document occupies.

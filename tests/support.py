@@ -12,13 +12,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
+from types import ModuleType
 from typing import NamedTuple
 
+import pctrank
 from pctrank import (
-    POINT_RULES,
     BoundaryAmbiguityError,
     BoundaryPolicy,
     CitationRecord,
+    ClassCounts,
     CountingRule,
     DocumentSet,
     FractionalAttribution,
@@ -28,13 +30,14 @@ from pctrank import (
     QuantileInterval,
     RankedSet,
     RoundingMode,
+    SchemeError,
     TieGroup,
     interval_for,
-    per_doc_score,
-    scheme_from_boundaries,
-    scheme_to_document,
 )
+from pctrank.indicators import per_doc_score
 from pctrank.io import decimal_str, interval_percent_str, percent_str
+from pctrank.model import scheme_from_boundaries, scheme_to_document
+from pctrank.scoring import POINT_RULES
 
 
 def overlap_fractions_oracle(
@@ -113,7 +116,7 @@ def _rule_point(interval: QuantileInterval, rule: CountingRule) -> Fraction:
     if rule is CountingRule.COUNT_WORSE_OR_EQUAL:
         return interval.high
     if rule is CountingRule.MIDPOINT:
-        return interval.midpoint
+        return (interval.low + interval.high) / 2
     raise ValueError("the fractional rule has no point quantile; use fractional_attribution")
 
 
@@ -243,6 +246,42 @@ def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **op
     if rule is CountingRule.FRACTIONAL:
         return [_fractional(doc_id, interval, scheme) for doc_id, interval in intervals]
     return [_point(doc_id, interval, scheme, rule, **options) for doc_id, interval in intervals]
+
+
+# ---------------------------------------------------------------------------
+# The indicators from class counts, the slow way. compute_indicators takes
+# them from a closed form (fractional) or from integer tallies (point rules).
+
+def i3(counts: ClassCounts) -> Fraction:
+    """Weighted sum of the class counts."""
+    return sum(
+        (cls.weight * count for cls, count in zip(counts.scheme.classes, counts.counts)),
+        start=Fraction(0),
+    )
+
+
+def r_indicator(i3_value: Fraction, n: int) -> Fraction:
+    """Size-independent indicator: I3 divided by the number of documents."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return Fraction(i3_value) / n
+
+
+def pp_top(counts: ClassCounts, n: int) -> Fraction:
+    """Share of total document mass sitting in the top class of a 2-class scheme."""
+    if counts.scheme.k != 2:
+        raise SchemeError("pp_top needs a 2-class scheme such as top50 or topx")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return counts.counts[-1] / n
+
+
+def package_names() -> set[str]:
+    """The public names `import pctrank` binds, submodules aside."""
+    return {
+        name for name, value in vars(pctrank).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
 
 
 def first_difference(actual: str | bytes, expected: str | bytes) -> str:

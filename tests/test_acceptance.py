@@ -24,22 +24,21 @@ from pctrank import (
     RoundingMode,
     attribute_all,
     builtin_scheme,
-    class_counts,
     compare_rules,
-    i3,
     interval_for,
-    per_doc_score,
-    pp_top,
     rank,
     render_attributions,
     theoretical_total,
-    topx_scheme,
 )
+from pctrank.indicators import class_counts, per_doc_score
+from pctrank.model import topx_scheme
 from support import (
+    i3,
     intervals_by_id,
     make_distinct,
     make_tied,
     overlap_fractions_oracle,
+    pp_top,
     random_document_set,
     random_scheme,
 )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from pctrank import SchemeError, main, scheme_from_boundaries
+from pctrank import SchemeError, main
 from pctrank.cli import (
     EXIT_BOUNDARY,
     EXIT_CONFIG,
@@ -21,6 +21,7 @@ from pctrank.cli import (
     EXIT_OUTPUT,
     build_parser,
 )
+from pctrank.model import scheme_from_boundaries
 
 F = Fraction
 
@@ -748,7 +749,8 @@ class TestExitCodes:
         ("citations.csv", f"id,citations\na,{LONG}\n"),
         ("ids.csv", f"id,citations\n{LONG},1\n{LONG},2\n"),
         ("ids.json", json.dumps([{"id": LONG, "citations": 1}, {"id": LONG, "citations": 2}])),
-    ], ids=["column", "field", "citations", "csv-id", "json-id"])
+        ("key.json", '[{"id": "a", "citations": 1, %s: 1, %s: 2}]' % ((json.dumps(LONG),) * 2)),
+    ], ids=["column", "field", "citations", "csv-id", "json-id", "json-key"])
     def test_an_input_value_is_named_escaped_and_cut(self, run, tmp_path, name, text):
         """One printable line: a value an error names is escaped, and cut to
         its first 40 characters."""

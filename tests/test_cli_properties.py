@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from pctrank import (
-    POINT_RULES,
     BoundaryPolicy,
     CitationRecord,
     CountingRule,
@@ -37,6 +36,7 @@ from pctrank import (
     theoretical_total,
 )
 from pctrank.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
+from pctrank.scoring import POINT_RULES
 
 FUZZ = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]

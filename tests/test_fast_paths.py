@@ -14,7 +14,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pctrank import (
-    POINT_RULES,
     BoundaryAmbiguityError,
     BoundaryPolicy,
     CitationRecord,
@@ -24,27 +23,27 @@ from pctrank import (
     RoundingMode,
     attribute_all,
     builtin_scheme,
-    class_counts,
     compare_rules,
     compute_indicators,
-    i3,
     interval_for,
-    per_doc_score,
-    pp_top,
     rank,
     render_attributions,
-    render_report,
-    scheme_from_boundaries,
 )
-from pctrank.scoring import _fractions, _points
+from pctrank.indicators import class_counts, per_doc_score
+from pctrank.io import render_report
+from pctrank.model import scheme_from_boundaries
+from pctrank.scoring import POINT_RULES, _fractions, _points
 from support import (
     attribute_each,
     first_difference,
     fractional_attribution,
+    i3,
     ids_in_rank_order,
     intervals_by_id,
     make_distinct,
     make_tied,
+    pp_top,
+    r_indicator,
     random_document_set,
     random_scheme,
     render_attributions_per_document,
@@ -209,7 +208,7 @@ def test_compute_indicators_matches_the_summed_oracle(oracle_case):
         counts = class_counts(reference, scheme)
         result = compute_indicators(ranked, scheme, rule, **options)
         assert result.i3 == i3(counts)
-        assert result.r == i3(counts) / ranked.n
+        assert result.r == r_indicator(i3(counts), ranked.n)
         assert result.pp == (pp_top(counts, ranked.n) if scheme.k == 2 else None)
         assert result.boundary_hits == sum(
             getattr(a, "ambiguous", False) for a in reference

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
+import pctrank
 from pctrank import main
-from support import first_difference
+from support import first_difference, package_names
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -135,8 +136,9 @@ def test_readme_command_line_examples(command, expected, tmp_path, monkeypatch):
 
 def test_readme_library_example():
     """The README's "Library" example runs and gives the values its comments
-    state."""
-    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    state. Of the names `import pctrank` binds, the section names, in code or
+    between backticks, every `__all__` entry and nothing else."""
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
     namespace: dict = {}
     exec(code, namespace)
@@ -146,6 +148,9 @@ def test_readme_library_example():
     ]
     for expression, value in stated:
         assert eval(expression, namespace) == eval(value, {"Fraction": Fraction})
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = set(re.findall(r"\w+", code + " ".join(re.findall(r"`([^`]+)`", prose))))
+    assert named & package_names() == set(pctrank.__all__)
 
 
 if __name__ == "__main__":

@@ -23,19 +23,21 @@ from pctrank import (
     builtin_scheme,
     compare_rules,
     compute_indicators,
+    rank,
+    read_records,
+    render_attributions,
+)
+from pctrank.io import (
     decimal_str,
     interval_percent_str,
     partition_by_group,
     percent_str,
-    rank,
-    read_records,
-    render_attributions,
     render_indicators,
     render_report,
     render_scheme_detail,
     render_scheme_list,
-    scheme_from_boundaries,
 )
+from pctrank.model import scheme_from_boundaries
 
 F = Fraction
 
@@ -196,12 +198,28 @@ class TestReadRecords:
             ('[{"id": "a", "citations": 1}, {"id": "a", "citations": 2}]', "duplicate"),
             ("[3]", "expected an object"),
             ("[", "invalid JSON"),
+            ('[{"id": "a", "citations": 1, "citations": 7}, {"id": "b", "citations": 2}]',
+             "repeated key 'citations' in a JSON object"),
+            ('{"documents": [{"id": "a", "citations": 1}], '
+             '"documents": [{"id": "b", "citations": 2}]}',
+             "repeated key 'documents' in a JSON object"),
+            ('[{"id": "a:b", "citations": 1, "citations": 7}]', "repeated key 'citations'"),
+            ('[{"id": "a", "citations": 1, "group": {"x": 1, "x": 2}}]', "repeated key 'x'"),
         ],
     )
     def test_rejected_json_input(self, payload, fragment):
         with pytest.raises(DataError) as err:
             read_records(io.StringIO(payload))
         assert fragment in str(err.value)
+
+    def test_repeats_nested_near_the_recursion_limit_are_data_errors(self):
+        """At every depth around the limit, objects that each repeat a key
+        give a DataError, either for the repeat or for the depth."""
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 20):
+            text = '[{"id": "a", "citations": 1, "group": ' + '{"k": 0, "k": ' * depth
+            with pytest.raises(DataError):
+                read_records(io.StringIO(text + "0" + "}" * depth + "}]"))
 
 
 # Characters the csv and json writers must quote or escape, non-ASCII ones

@@ -9,19 +9,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pctrank import (
-    BUILTIN_SCHEME_NAMES,
     CitationRecord,
     DataError,
     DocumentSet,
     PRClass,
     SchemeError,
     builtin_scheme,
+    theoretical_total,
+)
+from pctrank.io import partition_by_group
+from pctrank.model import (
+    BUILTIN_SCHEME_NAMES,
     load_custom_scheme,
     parse_fraction,
-    partition_by_group,
     scheme_from_boundaries,
     scheme_to_document,
-    theoretical_total,
     topx_scheme,
 )
 
@@ -320,6 +322,16 @@ class TestCustomSchemeDocuments:
     def test_malformed_documents(self, doc):
         with pytest.raises(SchemeError):
             load_custom_scheme(doc)
+
+    def test_a_repeated_key_in_a_file_is_refused(self, tmp_path):
+        """json.loads alone would keep the last weights, 5 and 9."""
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"boundaries": ["0", "1/2", "1"], "weights": ["0", "1"], "weights": ["5", "9"]}'
+        )
+        with pytest.raises(SchemeError) as refused:
+            load_custom_scheme(path)
+        assert str(refused.value) == f"scheme file {path}: repeated key 'weights' in a JSON object"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemeError):

@@ -16,16 +16,16 @@ from pctrank import (
     TieGroup,
     attribute_all,
     builtin_scheme,
-    class_counts,
     compare_rules,
     compute_indicators,
-    i3,
     interval_for,
     rank,
     render_attributions,
     theoretical_total,
 )
+from pctrank.indicators import class_counts
 from support import (
+    i3,
     intervals_by_id,
     make_distinct,
     make_tied,

@@ -21,8 +21,8 @@ from pctrank import (
     attribute_all,
     builtin_scheme,
     rank,
-    topx_scheme,
 )
+from pctrank.model import topx_scheme
 from support import (
     classify_point,
     fractional_attribution,

@@ -33,6 +33,7 @@ from pctrank import (
     rank,
     read_records,
 )
+from support import package_names
 
 F = Fraction
 
@@ -58,6 +59,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         env={**os.environ, "PYTHONPATH": str(source_root)},
     )
     assert result.stdout == "[]\n"
+
+
+def test_the_package_binds_all_and_three_more_names():
+    """`import pctrank` binds the documented names, `__all__`, and `main`
+    and the error bases beside them; every other name is imported from its
+    module, such as `pctrank.io`."""
+    assert len(set(pctrank.__all__)) == len(pctrank.__all__) == 30
+    assert package_names() == {*pctrank.__all__, "main", "ConfigError", "PctrankError"}
 
 
 def test_reprs_keep_the_dataclass_format(ranked):
