@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import os
 import sys
 
@@ -124,13 +125,6 @@ def _resolve_precision(args) -> int:
     return value
 
 
-def _resolve_policy(args) -> tuple[BoundaryPolicy, bool]:
-    """CLI default is lower, with a warning if an ambiguity actually occurs."""
-    if args.boundary is None:
-        return BoundaryPolicy.LOWER, True
-    return BoundaryPolicy(args.boundary), False
-
-
 def _warn_defaulted_ambiguities(hits: int) -> None:
     """Say how many documents a defaulted policy put on a boundary, if any."""
     if hits:
@@ -218,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> str:
     if args.command == "schemes":
         if args.scheme is None:
-            names = list(BUILTIN_SCHEME_NAMES) + ["topx(1/10)"]
-            return render_scheme_list(
-                [resolve_scheme(name) for name in names], fmt=args.format
-            )
+            names = [*BUILTIN_SCHEME_NAMES, "topx(1/10)"]
+            return render_scheme_list([*map(resolve_scheme, names)], fmt=args.format)
         return render_scheme_detail(resolve_scheme(args.scheme), fmt=args.format)
 
     precision = None if args.command == "report" else _resolve_precision(args)
@@ -231,24 +223,20 @@ def _run(args) -> str:
         for key, documents in partition_by_group(read_records(args.input)).items()
     ]
     scheme.check_digits(max((ranked.n for _, ranked in ranked_sets), default=0))
-    rounding = RoundingMode(args.rounding)
-    midpoint_route = MidpointRoute(args.midpoint_route)
+    routes = dict(
+        rounding=RoundingMode(args.rounding), midpoint_route=MidpointRoute(args.midpoint_route)
+    )
 
     if args.command == "report":
-        batches = [
-            (key, ranked, compare_rules(
-                ranked, scheme, rounding=rounding, midpoint_route=midpoint_route
-            ))
-            for key, ranked in ranked_sets
-        ]
-        return render_report(
-            batches, scheme,
-            rounding=rounding, midpoint_route=midpoint_route, fmt=args.format,
-        )
+        batches = [(key, ranked, compare_rules(ranked, scheme, **routes))
+                   for key, ranked in ranked_sets]
+        return render_report(batches, scheme, **routes, fmt=args.format)
 
     rule = CountingRule(args.rule)
-    policy, warn_on_ambiguity = _resolve_policy(args)
-    options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
+    # The CLI's default policy is lower, with a warning if a point lands on a boundary.
+    warn_on_ambiguity = args.boundary is None
+    policy = BoundaryPolicy.LOWER if warn_on_ambiguity else BoundaryPolicy(args.boundary)
+    options = dict(routes, policy=policy)
 
     if args.command == "indicators":
         # Decided per tie group: no per-document attributions.
@@ -271,20 +259,19 @@ def _run(args) -> str:
             for group, head in _group_heads(ranked, attributions)
             if head.ambiguous
         ))
-    return render_attributions(
-        batches, scheme, rule,
-        rounding=rounding,
-        policy=None if rule is CountingRule.FRACTIONAL else policy,
-        midpoint_route=midpoint_route,
-        fmt=args.format, precision=precision,
-    )
+    # Under the fractional rule the policy is not shown.
+    return render_attributions(batches, scheme, rule, **options, fmt=args.format,
+                               precision=precision)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A run makes a few hundred reference cycles whatever n is, yet the cyclic
+    # collector would pass over its per-document objects dozens of times. So
+    # it is off for the run, argparse included, and its state is restored.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        output = _run(args)
+        output = _run(build_parser().parse_args(argv))
     except DataError as exc:
         _say(f"pct: input error: {exc}")
         return EXIT_DATA
@@ -294,7 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     except BoundaryAmbiguityError as exc:
         _say(f"pct: {exc}")
         return EXIT_BOUNDARY
-    return _write(output)
+    else:
+        return _write(output)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write(output: str) -> int:

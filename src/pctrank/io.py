@@ -460,11 +460,11 @@ def _envelope(command: str, scheme: PRScheme, **fields) -> dict:
     }
 
 
-def _percentile_exact(attribution: PointAttribution) -> Fraction:
+def _percentile_exact(attribution: PointAttribution) -> int | Fraction:
     """The percentile value an attribution used: the rounded integer, or the
     exact unrounded 100*q when no rounding applied."""
     if attribution.percentile is not None:
-        return Fraction(attribution.percentile)
+        return attribution.percentile
     return 100 * attribution.quantile
 
 
@@ -472,11 +472,6 @@ def _ratio_str(p: int, q: int) -> str:
     """str(Fraction(p, q)) for p >= 0 and q > 0, from the integers."""
     g = math.gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
-
-
-def _fraction_cells(fractions: Sequence[Fraction]) -> list[str]:
-    """str of each fraction; most are zero and skip the call."""
-    return [str(f) if f else "0" for f in fractions]
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -497,8 +492,9 @@ def _json_items(items: Iterable[str], open_: str = "[", close: str = "]") -> str
 
 
 def _json_members(groups: Iterable[tuple]) -> str:
-    """The comma-joined objects of (member_ids, (head, tail)) groups: each
-    member's object is its group's head text, its id and the tail text."""
+    """The comma-joined objects of the report's (member_ids, (head, tail))
+    flags or disagreements: each member's object is its group's head text,
+    its id and the tail text. Attribute writes its documents itself."""
     return ",".join([
         f"{head}{_json_str(doc_id)}{tail}" for ids, (head, tail) in groups for doc_id in ids
     ])
@@ -506,7 +502,8 @@ def _json_members(groups: Iterable[tuple]) -> str:
 
 def _json_spliced(payload: dict, members: list[str]) -> str:
     """_json_text(payload) with its i-th empty group list holding members[i]
-    (the text from _json_members), in the order json.dumps writes them.
+    (joined document objects, each opening at _DOC), in the order json.dumps
+    writes them.
 
     Strings are escaped and every structural newline is followed by its
     indent, so an empty list is found exactly at the group level."""
@@ -548,64 +545,76 @@ def render_attributions(
     tails: dict[int, list[str] | str] = {}
 
     def fractional_tail(head):
-        """The score and fraction cells (csv, table), or their JSON fields,
-        of an attribution's fractions."""
+        """The score and fraction cells (csv, table), or the JSON text after
+        "interval" to the document's end, of an attribution's fractions."""
         tail = tails.get(id(head.fractions))
         if tail is None:
             score = per_doc_score(head, scheme)
-            cells = _fraction_cells(head.fractions)
+            cells = [str(f) if f else "0" for f in head.fractions]  # most are zero
             if fmt == "json":
                 items = _json_items(f'"{f}"' for f in cells)
-                tail = f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}'
+                tail = f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}{_DOC}}}'
             else:
                 tail = [str(score) if fmt == "csv" else _exact_and_decimal(score, precision),
                         *cells]
             tails[id(head.fractions)] = tail
         return tail
 
-    def shared(group_key, group, head, low, high, percents):
-        """The cells of a row after the id (csv, table), or the JSON texts of
-        a document before and after its id, shared by a tie group's members,
-        from the interval's ends as text (and as percentages for a table)."""
-        if fmt == "json":
-            # Fraction strings ("p/q") need no escaping.
-            interval = f'{{{_ITEM}"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}'
-            text = f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {interval}'
-            if fractional:
-                text += fractional_tail(head)
+    def point_tail(head):
+        """The JSON text after "interval" to the document's end, of a point
+        attribution."""
+        boundary, pair = head.boundary_hit, head.endpoint_percentiles
+        return (
+            f',{_FIELD}"quantile": "{head.quantile}"'
+            f',{_FIELD}"percentile": "{_percentile_exact(head)}"'
+            f',{_FIELD}"class": {head.class_index}'
+            f',{_FIELD}"weight": "{scheme.classes[head.class_index - 1].weight}"'
+            f',{_FIELD}"ambiguous": {"true" if head.ambiguous else "false"}'
+            f',{_FIELD}"boundary": ' + ("null" if boundary is None else f'"{boundary}"')
+            + (f',{_FIELD}"endpoint_percentiles": '
+               + ("null" if pair is None else _json_items(map(str, pair)))
+               if show_endpoints else "")
+            + _DOC + "}"
+        )
+
+    rule_tail = fractional_tail if fractional else point_tail
+
+    def json_documents(group_key, ranked, attributions):
+        """The joined document objects of a group. A tie group's text after
+        the id is formatted once, from its head; each member adds one
+        f-string. Fraction strings ("p/q") need no escaping."""
+        n, low, out = ranked.n, "0", []
+        if len(attributions) != n:
+            raise ValueError(f"{len(attributions)} attributions for a ranked set of {n} documents")
+        for group in ranked.groups:
+            head, high = attributions[group.rank_low - 1], _ratio_str(group.rank_high, n)
+            tail = (f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {{{_ITEM}'
+                    f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}{rule_tail(head)}')
+            # One member: no list comprehension, whose set-up outweighs one f-string.
+            if len(ids := group.member_ids) == 1:
+                out.append(f"{_ID_FIELD}{_json_str(ids[0])}{tail}")
             else:
-                weight = scheme.classes[head.class_index - 1].weight
-                boundary = head.boundary_hit
-                text += (
-                    f',{_FIELD}"quantile": "{head.quantile}"'
-                    f',{_FIELD}"percentile": "{_percentile_exact(head)}"'
-                    f',{_FIELD}"class": {head.class_index}'
-                    f',{_FIELD}"weight": "{weight}"'
-                    f',{_FIELD}"ambiguous": {"true" if head.ambiguous else "false"}'
-                    f',{_FIELD}"boundary": '
-                    + ("null" if boundary is None else f'"{boundary}"')
-                )
-                if show_endpoints:
-                    pair = head.endpoint_percentiles
-                    text += f',{_FIELD}"endpoint_percentiles": ' + (
-                        "null" if pair is None else _json_items(map(str, pair))
-                    )
-            return _ID_FIELD, text + _DOC + "}"
+                out += [f"{_ID_FIELD}{_json_str(doc_id)}{tail}" for doc_id in ids]
+            low = high
+        return ",".join(out)
+
+    def shared(group_key, group, head, low, high, percents):
+        """The cells of a row after the id, shared by a tie group's members,
+        from the interval's ends as text (and as percentages for a table)."""
         if fmt == "csv":
             cells = [str(group.citations), group_key, low, high]
         else:
             cells = [str(group.citations), f"[{low}, {high}]", "–".join(percents)]
         if fractional:
             return cells + fractional_tail(head)
-        percentile = _percentile_exact(head)
         if fmt == "csv":
-            cells += [str(head.quantile), str(percentile)]
+            cells += [str(head.quantile), str(_percentile_exact(head))]
         else:
             cells += [
                 f"{head.quantile} ({percent_str(head.quantile)})",
-                decimal_str(percentile, precision)
-                if head.percentile is None
-                else str(head.percentile),
+                str(head.percentile)
+                if head.percentile is not None
+                else decimal_str(100 * head.quantile, precision),
             ]
         if show_endpoints:
             pair = head.endpoint_percentiles
@@ -619,7 +628,7 @@ def render_attributions(
 
     def tie_groups(group_key, ranked, attributions):
         """(member_ids, shared cells) per tie group, in rank order. Made one
-        at a time: csv and json consume each pair at once, so no pair
+        at a time: csv consumes each pair at once, so no pair
         outlives its group (a live pair per document sets off extra passes
         of the cyclic garbage collector). The intervals tile [0, 1], so each
         end is formatted once: group j reads ends j and j + 1."""
@@ -643,7 +652,7 @@ def render_attributions(
             {"group": group_key, "n": ranked.n, "documents": []}
             for group_key, ranked, _ in batches
         ], **shown_policy)
-        return _json_spliced(payload, [_json_members(tie_groups(*batch)) for batch in batches])
+        return _json_spliced(payload, [json_documents(*batch) for batch in batches])
 
     if fmt == "csv":
         header = ["id", "citations", "group", "interval_low", "interval_high"]

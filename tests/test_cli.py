@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -1030,6 +1031,60 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run(["--version"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_the_cyclic_collector_is_left_as_it_was(self, capsys, five_file, tmp_path, enabled):
+        """main pauses the collector for a run; on every way out, a code
+        returned, a usage error or --help, the collector is as main found it."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,citations\nx,many\n")
+        attribute = ["attribute", "--scheme", "top50", "--input", five_file]
+        cases = [
+            (EXIT_OK, attribute),
+            (EXIT_DATA, ["attribute", "--scheme", "top50", "--input", str(bad)]),
+            (EXIT_CONFIG, ["attribute", "--scheme", "top7", "--input", five_file]),
+            (EXIT_BOUNDARY, [*attribute, "--rule", "midpoint", "--boundary", "error"]),
+            (EXIT_CONFIG, ["attribute", "--rule", "bogus"]),
+            (EXIT_OK, ["--help"]),
+        ]
+        was = gc.isenabled()
+        try:
+            for code, argv in cases:
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    assert main(argv) == code
+                except SystemExit as exc:
+                    assert exc.code == code
+                assert gc.isenabled() is enabled, argv
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["attribute"], ["attribute", "--format", "json"], ["report", "--format", "json"],
+    ], ids=["attribute", "attribute-json", "report-json"])
+    @pytest.mark.parametrize("tie", [1, 50], ids=["distinct", "tied"])
+    def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(self, capsys, tmp_path, argv, tie):
+        """With the collector paused, a run's reference cycles wait for the
+        next collection. Their count must not depend on n: a cycle made per
+        document would fail here rather than grow a run's memory."""
+
+        def garbage(n):
+            path = tmp_path / f"{n}.csv"
+            path.write_text("id,citations\n" + "".join(f"d{i},{i // tie}\n" for i in range(n)))
+            was = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                assert main([*argv, "--scheme", "pr6", "--input", str(path)]) == EXIT_OK
+                return gc.collect()
+            finally:
+                (gc.enable if was else gc.disable)()
+
+        garbage(10)  # fills the caches a process fills once
+        small, large = garbage(10), garbage(2_000)
+        assert small == large and small < 1_000, (small, large)
+        capsys.readouterr()
 
 
 # Each run command's options in order: flags, dest, default, choices,

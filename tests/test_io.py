@@ -624,12 +624,14 @@ class TestRenderAttributions:
         assert calls[2] == calls[3]
         assert calls[4] == calls[5]
 
-    def test_attributions_must_cover_the_ranked_set(self, five_ranked):
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_attributions_must_cover_the_ranked_set(self, five_ranked, fmt):
         scheme = builtin_scheme("top50")
         attributions = attribute_all(five_ranked, scheme, CountingRule.FRACTIONAL)
         with pytest.raises(ValueError, match="4 attributions for a ranked set of 5"):
             render_attributions(
-                [("g", five_ranked, attributions[:4])], scheme, CountingRule.FRACTIONAL
+                [("g", five_ranked, attributions[:4])], scheme, CountingRule.FRACTIONAL,
+                fmt=fmt,
             )
 
 
