@@ -22,6 +22,7 @@ from .errors import BoundaryAmbiguityError, ConfigError, DataError
 from .indicators import compare_rules, compute_indicators
 from .io import (
     DEFAULT_PRECISION,
+    FORMATS,
     partition_by_group,
     read_records,
     render_attributions,
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--input", default="-", help="input file (csv, tsv or json), or - for stdin"
         )
         sub.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table",
+            "--format", choices=FORMATS, default="table",
             help="output format (default table; csv/json carry exact p/q values)",
         )
         # report prints no decimals, and it compares every counting rule.
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
              "omit to list the built-ins",
     )
     schemes_parser.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table"
+        "--format", choices=FORMATS, default="table"
     )
     return parser
 

@@ -17,7 +17,7 @@ import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from itertools import chain, pairwise, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -40,7 +40,6 @@ from .scoring import (
     BoundaryPolicy,
     CountingRule,
     MidpointRoute,
-    PointAttribution,
     RoundingMode,
     _group_heads,
 )
@@ -49,6 +48,7 @@ SCHEMA_VERSION = "1"
 DEFAULT_GROUP = "default"
 DEFAULT_PRECISION = 4
 PERCENT_DECIMALS = 2
+FORMATS = ("table", "csv", "json")
 
 _KNOWN_COLUMNS = ("id", "citations", "group")
 _KNOWN_FIELDS = frozenset(_KNOWN_COLUMNS)
@@ -375,6 +375,11 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
 # only its id. Indicators and schemes pass groups of one row.
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {_shortened(fmt)}; expected one of {', '.join(FORMATS)}")
+
+
 def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
     """The header, a rule and one line per member, each column padded to its
     widest cell and each line right-stripped. A group's cells are padded and
@@ -460,14 +465,6 @@ def _envelope(command: str, scheme: PRScheme, **fields) -> dict:
     }
 
 
-def _percentile_exact(attribution: PointAttribution) -> int | Fraction:
-    """The percentile value an attribution used: the rounded integer, or the
-    exact unrounded 100*q when no rounding applied."""
-    if attribution.percentile is not None:
-        return attribution.percentile
-    return 100 * attribution.quantile
-
-
 def _ratio_str(p: int, q: int) -> str:
     """str(Fraction(p, q)) for p >= 0 and q > 0, from the integers."""
     g = math.gcd(p, q)
@@ -539,6 +536,7 @@ def render_attributions(
     distinct `fractions` tuple: attribute_all gives every group inside one
     class the same one. rounding, policy and midpoint_route are shown for
     point rules only."""
+    _check_format(fmt)
     fractional = rule is CountingRule.FRACTIONAL
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
     # By id() of the fractions tuple; the attributions keep each one alive.
@@ -561,98 +559,79 @@ def render_attributions(
         return tail
 
     def point_tail(head):
-        """The JSON text after "interval" to the document's end, of a point
-        attribution."""
-        boundary, pair = head.boundary_hit, head.endpoint_percentiles
-        return (
-            f',{_FIELD}"quantile": "{head.quantile}"'
-            f',{_FIELD}"percentile": "{_percentile_exact(head)}"'
-            f',{_FIELD}"class": {head.class_index}'
-            f',{_FIELD}"weight": "{scheme.classes[head.class_index - 1].weight}"'
-            f',{_FIELD}"ambiguous": {"true" if head.ambiguous else "false"}'
-            f',{_FIELD}"boundary": ' + ("null" if boundary is None else f'"{boundary}"')
-            + (f',{_FIELD}"endpoint_percentiles": '
-               + ("null" if pair is None else _json_items(map(str, pair)))
-               if show_endpoints else "")
-            + _DOC + "}"
-        )
+        """The cells after the interval (csv, table), or the JSON text after
+        "interval" to the document's end, of a point attribution."""
+        _, quantile, percentile, index, ambiguous, boundary, pair = head
+        weight = scheme.classes[index - 1].weight
+        # The percentile the class came from: rounded, or the exact 100*q.
+        exact = 100 * quantile if percentile is None else percentile
+        ambiguous = "true" if ambiguous else "false"
+        if fmt == "json":
+            return (
+                f',{_FIELD}"quantile": "{quantile}"'
+                f',{_FIELD}"percentile": "{exact}"'
+                f',{_FIELD}"class": {index}'
+                f',{_FIELD}"weight": "{weight}"'
+                f',{_FIELD}"ambiguous": {ambiguous}'
+                f',{_FIELD}"boundary": ' + ("null" if boundary is None else f'"{boundary}"')
+                + (f',{_FIELD}"endpoint_percentiles": '
+                   + ("null" if pair is None else _json_items(map(str, pair)))
+                   if show_endpoints else "")
+                + _DOC + "}"
+            )
+        if fmt == "csv":
+            cells = [str(quantile), str(exact)]
+        else:
+            shown = str(exact) if percentile is not None else decimal_str(exact, precision)
+            cells = [f"{quantile} ({percent_str(quantile)})", shown]
+        if show_endpoints:
+            cells.append("" if pair is None else f"{pair[0]}/{pair[1]}")
+        return cells + [
+            str(index), str(weight), ambiguous, "" if boundary is None else str(boundary),
+        ]
 
     rule_tail = fractional_tail if fractional else point_tail
 
-    def json_documents(group_key, ranked, attributions):
-        """The joined document objects of a group. A tie group's text after
-        the id is formatted once, from its head; each member adds one
-        f-string. Fraction strings ("p/q") need no escaping."""
-        n, low, out = ranked.n, "0", []
-        if len(attributions) != n:
-            raise ValueError(f"{len(attributions)} attributions for a ranked set of {n} documents")
-        for group in ranked.groups:
-            head, high = attributions[group.rank_low - 1], _ratio_str(group.rank_high, n)
-            tail = (f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {{{_ITEM}'
-                    f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}{rule_tail(head)}')
-            # One member: no list comprehension, whose set-up outweighs one f-string.
-            if len(ids := group.member_ids) == 1:
-                out.append(f"{_ID_FIELD}{_json_str(ids[0])}{tail}")
+    def rows(group_key, ranked, attributions):
+        """Per tie group, in rank order: (member_ids, cells after the id) for
+        csv and table, or each member's JSON object, whose "p/q" strings need
+        no escaping. Made one at a time, as csv consumes each pair at once: a
+        live pair per document sets off extra passes of the cyclic garbage
+        collector. The intervals tile [0, 1], so each end is formatted once."""
+        n, low, low_percent = ranked.n, "0", "0%"
+        for group, head in _group_heads(ranked, attributions):
+            high, ids = _ratio_str(group.rank_high, n), group.member_ids
+            if fmt == "json":
+                tail = (f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {{{_ITEM}'
+                        f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}{rule_tail(head)}')
+                # One member: no list comprehension, whose set-up outweighs one f-string.
+                if len(ids) == 1:
+                    yield f"{_ID_FIELD}{_json_str(ids[0])}{tail}"
+                else:
+                    yield from [f"{_ID_FIELD}{_json_str(doc_id)}{tail}" for doc_id in ids]
+            elif fmt == "csv":
+                yield ids, [str(group.citations), group_key, low, high, *rule_tail(head)]
             else:
-                out += [f"{_ID_FIELD}{_json_str(doc_id)}{tail}" for doc_id in ids]
+                high_percent = _percent(group.rank_high, n)
+                yield ids, [str(group.citations), f"[{low}, {high}]",
+                            f"{low_percent}–{high_percent}", *rule_tail(head)]
+                low_percent = high_percent
             low = high
-        return ",".join(out)
 
-    def shared(group_key, group, head, low, high, percents):
-        """The cells of a row after the id, shared by a tie group's members,
-        from the interval's ends as text (and as percentages for a table)."""
-        if fmt == "csv":
-            cells = [str(group.citations), group_key, low, high]
-        else:
-            cells = [str(group.citations), f"[{low}, {high}]", "–".join(percents)]
-        if fractional:
-            return cells + fractional_tail(head)
-        if fmt == "csv":
-            cells += [str(head.quantile), str(_percentile_exact(head))]
-        else:
-            cells += [
-                f"{head.quantile} ({percent_str(head.quantile)})",
-                str(head.percentile)
-                if head.percentile is not None
-                else decimal_str(100 * head.quantile, precision),
-            ]
-        if show_endpoints:
-            pair = head.endpoint_percentiles
-            cells.append("" if pair is None else f"{pair[0]}/{pair[1]}")
-        return cells + [
-            str(head.class_index),
-            str(scheme.classes[head.class_index - 1].weight),
-            "true" if head.ambiguous else "false",
-            "" if head.boundary_hit is None else str(head.boundary_hit),
-        ]
-
-    def tie_groups(group_key, ranked, attributions):
-        """(member_ids, shared cells) per tie group, in rank order. Made one
-        at a time: csv consumes each pair at once, so no pair
-        outlives its group (a live pair per document sets off extra passes
-        of the cyclic garbage collector). The intervals tile [0, 1], so each
-        end is formatted once: group j reads ends j and j + 1."""
-        n = ranked.n
-        ends = [0, *[group.rank_high for group in ranked.groups]]
-        exact = [_ratio_str(end, n) for end in ends]
-        percents = pairwise([_percent(end, n) for end in ends]) if fmt == "table" else repeat(None)
-        return (
-            (group.member_ids, shared(group_key, group, head, low, high, pair))
-            for (group, head), low, high, pair
-            in zip(_group_heads(ranked, attributions), exact, exact[1:], percents)
-        )
-
-    settings = {"rule": rule.value}
+    settings, shown_policy, meta = {"rule": rule.value}, {}, f"rule={rule.value}"
     if not fractional:
         settings.update(rounding=rounding.value, midpoint_route=midpoint_route.value)
-    shown_policy = {} if fractional or policy is None else {"boundary_policy": policy.value}
+        meta += f" rounding={rounding.value} route={midpoint_route.value}"
+        if policy is not None:
+            shown_policy = {"boundary_policy": policy.value}
+            meta += f" boundary={policy.value}"
 
     if fmt == "json":
         payload = _envelope("attribute", scheme, **settings, groups=[
             {"group": group_key, "n": ranked.n, "documents": []}
             for group_key, ranked, _ in batches
         ], **shown_policy)
-        return _json_spliced(payload, [json_documents(*batch) for batch in batches])
+        return _json_spliced(payload, [",".join(rows(*batch)) for batch in batches])
 
     if fmt == "csv":
         header = ["id", "citations", "group", "interval_low", "interval_high"]
@@ -666,15 +645,10 @@ def render_attributions(
             header.append("endpoint_pcts")
         header += ["class", "weight", "ambiguous", "boundary"]
     if fmt == "csv":
-        return _csv_text(header, (group for batch in batches for group in tie_groups(*batch)))
-    meta = f"rule={rule.value}"
-    if not fractional:
-        meta += f" rounding={rounding.value} route={midpoint_route.value}"
-    if shown_policy:
-        meta += f" boundary={policy.value}"
+        return _csv_text(header, (row for batch in batches for row in rows(*batch)))
     return _sections(
         [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
-        + _render_table(header, [*tie_groups(group_key, ranked, attributions)])
+        + _render_table(header, [*rows(group_key, ranked, attributions)])
         for group_key, ranked, attributions in batches
     )
 
@@ -695,6 +669,7 @@ def render_indicators(
     """I3, R, PP, the theoretical I3 and I3's difference from it per group.
     pp is None for schemes without two classes: null in json, blank in csv
     and "-" in the table."""
+    _check_format(fmt)
     rule = batches[0][1].rule.value if batches else None
     groups = []
     for group_key, result in batches:
@@ -748,6 +723,7 @@ def render_report(
     counts per group, one row or object per document, in one pass over the
     groups. A flag or disagreement covers a tie group: its shared cells (or
     JSON texts) are formatted once and each member adds only its id."""
+    _check_format(fmt)
     # csv rows, JSON groups or table sections; JSON members go in `members`.
     out, members = [], []
     for group_key, ranked, report in batches:
@@ -828,6 +804,7 @@ _SCHEME_CLASS_FIELDS = ("index", "lower", "upper", "weight")
 
 def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
     """A scheme's classes: index, bounds and weight of each."""
+    _check_format(fmt)
     rows = [(cls.index, str(cls.lower), str(cls.upper), str(cls.weight)) for cls in scheme.classes]
     if fmt == "csv":
         return _csv_text(
@@ -850,6 +827,7 @@ def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
 
 def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> str:
     """Name and class count of each scheme; the table adds the weights."""
+    _check_format(fmt)
     rows = [(scheme.name, scheme.k) for scheme in schemes]
     if fmt == "csv":
         return _csv_text(["name", "classes"], [((name,), [k]) for name, k in rows])

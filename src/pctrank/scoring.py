@@ -261,5 +261,5 @@ def _group_heads(
         raise ValueError(
             f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
         )
-    # A group's members share one attribution; rank r sits at position r - 1.
-    return ((group, attributions[group.rank_low - 1]) for group in ranked.groups)
+    # Members share the attribution at position rank_low - 1. zip runs no frame per group.
+    return zip(ranked.groups, [attributions[group.rank_low - 1] for group in ranked.groups])

@@ -1061,8 +1061,11 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["attribute"], ["attribute", "--format", "json"], ["report", "--format", "json"],
-    ], ids=["attribute", "attribute-json", "report-json"])
+        ["attribute"], ["attribute", "--format", "json"], ["attribute", "--format", "csv"],
+        ["attribute", "--rule", "midpoint", "--rounding", "floor", "--midpoint-route", "endpoints"],
+        ["report", "--format", "json"],
+    ], ids=["attribute", "attribute-json", "attribute-csv", "attribute-midpoint-endpoints",
+            "report-json"])
     @pytest.mark.parametrize("tie", [1, 50], ids=["distinct", "tied"])
     def test_a_run_leaves_no_cyclic_garbage_that_grows_with_n(self, capsys, tmp_path, argv, tie):
         """With the collector paused, a run's reference cycles wait for the

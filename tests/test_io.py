@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +19,7 @@ from pctrank import (
     CitationRecord,
     CountingRule,
     DataError,
+    DocumentSet,
     MidpointRoute,
     RoundingMode,
     attribute_all,
@@ -38,6 +41,7 @@ from pctrank.io import (
     render_scheme_list,
 )
 from pctrank.model import scheme_from_boundaries
+from support import make_tied
 
 F = Fraction
 
@@ -634,6 +638,44 @@ class TestRenderAttributions:
                 fmt=fmt,
             )
 
+    @pytest.mark.parametrize("rule", [CountingRule.FRACTIONAL, CountingRule.MIDPOINT])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_each_tie_group_is_formatted_once(self, monkeypatch, fmt, rule):
+        """A tie group's cells or JSON text are made from its head, once: one
+        _ratio_str per tie group, as each interval end is one group's high
+        end and the next one's low end, and under the fractional rule one
+        per_doc_score per distinct fractions tuple. Formatting per member
+        would call both once per document."""
+        scheme = builtin_scheme("pr100")
+        rng = random.Random(5)
+        pareto = DocumentSet(tuple(
+            CitationRecord(f"p{i:03d}", int(rng.paretovariate(1.2)) - 1) for i in range(400)
+        ))
+        batches = [
+            (key, ranked, attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER))
+            for key, ranked in (("tied", rank(make_tied(300))), ("pareto", rank(pareto)))
+        ]
+        calls = Counter()
+
+        def counted(name):
+            function = getattr(pctrank.io, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(pctrank.io, name, spy)
+
+        counted("per_doc_score")
+        counted("_ratio_str")
+        render_attributions(batches, scheme, rule, policy=BoundaryPolicy.LOWER, fmt=fmt)
+        documents = sum(ranked.n for _, ranked, _ in batches)
+        tie_groups = sum(len(ranked.groups) for _, ranked, _ in batches)
+        assert calls["_ratio_str"] == tie_groups < documents
+        fractions = {
+            id(a.fractions) for _, _, attributions in batches for a in attributions
+        } if rule is CountingRule.FRACTIONAL else set()
+        assert calls["per_doc_score"] == len(fractions)
+
 
 class TestRenderIndicators:
     def test_csv_row(self, eight_ranked):
@@ -721,3 +763,25 @@ class TestRenderSchemes:
         assert "1 .. 100" in table  # long weight runs are elided
         csv_text = render_scheme_list(schemes, fmt="csv")
         assert csv_text.splitlines()[1] == "top50,2"
+
+
+@pytest.mark.parametrize("fmt", ["CSV", "xml"])
+@pytest.mark.parametrize("render", [
+    lambda ranked, scheme, fmt: render_attributions(
+        one_batch(ranked, scheme, CountingRule.FRACTIONAL), scheme, CountingRule.FRACTIONAL,
+        fmt=fmt,
+    ),
+    lambda ranked, scheme, fmt: render_indicators(
+        [("default", compute_indicators(ranked, scheme, CountingRule.FRACTIONAL))], scheme,
+        fmt=fmt,
+    ),
+    lambda ranked, scheme, fmt: render_report(
+        [("default", ranked, compare_rules(ranked, scheme))], scheme, fmt=fmt,
+    ),
+    lambda ranked, scheme, fmt: render_scheme_detail(scheme, fmt=fmt),
+    lambda ranked, scheme, fmt: render_scheme_list([scheme], fmt=fmt),
+], ids=["attributions", "indicators", "report", "scheme-detail", "scheme-list"])
+def test_an_unknown_format_is_refused(five_ranked, render, fmt):
+    with pytest.raises(ValueError) as caught:
+        render(five_ranked, builtin_scheme("top50"), fmt)
+    assert str(caught.value) == f"unknown format {fmt!r}; expected one of table, csv, json"

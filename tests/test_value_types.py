@@ -4,6 +4,7 @@ they had as frozen dataclasses, and a package import that needs neither
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,6 +38,10 @@ from support import package_names
 
 F = Fraction
 
+SOURCE = Path(pctrank.__file__).resolve().parent
+# `__init__` imports these to bind them on the package, not to use them.
+PACKAGE_BINDINGS = {*pctrank.__all__, "main", "ConfigError", "PctrankError", "__version__"}
+
 
 @pytest.fixture
 def ranked():
@@ -67,6 +72,64 @@ def test_the_package_binds_all_and_three_more_names():
     module, such as `pctrank.io`."""
     assert len(set(pctrank.__all__)) == len(pctrank.__all__) == 30
     assert package_names() == {*pctrank.__all__, "main", "ConfigError", "PctrankError"}
+
+
+def source_modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py"))}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """The names a piece of code reads: bare names, and attributes read off
+    any value, such as a module's."""
+    return {
+        sub.attr if isinstance(sub, ast.Attribute) else sub.id
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        or isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+    }
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for module, tree in source_modules().items():
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exempt = PACKAGE_BINDINGS if module == "__init__.py" else set()
+        unused += [f"{module}: {name}" for name in sorted(imported - used - exempt)]
+    assert unused == []
+
+
+def test_every_private_top_level_name_is_used_besides_its_definition():
+    modules = source_modules()
+    reads = {
+        (module, index): read_names(statement)
+        for module, tree in modules.items() for index, statement in enumerate(tree.body)
+    }
+    unused = []
+    for module, tree in modules.items():
+        for index, statement in enumerate(tree.body):
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                defined = [n.id for target in statement.targets
+                           for n in ast.walk(target) if isinstance(n, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign) and statement.simple:
+                defined = [statement.target.id]
+            else:
+                continue
+            unused += [
+                f"{module}: {name}" for name in defined
+                if name.startswith("_") and not name.endswith("__")
+                and not any(name in names for key, names in reads.items() if key != (module, index))
+            ]
+    assert unused == []
 
 
 def test_reprs_keep_the_dataclass_format(ranked):
