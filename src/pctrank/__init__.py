@@ -7,7 +7,6 @@ class boundary.
 """
 
 from .cli import __version__, main
-from .errors import BoundaryAmbiguityError, ConfigError, DataError, PctrankError, SchemeError
 from .indicators import (
     AmbiguityReport,
     BoundaryFlag,
@@ -19,14 +18,23 @@ from .indicators import (
 )
 from .io import read_records, render_attributions
 from .model import (
+    BoundaryAmbiguityError,
     CitationRecord,
+    ConfigError,
+    DataError,
     DocumentSet,
+    PctrankError,
     PRClass,
     PRScheme,
+    QuantileInterval,
+    RankedSet,
+    SchemeError,
+    TieGroup,
     builtin_scheme,
+    interval_for,
+    rank,
     theoretical_total,
 )
-from .ranking import QuantileInterval, RankedSet, TieGroup, interval_for, rank
 from .scoring import (
     BoundaryPolicy,
     CountingRule,

@@ -16,7 +16,6 @@ import gc
 import os
 import sys
 
-from .errors import BoundaryAmbiguityError, ConfigError, DataError
 # Each layer is called through the names imported here: perfbench/tracing.py
 # rebinds them in this namespace to time the layers of a run.
 from .indicators import compare_rules, compute_indicators
@@ -31,8 +30,17 @@ from .io import (
     render_scheme_detail,
     render_scheme_list,
 )
-from .model import BUILTIN_SCHEME_NAMES, PRScheme, _shortened, builtin_scheme, load_custom_scheme
-from .ranking import rank
+from .model import (
+    BUILTIN_SCHEME_NAMES,
+    BoundaryAmbiguityError,
+    ConfigError,
+    DataError,
+    PRScheme,
+    _shortened,
+    builtin_scheme,
+    load_custom_scheme,
+    rank,
+)
 from .scoring import (
     BoundaryPolicy,
     CountingRule,
@@ -302,7 +310,3 @@ def _write(output: str) -> int:
             _to_null_device(sys.stdout)
         return EXIT_OUTPUT
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

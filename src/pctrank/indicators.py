@@ -8,8 +8,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .model import PRScheme
-from .ranking import RankedSet, interval_for
+from .model import PRScheme, RankedSet, interval_for
 from .scoring import (
     POINT_RULES,
     Attribution,

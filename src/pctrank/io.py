@@ -21,19 +21,19 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import DataError
 from .indicators import AmbiguityReport, IndicatorResult, per_doc_score
 from .model import (
     CitationRecord,
+    DataError,
     DocumentSet,
     PRScheme,
+    RankedSet,
     _shortened,
     _unique_keys,
     has_surrogate,
     scheme_to_document,
     theoretical_total,
 )
-from .ranking import RankedSet
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -380,12 +380,23 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {_shortened(fmt)}; expected one of {', '.join(FORMATS)}")
 
 
+def _printable(text: str) -> str:
+    """text for a table line: each character that str.isprintable() refuses,
+    such as a newline, tab or ESC, as its repr escape, so that a row stays on
+    one line and no control character reaches the terminal."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
     """The header, a rule and one line per member, each column padded to its
     widest cell and each line right-stripped. A group's cells are padded and
     right-stripped once; the id is never the last column, and the cells
-    after it are never all blank."""
+    after it are never all blank. Ids are shown through _printable."""
     member_ids, rows = zip(*groups) if groups else ((), ())
+    if not "".join(chain.from_iterable(member_ids)).isprintable():
+        member_ids = [[*map(_printable, ids)] for ids in member_ids]
     widths = [*map(len, [*header[:id_at], *header[id_at + 1:]])]
     for i, column in enumerate(zip(*rows)):
         widths[i] = max(widths[i], *map(len, column))
@@ -647,7 +658,7 @@ def render_attributions(
     if fmt == "csv":
         return _csv_text(header, (row for batch in batches for row in rows(*batch)))
     return _sections(
-        [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}"]
+        [f"# group={_printable(group_key)} n={ranked.n} scheme={_printable(scheme.name)} {meta}"]
         + _render_table(header, [*rows(group_key, ranked, attributions)])
         for group_key, ranked, attributions in batches
     )
@@ -697,7 +708,7 @@ def render_indicators(
         for group_key, result, values in groups
     ]
     table = _render_table(["group", "n", *_INDICATOR_COLUMNS], rows)
-    return _sections([[f"# scheme={scheme.name} rule={rule or '-'}", *table]])
+    return _sections([[f"# scheme={_printable(scheme.name)} rule={rule or '-'}", *table]])
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +786,7 @@ def render_report(
         else:
             flag_header = ["rule", "id", "interval", "percent", "quantile", "boundary"]
             out.append([
-                f"# group={group_key} n={ranked.n} scheme={scheme.name}"
+                f"# group={_printable(group_key)} n={ranked.n} scheme={_printable(scheme.name)}"
                 f" rounding={rounding.value} route={midpoint_route.value}",
                 "boundary hits:",
                 *(_render_table(flag_header, flags, id_at=1) if flags else ["  none"]),
@@ -822,7 +833,7 @@ def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
                          interval_percent_str(cls.lower, cls.upper), weight])
         for (index, lower, upper, weight), cls in zip(rows, scheme.classes)
     ])
-    return _sections([[f"# scheme={scheme.name} classes={scheme.k}", *table]])
+    return _sections([[f"# scheme={_printable(scheme.name)} classes={scheme.k}", *table]])
 
 
 def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> str:

@@ -1,4 +1,5 @@
-"""Value types: citation records, document sets, and percentile rank class schemes.
+"""Errors and value types: citation records and document sets, their ranking
+into tie groups with exact quantile intervals, and percentile rank class schemes.
 
 Every numeric quantity is a `fractions.Fraction`, so boundaries, quantiles and
 scores stay exact end to end; nothing here passes through binary floating point.
@@ -9,19 +10,46 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import DataError, SchemeError
 
-# Each built-in scheme's class lower bounds, in percent, and class weights.
-_BUILTINS = {
-    "top50": ((0, 50), (0, 1)),
-    "pr6": ((0, 50, 75, 90, 95, 99), range(1, 7)),
-    "pr100": (range(100), range(1, 101)),
-}
-BUILTIN_SCHEME_NAMES = tuple(_BUILTINS)
+class PctrankError(Exception):
+    """Base class for every error this package raises deliberately."""
+
+
+class ConfigError(PctrankError, ValueError):
+    """A run configuration value is invalid (selector, precision, flags)."""
+
+
+class SchemeError(ConfigError):
+    """A class scheme is malformed or a scheme selector cannot be resolved."""
+
+
+class DataError(PctrankError, ValueError):
+    """Input data is malformed: bad row, bad citation count, duplicate id."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class BoundaryAmbiguityError(PctrankError):
+    """A point quantile landed exactly on an interior class boundary while the
+    boundary policy was set to refuse such cases."""
+
+    def __init__(self, boundary: Fraction):
+        super().__init__(
+            f"quantile {boundary} falls exactly on an interior class boundary; "
+            "use boundary policy 'lower' or 'upper' to resolve it"
+        )
+        self.boundary = boundary
 
 
 def parse_fraction(value: str | int | Fraction) -> Fraction:
@@ -100,9 +128,9 @@ class CitationRecord(_CitationRecord):
     """One document: an opaque id, its citation count, and an optional group key.
 
     The constructor checks every field and, as the readers do, refuses an
-    id made only of whitespace or an id or group holding NUL or a lone
-    surrogate, and reads a blank group as no group. The readers, which
-    check rows themselves, build records with
+    id made only of whitespace, a group neither string nor None, or an id or
+    group holding NUL or a lone surrogate, and reads a blank group as no
+    group. The readers, which check rows themselves, build records with
     `tuple.__new__(CitationRecord, fields)`.
     """
 
@@ -115,12 +143,13 @@ class CitationRecord(_CitationRecord):
             raise DataError(f"citations for {_shortened(doc_id)} must be an integer")
         if citations < 0:
             raise DataError(f"citations for {_shortened(doc_id)} must be non-negative")
-        if "\0" in doc_id or isinstance(group, str) and "\0" in group:
+        if group is not None and not isinstance(group, str):
+            raise DataError(f"group for {_shortened(doc_id)} must be a string")
+        if "\0" in doc_id or group and "\0" in group:
             raise DataError(f"the id or group of {_shortened(doc_id)} holds a NUL character")
-        if has_surrogate(doc_id) or isinstance(group, str) and has_surrogate(group):
+        if has_surrogate(doc_id) or group and has_surrogate(group):
             raise DataError(f"the id or group of {_shortened(doc_id)} holds a lone surrogate")
-        if isinstance(group, str) and not group.strip():
-            group = None
+        group = group if group and group.strip() else None
         return tuple.__new__(cls, (doc_id, citations, group))
 
 
@@ -141,6 +170,115 @@ class DocumentSet:
     @property
     def n(self) -> int:
         return len(self.records)
+
+
+class _QuantileInterval(NamedTuple):
+    low: Fraction
+    high: Fraction
+
+    @property
+    def width(self) -> Fraction:
+        return self.high - self.low
+
+
+class QuantileInterval(_QuantileInterval):
+    """The exact slice of the quantile axis a document occupies.
+
+    A tie group spanning ranks [rank_low, rank_high] of n documents covers
+    [(rank_low - 1)/n, rank_high/n]; every member of the group shares it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, low: Fraction, high: Fraction):
+        if not (0 <= low < high <= 1):
+            raise ValueError(f"need 0 <= low < high <= 1, got [{low}, {high}]")
+        return tuple.__new__(cls, (low, high))
+
+
+class TieGroup(NamedTuple):
+    """Documents sharing one citation count, hence one rank span and interval."""
+
+    citations: int
+    member_ids: tuple[str, ...]
+    rank_low: int
+    rank_high: int
+
+    @property
+    def size(self) -> int:
+        return self.rank_high - self.rank_low + 1
+
+
+class RankedSet:
+    """A document set ranked ascending by citation count.
+
+    `groups`, its tie groups in rank order, is built by `_tie_groups` on
+    first read and kept; n needs no sorting. interval_for gives a group's
+    quantile interval.
+    """
+
+    def __init__(self, source: DocumentSet):
+        self.source = source
+        self._groups: tuple[TieGroup, ...] | None = None
+
+    @property
+    def groups(self) -> tuple[TieGroup, ...]:
+        if self._groups is None:
+            self._groups = _tie_groups(self.source)
+        return self._groups
+
+    @property
+    def n(self) -> int:
+        return self.source.n
+
+
+def interval_for(group: TieGroup, n: int) -> QuantileInterval:
+    """Quantile interval shared by all members of a tie group among n documents."""
+    if not (1 <= group.rank_low <= group.rank_high <= n):
+        raise ValueError(
+            f"rank span [{group.rank_low}, {group.rank_high}] does not fit a set of {n}"
+        )
+    return QuantileInterval(Fraction(group.rank_low - 1, n), Fraction(group.rank_high, n))
+
+
+def rank(document_set: DocumentSet) -> RankedSet:
+    """Rank a document set ascending by citation count.
+
+    Nothing is sorted here: the ranked set sorts and splits the documents
+    into tie groups when its `groups` is first read. A caller that needs
+    only n, such as fractional `compute_indicators`, never pays for it.
+    """
+    return RankedSet(document_set)
+
+
+def _tie_groups(document_set: DocumentSet) -> tuple[TieGroup, ...]:
+    """Sort ascending by citation count and split into tie groups.
+
+    Tied documents form one group with one rank span, hence one shared
+    interval. Member ids are sorted, so the result is identical for any
+    permutation of the input records.
+    """
+    # By id, then stably by citations: ordered by citations, then by id.
+    by_id, by_citations = itemgetter(0), itemgetter(1)
+    ordered = sorted(document_set.records, key=by_id)
+    ordered.sort(key=by_citations)
+    ids = tuple(map(by_id, ordered))
+    # Counted in rank order, so the sizes come out by ascending citations.
+    sizes = Counter(map(by_citations, ordered))
+    ends = [*accumulate(sizes.values(), initial=0)]
+    return tuple([
+        tuple.__new__(TieGroup, (citations, ids[low:high], low + 1, high))
+        for citations, low, high in zip(sizes, ends, ends[1:])
+    ])
+
+
+# Each built-in scheme's class lower bounds, in percent, and class weights.
+_BUILTINS = {
+    "top50": ((0, 50), (0, 1)),
+    "pr6": ((0, 50, 75, 90, 95, 99), range(1, 7)),
+    "pr100": (range(100), range(1, 101)),
+}
+BUILTIN_SCHEME_NAMES = tuple(_BUILTINS)
 
 
 class _PRClass(NamedTuple):

@@ -14,9 +14,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import BoundaryAmbiguityError
-from .model import PRScheme
-from .ranking import RankedSet, TieGroup
+from .model import BoundaryAmbiguityError, PRScheme, RankedSet, TieGroup
 
 
 class CountingRule(Enum):

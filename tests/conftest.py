@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-import pctrank.ranking
+import pctrank.model
 from pctrank import DocumentSet, RankedSet, rank
 from support import make_distinct
 
@@ -34,11 +34,11 @@ def builds(monkeypatch):
     """The document sets that the tie group builder behind RankedSet.groups
     is called on, in order."""
     calls = []
-    build = pctrank.ranking._tie_groups
+    build = pctrank.model._tie_groups
 
     def counted(document_set):
         calls.append(document_set)
         return build(document_set)
 
-    monkeypatch.setattr(pctrank.ranking, "_tie_groups", counted)
+    monkeypatch.setattr(pctrank.model, "_tie_groups", counted)
     return calls

@@ -340,8 +340,16 @@ def random_scheme(rng: random.Random, max_classes: int = 10) -> PRScheme:
 # that document's own attribution or record. The package renders per tie
 # group; these are what its output must equal byte for byte.
 
+def shown(text: str) -> str:
+    """text as a table shows it: each character that is not printable as its
+    repr escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def table_rows(header: list[str], rows: list[list[str]]) -> list[str]:
-    """A table with one padded line per row, widths measured over every row."""
+    """A table with one padded line per row, widths measured over every row
+    of shown cells."""
+    rows = [[*map(shown, row)] for row in rows]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
         for i in range(len(header))
@@ -473,7 +481,7 @@ def render_attributions_per_document(
     if shown_policy:
         meta += f" boundary={policy.value}"
     return _sections(
-        [f"# group={group_key} n={ranked.n} scheme={scheme.name} {meta}",
+        [f"# group={shown(group_key)} n={ranked.n} scheme={shown(scheme.name)} {meta}",
          *table_rows(header, [table_row(*d) for d in documents(ranked, attributions)])]
         for group_key, ranked, attributions in batches
     )
@@ -553,7 +561,7 @@ def render_report_per_document(
         ]
         flag_summary = ", ".join(f"{rule.value}={c}" for rule, c in report.flag_counts.items())
         sections.append([
-            f"# group={group_key} n={ranked.n} scheme={scheme.name}"
+            f"# group={shown(group_key)} n={ranked.n} scheme={shown(scheme.name)}"
             f" rounding={rounding.value} route={midpoint_route.value}",
             "boundary hits:",
             *(table_rows(["rule", "id", "interval", "percent", "quantile", "boundary"],

@@ -144,6 +144,31 @@ class TestInputEdgeCases:
         documents = json.loads(out)["groups"][0]["documents"]
         assert [d["id"] for d in documents] == ["a\nb", "c\r\nd"]
 
+    def test_a_table_row_stays_on_one_line(self, run, tmp_path):
+        """A table shows a newline, tab or ESC in an id, group or scheme name
+        as its escape: the table is the one the escaped text itself gives, one
+        line per document. csv keeps the text as read."""
+        def files(stem, newline, tab, esc):
+            data, scheme = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.json"
+            data.write_text(f'id,citations,group\n"a{newline}b",3,"g{tab}1"\n'
+                            f'c{esc}[31m,1,"g{tab}1"\nd,2,h\n', encoding="utf-8")
+            scheme.write_text(json.dumps(
+                {"name": f"s{esc}1", "boundaries": ["0", "1/2", "1"], "weights": ["0", "1"]}
+            ), encoding="utf-8")
+            return ["--input", str(data), "--scheme", f"custom={scheme}"]
+
+        raw, shown = files("raw", "\n", "\t", "\x1b"), files("shown", r"\n", r"\t", r"\x1b")
+        for command in ("attribute", "indicators", "report"):
+            code, out, err = run([command, *raw])
+            assert (code, out, err) == run([command, *shown])
+            assert code == EXIT_OK and "\t" not in out and "\x1b" not in out
+            if command == "attribute":
+                # Per group: its title, the header, the rule and one line per document.
+                assert len(out.splitlines()) == 3 + 2 + 1 + 3 + 1
+        assert run(["schemes", raw[2], raw[3]]) == run(["schemes", shown[2], shown[3]])
+        code, out, _ = run(["attribute", *raw, "--format", "csv"])
+        assert '\n"a\nb",3,g\t1,' in out and "\nc\x1b[31m,1," in out
+
     def test_byte_order_mark_before_the_header(self, run, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes("\ufeff".encode() + FIVE_CSV.encode())

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,6 +40,9 @@ from support import package_names
 F = Fraction
 
 SOURCE = Path(pctrank.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+# The package's layers, lowest first: each module imports only those before it.
+LAYERS = ("model", "scoring", "indicators", "io", "cli")
 # `__init__` imports these to bind them on the package, not to use them.
 PACKAGE_BINDINGS = {*pctrank.__all__, "main", "ConfigError", "PctrankError", "__version__"}
 
@@ -104,6 +108,38 @@ def test_no_module_imports_a_name_it_never_uses():
         exempt = PACKAGE_BINDINGS if module == "__init__.py" else set()
         unused += [f"{module}: {name}" for name in sorted(imported - used - exempt)]
     assert unused == []
+
+
+def test_readme_layout_names_every_module():
+    """README "Layout" lists each module of the package but the entry points, once."""
+    layout = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"`src/pctrank/(\w+)\.py`", layout)
+    modules = {path.stem for path in SOURCE.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(named) == sorted(modules)
+
+
+def package_imports(tree: ast.Module) -> list[str]:
+    """The package modules a module imports, as `from .x` or `from . import x`."""
+    return [
+        name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        for name in ([node.module] if node.module else [alias.name for alias in node.names])
+    ]
+
+
+def test_modules_import_each_other_in_layer_order():
+    """model <- scoring <- indicators <- io <- cli: each module imports only
+    the layers before it, so no two modules import each other, and a new
+    module must take its place in LAYERS. The entry points may import any."""
+    modules = source_modules()
+    assert set(modules) - {"__init__.py", "__main__.py"} == {f"{name}.py" for name in LAYERS}
+    out_of_order = [
+        f"{name}.py imports {target}"
+        for position, name in enumerate(LAYERS)
+        for target in package_imports(modules[f"{name}.py"])
+        if target not in LAYERS[:position]
+    ]
+    assert out_of_order == []
 
 
 def test_every_private_top_level_name_is_used_besides_its_definition():
@@ -228,6 +264,9 @@ def test_reader_records_are_validated_records(text, tmp_path):
     (lambda: CitationRecord("a", -1), DataError, "citations for 'a' must be non-negative"),
     (lambda: CitationRecord("i" * 50, -1), DataError,
      f"citations for {'i' * 40!r}... (50 characters) must be non-negative"),
+    (lambda: CitationRecord("a", 1, 0), DataError, "group for 'a' must be a string"),
+    (lambda: CitationRecord("a", 1, 5), DataError, "group for 'a' must be a string"),
+    (lambda: CitationRecord("a", 1, b"g"), DataError, "group for 'a' must be a string"),
     (lambda: DocumentSet([CitationRecord("a", 1), CitationRecord("b", 1), CitationRecord("a", 2)]),
      DataError, "duplicate document id 'a'"),
     (lambda: DocumentSet([CitationRecord("a\x1b" * 30, 1)] * 2),
