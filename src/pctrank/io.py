@@ -28,9 +28,9 @@ from .model import (
     DocumentSet,
     PRScheme,
     RankedSet,
+    _checked_columns,
     _shortened,
     _unique_keys,
-    has_surrogate,
     scheme_to_document,
     theoretical_total,
 )
@@ -176,16 +176,14 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     for _ in range(blank):
         next(rows)
     header = [cell.strip().lower() for cell in next(rows)]
-    header_line = blank + 1
+    where = f"line {blank + 1}: "
     unknown = [name for name in header if name not in _KNOWN_COLUMNS]
     if unknown:
-        raise DataError(
-            f"unknown column(s): {', '.join(map(_shortened, unknown))}", line=header_line
-        )
+        raise DataError(f"{where}unknown column(s): {', '.join(map(_shortened, unknown))}")
     if len(set(header)) != len(header):
-        raise DataError("repeated column name in header", line=header_line)
+        raise DataError(f"{where}repeated column name in header")
     if "id" not in header or "citations" not in header:
-        raise DataError("header must name the id and citations columns", line=header_line)
+        raise DataError(f"{where}header must name the id and citations columns")
     records = _plain_columns(text, blank + 1, delimiter, header)
     if records is not None:
         return records
@@ -194,46 +192,40 @@ def _records_from_delimited(text: str) -> list[CitationRecord]:
     columns = len(header)
     id_at, citations_at = header.index("id"), header.index("citations")
     group_at = header.index("group") if "group" in header else None
-    records = []
-    seen: dict[str, int] = {}
+    records, seen = [], {}
     last_line = reader.line_num
     for row in rows:
         # A quoted newline makes a row span lines; report the row's first one.
         line_no, last_line = last_line + 1, reader.line_num
         if not "".join(row).strip():
             continue
-        if len(row) != columns:
-            raise DataError(f"expected {columns} columns, found {len(row)}", line=line_no)
-        doc_id = row[id_at].strip()
-        if not doc_id:
-            raise DataError("empty document id", line=line_no)
-        if doc_id in seen:
-            raise DataError(
-                f"duplicate document id {_shortened(doc_id)} (first seen on line {seen[doc_id]})",
-                line=line_no,
-            )
-        seen[doc_id] = line_no
-        raw_citations = row[citations_at].strip()
-        if not (raw_citations.isascii() and raw_citations.isdigit()):
-            raise DataError(
-                "citations must be a base-10 non-negative integer, "
-                f"got {_shortened(raw_citations)}",
-                line=line_no,
-            )
         try:
-            citations = int(raw_citations)
-        except ValueError:
-            raise DataError(_too_many_digits(raw_citations), line=line_no) from None
-        group = row[group_at].strip() if group_at is not None else ""
-        if "\0" in doc_id or "\0" in group:
-            raise DataError("an id or group holds a NUL character", line=line_no)
-        if has_surrogate(doc_id + group):
-            raise DataError("an id or group holds a lone surrogate", line=line_no)
-        # Checked above, so the record skips CitationRecord's own checks.
-        records.append(tuple.__new__(CitationRecord, (doc_id, citations, group or None)))
+            if len(row) != columns:
+                raise DataError(f"expected {columns} columns, found {len(row)}")
+            raw_citations = row[citations_at].strip()
+            if not (raw_citations.isascii() and raw_citations.isdigit()):
+                raise DataError("citations must be a base-10 non-negative integer, "
+                                f"got {_shortened(raw_citations)}")
+            try:
+                citations = int(raw_citations)
+            except ValueError:
+                raise DataError(_too_many_digits(raw_citations)) from None
+            group = row[group_at].strip() if group_at is not None else None
+            record = CitationRecord(row[id_at].strip(), citations, group)
+            records.append(_first_seen(record, seen, f"on line {line_no}"))
+        except DataError as exc:
+            raise DataError(f"line {line_no}: {exc}") from None
     if not records:
         raise DataError("no data rows in input")
     return records
+
+
+def _first_seen(record: CitationRecord, seen: dict[str, str], where: str) -> CitationRecord:
+    """record, unless an earlier row gave its id; `seen` maps each id read
+    to where it was read, a place no other row shares ("on line 2")."""
+    if (first := seen.setdefault(record.doc_id, where)) != where:
+        raise DataError(f"duplicate document id {_shortened(record.doc_id)} (first seen {first})")
+    return record
 
 
 def _plain_columns(text, skip, delimiter, header) -> list[CitationRecord] | None:
@@ -262,24 +254,6 @@ def _plain_columns(text, skip, delimiter, header) -> list[CitationRecord] | None
     return _checked_columns(ids, [*map(int, counts)], groups or [None] * len(ids))
 
 
-def _checked_columns(ids: list, citations: list, groups: list) -> list[CitationRecord] | None:
-    """The records of whole columns, or None when a row check of either
-    reader would fail: an id that is not a string, is blank or repeats, a
-    count that is not a non-negative int, a group neither string nor None,
-    or a NUL or lone surrogate in an id or group."""
-    if not (
-        ids and set(map(type, ids)) == {str} and all(map(str.strip, ids))
-        and len(set(ids)) == len(ids) and set(map(type, citations)) == {int}
-        and min(citations) >= 0 and set(map(type, groups)) <= {str, type(None)}
-        and "\0" not in (text := "".join(ids) + "".join(filter(None, groups)))
-        and not has_surrogate(text)
-    ):
-        return None
-    # A blank group is no group; other names stay as written.
-    groups = [group if group and not group.isspace() else None for group in groups]
-    return [*map(tuple.__new__, repeat(CitationRecord), zip(ids, citations, groups))]
-
-
 def _too_many_digits(digits: str) -> str:
     return (
         f"citations have {len(digits.lstrip('-'))} digits, more than the "
@@ -301,7 +275,7 @@ def _csv_rows(reader) -> Iterator[list[str]]:
     try:
         yield from reader
     except csv.Error as exc:
-        raise DataError(str(exc), line=reader.line_num) from None
+        raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
 def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
@@ -328,8 +302,7 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
         if records is not None:
             return records
     # Row by row, only when a column check failed: the first bad row raises.
-    records = []
-    seen: set[str] = set()
+    records, seen = [], {}
     try:
         for pos, row in enumerate(rows, start=1):
             if not isinstance(row, dict):
@@ -337,27 +310,11 @@ def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
             if not _KNOWN_FIELDS.issuperset(row):
                 unknown = sorted(set(row) - _KNOWN_FIELDS)
                 raise DataError(f"unknown field(s): {', '.join(map(_shortened, unknown))}")
-            doc_id = row.get("id")
-            if not isinstance(doc_id, str) or not doc_id.strip():
-                raise DataError("id must be a non-empty string")
-            if doc_id in seen:
-                raise DataError(f"duplicate document id {_shortened(doc_id)}")
-            seen.add(doc_id)
             citations = row.get("citations")
-            if isinstance(citations, bool) or not isinstance(citations, int) or citations < 0:
-                if isinstance(citations, Decimal):
-                    raise DataError(_too_many_digits(str(citations)))
-                raise DataError("citations must be a non-negative integer")
-            group = row.get("group")
-            if group is not None and not isinstance(group, str):
-                raise DataError("group must be a string when present")
-            if "\0" in doc_id or group and "\0" in group:
-                raise DataError("an id or group holds a NUL character")
-            if has_surrogate(doc_id + (group or "")):
-                raise DataError("an id or group holds a lone surrogate")
-            # A blank group is no group, as in csv; other names stay as written.
-            group = group if group and group.strip() else None
-            records.append(tuple.__new__(CitationRecord, (doc_id, citations, group)))
+            if isinstance(citations, Decimal):
+                raise DataError(_too_many_digits(str(citations)))
+            record = CitationRecord(row.get("id"), citations, row.get("group"))
+            records.append(_first_seen(record, seen, f"as document {pos}"))
     except DataError as exc:
         # The location is formatted only for the row that failed.
         raise DataError(f"document {pos}: {exc}") from None

@@ -12,7 +12,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -32,12 +32,6 @@ class SchemeError(ConfigError):
 
 class DataError(PctrankError, ValueError):
     """Input data is malformed: bad row, bad citation count, duplicate id."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class BoundaryAmbiguityError(PctrankError):
@@ -127,11 +121,11 @@ class _CitationRecord(NamedTuple):
 class CitationRecord(_CitationRecord):
     """One document: an opaque id, its citation count, and an optional group key.
 
-    The constructor checks every field and, as the readers do, refuses an
-    id made only of whitespace, a group neither string nor None, or an id or
-    group holding NUL or a lone surrogate, and reads a blank group as no
-    group. The readers, which check rows themselves, build records with
-    `tuple.__new__(CitationRecord, fields)`.
+    The constructor is the readers' row rule: both row loops build each
+    record through it, and `_checked_columns` applies it to whole columns.
+    It refuses an id made only of whitespace, a group neither string nor
+    None, or an id or group holding NUL or a lone surrogate, and reads a
+    blank group as no group.
     """
 
     __slots__ = ()
@@ -151,6 +145,24 @@ class CitationRecord(_CitationRecord):
             raise DataError(f"the id or group of {_shortened(doc_id)} holds a lone surrogate")
         group = group if group and group.strip() else None
         return tuple.__new__(cls, (doc_id, citations, group))
+
+
+def _checked_columns(ids: list, citations: list, groups: list) -> list[CitationRecord] | None:
+    """The records of whole columns, or None when a row check of either
+    reader would fail: an id that is not a string, is blank or repeats, a
+    count that is not a non-negative int, a group neither string nor None,
+    or a NUL or lone surrogate in an id or group."""
+    if not (
+        ids and set(map(type, ids)) == {str} and all(map(str.strip, ids))
+        and len(set(ids)) == len(ids) and set(map(type, citations)) == {int}
+        and min(citations) >= 0 and set(map(type, groups)) <= {str, type(None)}
+        and "\0" not in (text := "".join(ids) + "".join(filter(None, groups)))
+        and not has_surrogate(text)
+    ):
+        return None
+    # A blank group is no group; other names stay as written.
+    groups = [group if group and not group.isspace() else None for group in groups]
+    return [*map(tuple.__new__, repeat(CitationRecord), zip(ids, citations, groups))]
 
 
 class DocumentSet:

@@ -727,7 +727,7 @@ class TestExitCodes:
         path.write_text(f'[{{"id": {digits}, "citations": 1}}]')
         code, _, err = run(["attribute", "--scheme", "pr6", "--input", str(path)])
         assert code == EXIT_DATA
-        assert err == "pct: input error: document 1: id must be a non-empty string\n"
+        assert err == "pct: input error: document 1: document id must be a non-empty string\n"
         # Outside the documents it is not read as citations: the key is refused.
         path.write_text(f'{{"documents": [{{"id": "a", "citations": 1}}], "note": {digits}}}')
         code, out, err = run(["indicators", "--scheme", "pr6", "--input", str(path)])
@@ -959,8 +959,9 @@ class TestExitCodes:
             path.write_text(json.dumps([{"id": "b", "citations": 2},
                                         {"id": "a", "citations": 1, field: f"x{char}"}]))
             argvs.append([command, "--scheme", "top50", "--format", fmt, "--input", str(path)])
-        message = b"pct: input error: document 2: an id or group holds a lone surrogate\n"
-        assert self.run_children(argvs) == [(EXIT_DATA, b"", message)] * 4
+        message = b"pct: input error: document 2: the id or group of %s holds a lone surrogate\n"
+        shown = [rb"'x\ud800'", rb"'x\udc80'", b"'a'", b"'a'"]
+        assert self.run_children(argvs) == [(EXIT_DATA, b"", message % id_) for id_ in shown]
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_a_lone_surrogate_in_a_scheme_name_is_refused(self, tmp_path, fmt):

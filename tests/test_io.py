@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -133,7 +134,7 @@ class TestReadRecords:
             ("id,count\na,1\n", "unknown column"),
             ("citations,group\n1,x\n", "id and citations"),
             ("id,citations\na,1,extra\n", "expected 2 columns"),
-            ("id,citations\n,1\n", "empty document id"),
+            ("id,citations\n,1\n", "line 2: document id must be a non-empty string"),
             ("id,citations\na,1.5\n", "non-negative integer"),
             ("id,citations\na,-2\n", "non-negative integer"),
             ("id,citations\na,1e3\n", "non-negative integer"),
@@ -155,7 +156,8 @@ class TestReadRecords:
     def test_a_lone_surrogate_in_a_text_stream_is_refused(self, row):
         # Files and stdin are decoded as UTF-8, which refuses surrogates; a
         # text stream passed in may still hold one.
-        with pytest.raises(DataError, match="^line 3: an id or group holds a lone surrogate$"):
+        message = f"the id or group of {row.split(',')[0]!r} holds a lone surrogate"
+        with pytest.raises(DataError, match=f"^line 3: {re.escape(message)}$"):
             read_records(io.StringIO(f"id,citations,group\na,1,g\n{row}\n"))
 
     def test_duplicate_ids_name_both_lines(self):
@@ -193,13 +195,14 @@ class TestReadRecords:
             ('{"documents": [{"id": "a", "citations": 1}], "documents2": 5}',
              "unknown field(s) beside \"documents\": 'documents2'"),
             ('[{"id": "a", "citations": 1, "extra": 2}]', "unknown field"),
-            ('[{"citations": 1}]', "id must be"),
-            ('[{"id": "a"}]', "citations must be"),
-            ('[{"id": "a", "citations": true}]', "citations must be"),
-            ('[{"id": "a", "citations": -1}]', "citations must be"),
-            ('[{"id": "a", "citations": "7"}]', "citations must be"),
-            ('[{"id": "a", "citations": 1, "group": 3}]', "group must be"),
-            ('[{"id": "a", "citations": 1}, {"id": "a", "citations": 2}]', "duplicate"),
+            ('[{"citations": 1}]', "document 1: document id must be a non-empty string"),
+            ('[{"id": "a"}]', "document 1: citations for 'a' must be an integer"),
+            ('[{"id": "a", "citations": true}]', "document 1: citations for 'a' must be an integer"),
+            ('[{"id": "a", "citations": -1}]', "document 1: citations for 'a' must be non-negative"),
+            ('[{"id": "a", "citations": "7"}]', "document 1: citations for 'a' must be an integer"),
+            ('[{"id": "a", "citations": 1, "group": 3}]', "document 1: group for 'a' must be a string"),
+            ('[{"id": "a", "citations": 1}, {"id": "a", "citations": 2}]',
+             "document 2: duplicate document id 'a' (first seen as document 1)"),
             ("[3]", "expected an object"),
             ("[", "invalid JSON"),
             ('[{"id": "a", "citations": 1, "citations": 7}, {"id": "b", "citations": 2}]',
@@ -283,10 +286,13 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("blank", [" ", "\t", " \r\n "])
     def test_a_blank_id_is_refused_in_every_format(self, blank):
-        with pytest.raises(DataError, match="^line 2: empty document id$"):
+        message = "document id must be a non-empty string"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CitationRecord(blank, 2)
+        with pytest.raises(DataError, match=f"^line 2: {message}$"):
             read_records(io.StringIO(f'id,citations\n"{blank}",1\n'))
         payload = json.dumps([{"id": "a", "citations": 1}, {"id": blank, "citations": 2}])
-        with pytest.raises(DataError, match="^document 2: id must be a non-empty string$"):
+        with pytest.raises(DataError, match=f"^document 2: {message}$"):
             read_records(io.StringIO(payload))
 
     @pytest.mark.parametrize("blank", [" ", "\t"])
@@ -305,6 +311,15 @@ def read_outcome(text: str):
         return read_records(io.StringIO(text, newline=""))
     except DataError as exc:
         return f"DataError: {exc}"
+
+
+def record_message(*fields) -> str | None:
+    """The DataError message CitationRecord gives fields, or None."""
+    try:
+        CitationRecord(*fields)
+    except DataError as exc:
+        return str(exc)
+    return None
 
 
 def row_loop_outcome(text: str):
@@ -415,17 +430,38 @@ class TestColumnChecks:
             delimiter.join(row) for row in [["id", "citations", "group"]]
             + [[row["id"], row["citations"], row["group"]] for row in rows]
         ) + "\n"
-        assert read_outcome(text) == row_loop_outcome(text)
+        outcome = read_outcome(text)
+        assert outcome == row_loop_outcome(text)
+        # Where csv reads the cell as written and the count is plain digits,
+        # no format check applies: the error is CitationRecord's own.
+        doc_id, count, group = (rows[1][key].strip() for key in ("id", "citations", "group"))
+        read_as_written = not re.search('["\r]', cell) and len(cell) <= FIELD_LIMIT
+        if read_as_written and count.isascii() and count.isdigit() and len(count) <= INT_DIGITS:
+            message = record_message(doc_id, int(count), group)
+            if message:
+                assert outcome == f"DataError: line 3: {message}"
 
     @pytest.mark.parametrize("name,value", [
         pytest.param(name, value, id=f"{name}-{i}")
         for name, values in SPECIAL_JSON.items() for i, value in enumerate(values)
     ] + [pytest.param(None, "3", id="number-row"), pytest.param(None, "[]", id="list-row")])
     def test_each_special_json_value(self, name, value):
-        rows = [f'{{"id": "d{i}", "citations": {i}, "group": "g"}}' for i in range(3)]
-        rows[1] = value if name is None else rows[1][:-1] + f', "{name}": {value}}}'
+        fields = [{"id": f'"d{i}"', "citations": str(i), "group": '"g"'} for i in range(3)]
+        # The value replaces a field of the middle row, or is added beside them.
+        fields[1][name] = value
+        rows = ["{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}" for row in fields]
+        rows[1] = value if name is None else rows[1]
         text = "[" + ", ".join(rows) + "]"
-        assert read_outcome(text) == row_loop_outcome(text)
+        outcome = read_outcome(text)
+        assert outcome == row_loop_outcome(text)
+        # Format checks refuse a row that is not an object, an unknown field
+        # and an integer too long to read; for any other row the error is
+        # CitationRecord's own.
+        if name in ("id", "citations", "group") and value != "9" * (INT_DIGITS + 1):
+            row = json.loads(rows[1])
+            message = record_message(row.get("id"), row.get("citations"), row.get("group"))
+            if message:
+                assert outcome == f"DataError: document 2: {message}"
 
     @pytest.mark.parametrize("text", [
         "id,citations\na,1\nb,2,\n",
