@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import pairwise
 from operator import mul
 from typing import NamedTuple
 
-from .model import PRScheme, RankedSet, interval_for
+from .model import PRScheme, RankedSet, _tie_groups, interval_for
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -143,12 +144,12 @@ def compute_indicators(
 
     Under the fractional rule class j holds n times its width, so the
     result needs only n: I3 is n*T and R is T, for the scheme's constant
-    T = sum(weight * width), and PP is the top class's width. The tie
-    groups are not built. Under a point rule each tie group is decided
-    once, in one walk of the integer grid, and adds its size to its class;
-    under the error policy the first boundary hit raises
-    BoundaryAmbiguityError. No per-document attribution is built, and
-    per_doc_scores is taken only when it is read.
+    T = sum(weight * width), and PP is the top class's width. Nothing is
+    sorted. Under a point rule each tie group is decided once, in one walk
+    of the integer grid over the ranked set's rank ends, and adds its size
+    to its class; under the error policy the first boundary hit raises
+    BoundaryAmbiguityError. No TieGroup and no per-document attribution is
+    built, and per_doc_scores is taken only when it is read.
     """
     n = ranked.n
     hits = 0
@@ -156,12 +157,12 @@ def compute_indicators(
         total, r = n * scheme._mean_weight, scheme._mean_weight
         pp = scheme.classes[-1].width if scheme.k == 2 else None
     else:
-        tallies = [0] * scheme.k
-        decisions = _points(scheme, n, ranked.groups, rule, rounding, policy, midpoint_route)
-        for group, (_, _, _, class_index, boundary, _) in zip(ranked.groups, decisions):
-            tallies[class_index - 1] += group.size
+        tallies, ends = [0] * scheme.k, ranked._ends
+        decisions = _points(scheme, n, pairwise(ends), rule, rounding, policy, midpoint_route)
+        for (below, high), (_, _, _, class_index, boundary, _) in zip(pairwise(ends), decisions):
+            tallies[class_index - 1] += high - below
             if boundary is not None:
-                hits += group.size
+                hits += high - below
         # I3 in units of 1/W, W the weights' lcm: integer products only.
         units = sum(map(mul, tallies, scheme._weight_units))
         total, r = Fraction(units, scheme._weight_lcm), Fraction(units, scheme._weight_lcm * n)
@@ -227,8 +228,10 @@ def compare_rules(
     flagged with the boundary it sat on. Only the tie groups near an interior
     boundary are classified: every point of any other group, rounded or not,
     lies strictly inside the one class that holds its interval, so it can
-    neither hit a boundary nor make the rules disagree. Fractional counts are
-    attached for reference: n times each class width.
+    neither hit a boundary nor make the rules disagree. They are found by
+    bisecting the ranked set's citation order, and a TieGroup is built for
+    them alone; `ranked.groups` is not built. Fractional counts are attached
+    for reference: n times each class width.
     """
     n = ranked.n
     # A rounded percentile p of a group [low, high] has p/100 within one
@@ -236,9 +239,10 @@ def compare_rules(
     margin = 0 if rounding is RoundingMode.NONE else 1
     flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
     disagreements: list[RuleDisagreement] = []
-    near = [*_near_boundaries(scheme, n, ranked.groups, margin)]
+    spans = [*_near_boundaries(scheme, ranked, margin)]
+    near = _tie_groups(ranked, spans)
     walks = [
-        _points(scheme, n, near, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
+        _points(scheme, n, spans, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
         for rule in POINT_RULES
     ]
     for group, *decisions in zip(near, *walks):

@@ -346,18 +346,45 @@ def _printable(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
+def _width(text: str) -> int:
+    """The terminal columns text takes: 2 for each wide or fullwidth
+    character (East Asian Width "W" or "F"), 0 for each combining mark that
+    takes no column of its own (Mn, Me) or format character (Cf), and 1 for
+    any other, ambiguous ("A") ones included."""
+    # Imported on first use: only a table with a non-ASCII id needs it, and
+    # every run pays for what the package imports at start-up.
+    import unicodedata
+
+    return sum(
+        2 if unicodedata.east_asian_width(c) in "WF"
+        else 0 if unicodedata.category(c) in ("Mn", "Me", "Cf")
+        else 1
+        for c in text
+    )
+
+
+def _padded(text: str, width: int) -> str:
+    """text followed by spaces up to `width` terminal columns."""
+    return text + " " * (width - _width(text))
+
+
 def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) -> list[str]:
     """The header, a rule and one line per member, each column padded to its
     widest cell and each line right-stripped. A group's cells are padded and
     right-stripped once; the id is never the last column, and the cells
-    after it are never all blank. Ids are shown through _printable."""
+    after it are never all blank. Ids are shown through _printable, and
+    padded by terminal columns (_width); the other cells are the program's
+    own text, one column per character."""
     member_ids, rows = zip(*groups) if groups else ((), ())
-    if not "".join(chain.from_iterable(member_ids)).isprintable():
+    joined = "".join(chain.from_iterable(member_ids))
+    # An ASCII id takes one column per character.
+    width, pad = (len, str.ljust) if joined.isascii() else (_width, _padded)
+    if not joined.isprintable():
         member_ids = [[*map(_printable, ids)] for ids in member_ids]
     widths = [*map(len, [*header[:id_at], *header[id_at + 1:]])]
     for i, column in enumerate(zip(*rows)):
         widths[i] = max(widths[i], *map(len, column))
-    id_width = max([len(header[id_at]), *map(len, chain.from_iterable(member_ids))])
+    id_width = max([len(header[id_at]), *map(width, chain.from_iterable(member_ids))])
     all_widths = [*widths[:id_at], id_width, *widths[id_at:]]
     lines = [
         "  ".join(map(str.ljust, header, all_widths)).rstrip(),
@@ -369,7 +396,7 @@ def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) ->
     heads = [text[:cut] for text in texts]
     tails = [f"  {text[cut:]}".rstrip() for text in texts]
     return lines + [
-        f"{head}{doc_id.ljust(id_width)}{tail}"
+        f"{head}{pad(doc_id, id_width)}{tail}"
         for ids, head, tail in zip(member_ids, heads, tails)
         for doc_id in ids
     ]

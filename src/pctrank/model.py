@@ -12,10 +12,10 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class PctrankError(Exception):
@@ -221,22 +221,47 @@ class TieGroup(NamedTuple):
         return self.rank_high - self.rank_low + 1
 
 
+_DOC_ID, _CITATIONS = itemgetter(0), itemgetter(1)
+
+
 class RankedSet:
     """A document set ranked ascending by citation count.
 
-    `groups`, its tie groups in rank order, is built by `_tie_groups` on
-    first read and kept; n needs no sorting. interval_for gives a group's
-    quantile interval.
+    Nothing is sorted when the set is made; n needs no sorting. Each of
+    the following is built on first read and kept: `_order`, the records
+    sorted once, stably by citation count; `_ends`, 0 and the highest rank
+    of each tie group, in rank order, so that tie group g spans ranks
+    `_ends[g] + 1` to `_ends[g + 1]`; and `groups`, the tie groups in rank
+    order, built from both. interval_for gives a group's quantile interval.
     """
 
     def __init__(self, source: DocumentSet):
         self.source = source
+        # Plain slots filled on first read: functools.cached_property takes
+        # a lock on each first read up to Python 3.11, a cost that the CLI
+        # pays for every group of its input.
+        self._sorted: list[CitationRecord] | None = None
+        self._rank_ends: list[int] | None = None
         self._groups: tuple[TieGroup, ...] | None = None
+
+    @property
+    def _order(self) -> list[CitationRecord]:
+        if self._sorted is None:
+            self._sorted = sorted(self.source.records, key=_CITATIONS)
+        return self._sorted
+
+    @property
+    def _ends(self) -> list[int]:
+        if self._rank_ends is None:
+            # Counted in rank order, so the sizes come out by ascending citations.
+            sizes = Counter(map(_CITATIONS, self._order))
+            self._rank_ends = [*accumulate(sizes.values(), initial=0)]
+        return self._rank_ends
 
     @property
     def groups(self) -> tuple[TieGroup, ...]:
         if self._groups is None:
-            self._groups = _tie_groups(self.source)
+            self._groups = _tie_groups(self, pairwise(self._ends))
         return self._groups
 
     @property
@@ -256,31 +281,28 @@ def interval_for(group: TieGroup, n: int) -> QuantileInterval:
 def rank(document_set: DocumentSet) -> RankedSet:
     """Rank a document set ascending by citation count.
 
-    Nothing is sorted here: the ranked set sorts and splits the documents
-    into tie groups when its `groups` is first read. A caller that needs
-    only n, such as fractional `compute_indicators`, never pays for it.
+    Nothing is sorted here: the ranked set sorts its records on first need,
+    and builds its tie groups when `groups` is first read. A caller that
+    needs only n, such as fractional `compute_indicators`, never pays for
+    either.
     """
     return RankedSet(document_set)
 
 
-def _tie_groups(document_set: DocumentSet) -> tuple[TieGroup, ...]:
-    """Sort ascending by citation count and split into tie groups.
-
-    Tied documents form one group with one rank span, hence one shared
-    interval. Member ids are sorted, so the result is identical for any
-    permutation of the input records.
-    """
-    # By id, then stably by citations: ordered by citations, then by id.
-    by_id, by_citations = itemgetter(0), itemgetter(1)
-    ordered = sorted(document_set.records, key=by_id)
-    ordered.sort(key=by_citations)
-    ids = tuple(map(by_id, ordered))
-    # Counted in rank order, so the sizes come out by ascending citations.
-    sizes = Counter(map(by_citations, ordered))
-    ends = [*accumulate(sizes.values(), initial=0)]
+def _tie_groups(ranked: RankedSet, spans: Iterable[tuple[int, int]]) -> tuple[TieGroup, ...]:
+    """The tie groups of `ranked` at the given spans (r_low - 1, r_high) of
+    its citation order. Member ids are sorted, so the result is identical
+    for any permutation of the input records."""
+    order, new = ranked._order, tuple.__new__
     return tuple([
-        tuple.__new__(TieGroup, (citations, ids[low:high], low + 1, high))
-        for citations, low, high in zip(sizes, ends, ends[1:])
+        new(TieGroup, (
+            order[below][1],
+            (order[below][0],) if high - below == 1
+            else tuple(sorted(map(_DOC_ID, order[below:high]))),
+            below + 1,
+            high,
+        ))
+        for below, high in spans
     ])
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from itertools import pairwise
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .model import BoundaryAmbiguityError, PRScheme, RankedSet, TieGroup
+from .model import _CITATIONS, BoundaryAmbiguityError, PRScheme, RankedSet, TieGroup
 
 
 class CountingRule(Enum):
@@ -87,8 +87,6 @@ Attribution = PointAttribution | FractionalAttribution
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_RANK_LOW = attrgetter("rank_low")
-_RANK_HIGH = attrgetter("rank_high")
 
 
 # The integer grid. With D the lcm of the boundary denominators, boundary b_j is
@@ -96,31 +94,33 @@ _RANK_HIGH = attrgetter("rank_high")
 # above b_j as a*D compares with c_j*s, so each walk scales the cuts once, by
 # the scale of its points. A tie group spanning ranks r_low..r_high of n is the
 # span [(r_low - 1)*D, r_high*D] against the cuts scaled by n, in units of
-# 1/(n*D). Rounded percentiles p are points at scale 100. A group inside one
+# 1/(n*D); the walks take it as its integer rank ends (r_low - 1, r_high), a
+# span. Rounded percentiles p are points at scale 100. A group inside one
 # class shares that class's fractions tuple, kept on the scheme object
 # (PRScheme._one_hot), so every walk over that object shares it.
 #
 # In rank order the spans tile [0, n*D], and each rule's point, rounded or not,
 # on either midpoint route, never goes down. So `_fractions` and `_points`
 # classify a ranked set's groups in one merge walk: a class pointer that only
-# moves forward over the cuts.
+# moves forward over the cuts. `_points` walks any spans in rank order, such as
+# those `_near_boundaries` picks.
 
 
 def _points(
     scheme: PRScheme,
     n: int,
-    groups: Sequence[TieGroup],
+    spans: Iterable[tuple[int, int]],
     rule: CountingRule,
     rounding: RoundingMode,
     policy: BoundaryPolicy,
     midpoint_route: MidpointRoute,
 ) -> Iterator[tuple]:
-    """A point rule on each of `groups`, tie groups of a ranked set of n
-    documents in rank order, as point_attribution in tests/support.py
-    decides it for each member: (a, scale, percentile, class index, boundary
-    hit, endpoint percentiles) per group, where the rule's quantile is
-    a/scale. Under the error policy the first boundary hit raises
-    BoundaryAmbiguityError."""
+    """A point rule on each of `spans`, the rank ends (r_low - 1, r_high)
+    of tie groups of a ranked set of n documents in rank order, as
+    point_attribution in tests/support.py decides it for each member: (a,
+    scale, percentile, class index, boundary hit, endpoint percentiles) per
+    group, where the rule's quantile is a/scale. Under the error policy the
+    first boundary hit raises BoundaryAmbiguityError."""
     d, k = scheme._boundary_lcm, scheme.k
     rounded, midpoint = rounding is not RoundingMode.NONE, rule is CountingRule.MIDPOINT
     scale = 2 * n if midpoint else n
@@ -131,13 +131,10 @@ def _points(
     pairs = rounded and midpoint and midpoint_route is MidpointRoute.ENDPOINTS
     percentile = pair = None
     i = 0  # the first cut at or above the point, among the k below 1
-    for group in groups:
-        a = low_end * (group.rank_low - 1) + high_end * group.rank_high
+    for below, high in spans:
+        a = low_end * below + high_end * high
         if pairs:
-            pair = (
-                _rounded_percent(group.rank_low - 1, n, rounding),
-                _rounded_percent(group.rank_high, n, rounding),
-            )
+            pair = _rounded_percent(below, n, rounding), _rounded_percent(high, n, rounding)
             percentile = _rounded_percent(sum(pair), 200, rounding)
         elif rounded:
             percentile = _rounded_percent(a, scale, rounding)
@@ -154,39 +151,42 @@ def _points(
 
 
 def _near_boundaries(
-    scheme: PRScheme, n: int, groups: Sequence[TieGroup], margin: int
-) -> Iterator[TieGroup]:
-    """The tie groups of a ranked set of n documents (in rank order, as
-    `groups` is) whose closed interval [low, high] comes within margin/100
-    of an interior boundary b: high >= b - margin/100 and
-    low <= b + margin/100. Each boundary's window is found by bisecting the
-    groups' rank spans."""
-    d = scheme._boundary_lcm
+    scheme: PRScheme, ranked: RankedSet, margin: int
+) -> Iterator[tuple[int, int]]:
+    """The spans (r_low - 1, r_high), in rank order, of the tie groups of
+    `ranked` whose closed interval [low, high] comes within margin/100 of an
+    interior boundary b: high >= b - margin/100 and low <= b + margin/100.
+    Such groups run from the one holding rank ceil(n*(b - margin/100)) to the
+    one holding rank floor(n*(b + margin/100)) + 1, each clamped to 1..n;
+    each group is found by bisecting the citation order at its count. A
+    group near two boundaries is yielded once."""
+    d, n, order = scheme._boundary_lcm, ranked.n, ranked._order
     visited = 0
     for cut in scheme._cuts[1:-1]:  # b*D
-        # r_high >= n*(b - margin/100), r_high an integer
-        start = bisect_left(
-            groups, -(-n * (100 * cut - margin * d) // (100 * d)), visited, key=_RANK_HIGH
-        )
-        # r_low - 1 <= n*(b + margin/100)
-        stop = bisect_right(
-            groups, n * (100 * cut + margin * d) // (100 * d) + 1, visited, key=_RANK_LOW
-        )
-        yield from groups[start:stop]
+        # The positions in `order` (rank - 1) of those two ranks.
+        first = max(-(-n * (100 * cut - margin * d) // (100 * d)), 1) - 1
+        last = min(n * (100 * cut + margin * d) // (100 * d), n - 1)
+        below = max(bisect_left(order, order[first][1], key=_CITATIONS), visited)
+        stop = bisect_right(order, order[last][1], below, key=_CITATIONS)
+        while below < stop:
+            high = bisect_right(order, order[below][1], below, stop, key=_CITATIONS)
+            yield below, high
+            below = high
         visited = stop
 
 
 def _fractions(
-    scheme: PRScheme, n: int, groups: Sequence[TieGroup]
+    scheme: PRScheme, n: int, spans: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[Fraction, ...]]:
     """Overlap of each tie group's interval with each class, over its width,
-    for all the groups of a ranked set of n documents in rank order:
-    fractional_attribution in tests/support.py, per group."""
+    for the spans (r_low - 1, r_high) of all the groups of a ranked set of n
+    documents in rank order: fractional_attribution in tests/support.py, per
+    group."""
     d, k, one_hot = scheme._boundary_lcm, scheme.k, scheme._one_hot
     edges = [c * n for c in scheme._cuts]
     i = 0  # the class holding the group's low end
-    for group in groups:
-        low, high = (group.rank_low - 1) * d, group.rank_high * d
+    for below, high in spans:
+        low, high = below * d, high * d
         while edges[i + 1] <= low:
             i += 1
         if high <= edges[i + 1]:
@@ -225,23 +225,24 @@ def attribute_all(
     """Attribute every document, in rank order (ids sorted inside tie groups).
 
     The members of a tie group share one interval, so each group is
-    attributed once, in one walk of the grid over all the groups, and its
-    members' attributions share that payload (under the fractional rule, one
-    `fractions` tuple); Fractions are made only for the values returned.
+    attributed once, in one walk of the grid over the ranked set's rank
+    ends, and its members' attributions share that payload (under the
+    fractional rule, one `fractions` tuple); `ranked.groups` is read only
+    for the member ids. Fractions are made only for the values returned.
     rounding, policy and midpoint_route only apply to point rules.
     """
-    n, groups = ranked.n, ranked.groups
+    n, spans = ranked.n, pairwise(ranked._ends)
     # Per group, the fields of its members' attributions after the id.
     if rule is CountingRule.FRACTIONAL:
-        kind, shared = FractionalAttribution, zip(_fractions(scheme, n, groups))
+        kind, shared = FractionalAttribution, zip(_fractions(scheme, n, spans))
     else:
         kind, shared = PointAttribution, (
             (Fraction(a, scale), percentile, class_index, boundary is not None, boundary, pair)
             for a, scale, percentile, class_index, boundary, pair
-            in _points(scheme, n, groups, rule, rounding, policy, midpoint_route)
+            in _points(scheme, n, spans, rule, rounding, policy, midpoint_route)
         )
     new, out = tuple.__new__, []
-    for group, fields in zip(groups, shared):
+    for group, fields in zip(ranked.groups, shared):
         ids = group.member_ids
         if len(ids) == 1:
             out.append(new(kind, ids + fields))

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import unicodedata
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -83,16 +84,17 @@ def tie_groups_oracle(document_set: DocumentSet) -> tuple[TieGroup, ...]:
 
 def ids_in_rank_order(ranked: RankedSet) -> list[str]:
     """Ascending by citations, ids sorted inside each tie group."""
-    return [doc_id for group in ranked.groups for doc_id in group.member_ids]
+    return [*intervals_by_id(ranked)]
 
 
 @lru_cache(maxsize=16)
 def intervals_by_id(ranked: RankedSet) -> dict[str, QuantileInterval]:
-    """Each document's quantile interval, in rank order; the members of a
-    tie group share one interval object. Kept for the last few ranked sets,
-    so looking up one document at a time stays cheap."""
+    """Each document's quantile interval, in rank order (ids sorted inside
+    each tie group), from the oracle's tie groups, not the package's; the
+    members of a tie group share one interval object. Kept for the last few
+    ranked sets, so looking up one document at a time stays cheap."""
     intervals: dict[str, QuantileInterval] = {}
-    for group in ranked.groups:
+    for group in tie_groups_oracle(ranked.source):
         intervals.update(dict.fromkeys(group.member_ids, interval_for(group, ranked.n)))
     return intervals
 
@@ -239,13 +241,33 @@ def fractional_attribution(
     return _fractional(doc_id, _interval(ranked, doc_id), scheme)
 
 
+class _References:
+    """attribute_each's results for one case, a ranked set and a scheme, by
+    rule and options. It holds the case itself, so that no other case can
+    take its place by identity, and forgets every result when the case
+    changes: the tests of one case run one after another."""
+
+    case: tuple[RankedSet, PRScheme] | None = None
+    results: dict[tuple, list] = {}
+
+
 def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **options):
     """Reference for attribute_all: every document attributed on its own,
-    in rank order, from its own interval."""
-    intervals = intervals_by_id(ranked).items()
-    if rule is CountingRule.FRACTIONAL:
-        return [_fractional(doc_id, interval, scheme) for doc_id, interval in intervals]
-    return [_point(doc_id, interval, scheme, rule, **options) for doc_id, interval in intervals]
+    in rank order, from its own interval. Each result is computed once per
+    case and rule and options; a call gets its own copy of the list."""
+    case = _References.case
+    if case is None or case[0] is not ranked or case[1] is not scheme:
+        _References.case, _References.results = (ranked, scheme), {}
+    key = (rule, *sorted(options.items()))
+    if key not in _References.results:
+        intervals = intervals_by_id(ranked).items()
+        if rule is CountingRule.FRACTIONAL:
+            result = [_fractional(doc_id, interval, scheme) for doc_id, interval in intervals]
+        else:
+            result = [_point(doc_id, interval, scheme, rule, **options)
+                      for doc_id, interval in intervals]
+        _References.results[key] = result
+    return [*_References.results[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +368,38 @@ def shown(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
+def columns(text: str) -> int:
+    """The terminal columns text takes, character by character: 2 for East
+    Asian Width W or F, 0 for a nonspacing or enclosing mark or a format
+    character, 1 for any other: so an ASCII text takes its length."""
+    if text.isascii():
+        return len(text)
+    total = 0
+    for c in text:
+        if unicodedata.east_asian_width(c) in ("W", "F"):
+            total += 2
+        elif unicodedata.category(c) not in ("Mn", "Me", "Cf"):
+            total += 1
+    return total
+
+
 def table_rows(header: list[str], rows: list[list[str]]) -> list[str]:
-    """A table with one padded line per row, widths measured over every row
-    of shown cells."""
+    """A table with one padded line per row, widths measured in terminal
+    columns over every row of shown cells."""
     rows = [[*map(shown, row)] for row in rows]
     widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
+        max(columns(header[i]), *(columns(row[i]) for row in rows)) if rows
+        else columns(header[i])
         for i in range(len(header))
     ]
-    lines = ["  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip()]
-    lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-    for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip())
-    return lines
+
+    def line(cells: list[str]) -> str:
+        return "  ".join(
+            cell + " " * (width - columns(cell)) for cell, width in zip(cells, widths)
+        ).rstrip()
+
+    return [line(header), "  ".join("-" * width for width in widths),
+            *(line(row) for row in rows)]
 
 
 def csv_rows(header: list[str], rows: list[list]) -> str:

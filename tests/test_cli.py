@@ -429,6 +429,31 @@ class TestIndicatorsWork:
         assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["3", "2"]
         assert len(builds) == sets
 
+    @pytest.mark.parametrize("rule", ["count-worse", "count-worse-or-equal", "midpoint"])
+    def test_point_rule_indicators_build_no_tie_group(self, run, tie_groups_built, rule):
+        code, out, err = run(
+            ["indicators", "--scheme", "top50", "--rule", rule, "--format", "csv"],
+            stdin_text=GROUPED_CSV,
+        )
+        assert code == EXIT_OK, err
+        assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["3", "2"]
+        assert tie_groups_built == []
+
+    def test_report_builds_only_the_tie_groups_near_a_cut(self, run, tie_groups_built):
+        """1000 distinct documents under pr6: each of the five interior cuts
+        falls between two one-document groups, and only those ten are built."""
+        rows = "".join(f"d{i:04d},{i}\n" for i in range(1, 1001))
+        code, out, err = run(
+            ["report", "--scheme", "pr6", "--format", "csv"], stdin_text="id,citations\n" + rows
+        )
+        assert code == EXIT_OK, err
+        near = [rank for cut in (500, 750, 900, 950, 990) for rank in (cut, cut + 1)]
+        assert [group.member_ids for group in tie_groups_built] == [
+            (f"d{rank:04d}",) for rank in near
+        ]
+        flagged = [row["id"] for row in csv.DictReader(io.StringIO(out)) if row["record"] == "flag"]
+        assert sorted(flagged) == [f"d{rank:04d}" for rank in near]
+
 
 class TestIndicators:
     def test_json_for_eight_documents(self, run, eight_file):

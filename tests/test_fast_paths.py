@@ -8,6 +8,8 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, seed, settings
@@ -58,20 +60,24 @@ POINT_OPTIONS = [
 ]
 
 
-def tie_heavy_set(rng: random.Random, max_n: int = 200) -> DocumentSet:
-    """Up to max_n documents over a handful of citation counts."""
+def tie_heavy_set(rng: random.Random, max_n: int = 200, shuffled: bool = False) -> DocumentSet:
+    """Up to max_n documents over a handful of citation counts, listed in id
+    order or shuffled."""
     n = rng.randint(max_n // 2, max_n)
     top = rng.randint(0, 6)
-    return DocumentSet(
-        tuple(CitationRecord(f"h{i:03d}", rng.randint(0, top)) for i in range(n))
-    )
+    records = [CitationRecord(f"h{i:03d}", rng.randint(0, top)) for i in range(n)]
+    if shuffled:
+        rng.shuffle(records)
+    return DocumentSet(records)
 
 
-def field_set(rng: random.Random, n: int = 40) -> DocumentSet:
-    """One field's worth of heavy-tailed citation counts, with many ties."""
-    return DocumentSet(
-        tuple(CitationRecord(f"p{i:02d}", int(rng.paretovariate(1.2)) - 1) for i in range(n))
-    )
+def field_set(rng: random.Random, n: int = 40, shuffled: bool = False) -> DocumentSet:
+    """One field's worth of heavy-tailed citation counts, with many ties,
+    listed in id order or shuffled."""
+    records = [CitationRecord(f"p{i:02d}", int(rng.paretovariate(1.2)) - 1) for i in range(n)]
+    if shuffled:
+        rng.shuffle(records)
+    return DocumentSet(records)
 
 
 def cases():
@@ -79,8 +85,9 @@ def cases():
     n=200, the edge sizes n=1 and one tie group of size n, two schemes off
     the integer pattern of random_scheme (non-integer weights, and large
     coprime boundary denominators whose lcm no n here divides), distinct sets
-    whose boundaries fall between or inside groups, and sets of 40 under a
-    top-10% scheme."""
+    whose boundaries fall between or inside groups, sets of 40 under a
+    top-10% scheme, and a tie-heavy set and a set of 40 whose records arrive
+    shuffled."""
     rng = random.Random(20120516)
     out = [(rank(random_document_set(rng)), random_scheme(rng)) for _ in range(60)]
     for _ in range(8):
@@ -126,6 +133,10 @@ def cases():
     out += [(rank(field_set(rng)), top10) for _ in range(6)]
     small_ties = DocumentSet(tuple(CitationRecord(f"s{i:03d}", i // 3) for i in range(301)))
     out.append((rank(small_ties), top10))
+    # Records that arrive out of id order: each tie group's member ids must
+    # still come out sorted.
+    out.append((rank(tie_heavy_set(rng, shuffled=True)), builtin_scheme("pr6")))
+    out.append((rank(field_set(rng, shuffled=True)), top10))
     return out
 
 
@@ -180,17 +191,22 @@ def test_error_policy_refuses_exactly_when_the_per_document_path_does(oracle_cas
         assert raised.value.boundary == reference[first].boundary_hit
         decided = 0
         with pytest.raises(BoundaryAmbiguityError):
-            for _ in _points(scheme, ranked.n, ranked.groups, rule, **options):
+            for _ in _points(scheme, ranked.n, pairwise(ranked._ends), rule, **options):
                 decided += 1
         assert decided == sum(group.rank_high <= first for group in ranked.groups)
 
 
+@lru_cache(maxsize=16)
 def one_hot_schemes(scheme):
     """The scheme once per class, weighting that class 1 and every other 0,
-    so that I3 reads off one class count."""
-    for index in range(scheme.k):
-        weights = [Fraction(int(i == index)) for i in range(scheme.k)]
-        yield index, scheme_from_boundaries("one-hot", scheme.boundaries, weights)
+    so that I3 reads off one class count. Kept for the last few schemes: the
+    cases of one built-in scheme share them."""
+    return tuple(
+        (index, scheme_from_boundaries(
+            "one-hot", scheme.boundaries, [Fraction(int(i == index)) for i in range(scheme.k)]
+        ))
+        for index in range(scheme.k)
+    )
 
 
 def positional_scheme(scheme, n):
@@ -376,15 +392,15 @@ def test_grids_of_one_scheme_share_its_scheme_part():
     gets its own, and walking it leaves its equality and hash alone."""
     pr100 = builtin_scheme("pr100")
     assert pr100._cuts == list(range(101))  # D = 100
-    groups = rank(make_distinct(1000)).groups
+    spans = [*pairwise(rank(make_distinct(1000))._ends)]
     # The ten groups inside class 1 share one tuple, kept on the scheme.
-    fractions = [*_fractions(pr100, 1000, groups)]
+    fractions = [*_fractions(pr100, 1000, spans)]
     assert all(f is fractions[0] for f in fractions[:10])
     assert fractions[0] is pr100._one_hot[0]
-    assert next(_fractions(pr100, 1000, groups)) is fractions[0]
+    assert next(_fractions(pr100, 1000, spans)) is fractions[0]
     other = builtin_scheme("pr100")
     assert other._cuts is not pr100._cuts and other._one_hot is not pr100._one_hot
-    assert next(_fractions(other, 1000, groups)) is not fractions[0]
+    assert next(_fractions(other, 1000, spans)) is not fractions[0]
     assert other._one_hot[0] == fractions[0]
     assert other == pr100 and hash(other) == hash(pr100)
 

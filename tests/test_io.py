@@ -42,7 +42,7 @@ from pctrank.io import (
     render_scheme_list,
 )
 from pctrank.model import scheme_from_boundaries
-from support import make_tied
+from support import columns, make_tied
 
 F = Fraction
 
@@ -777,6 +777,65 @@ class TestRenderReport:
         text = render_report([("default", ranked, report)], scheme, fmt="table")
         assert "boundary hits:\n  none" in text
         assert "class disagreements:\n  none" in text
+
+
+# ASCII, wide (W), fullwidth (F), nonspacing (Mn) and enclosing (Me) marks.
+_WIDTH_CHARS = ["a", "b", "7", "字", "😀", "\uff21", "\u0301", "\u20dd"]
+
+
+def table_column_starts(line: str) -> set[int]:
+    """The terminal column at which each cell of a table line starts: the
+    first character and each one after two spaces."""
+    return {
+        columns(line[:p]) for p, c in enumerate(line)
+        if c != " " and (p == 0 or line[p - 2:p] == "  ")
+    }
+
+
+def tables(text: str) -> list[list[str]]:
+    """Each table in a table output: its header, its rule line and its rows,
+    up to the next section, label or blank line."""
+    lines, found = text.splitlines(), []
+    for i, line in enumerate(lines):
+        if line and set(line) <= {"-", " "}:
+            rows = []
+            for row in lines[i + 1:]:
+                if not row or row.endswith(":") or row.startswith(("# ", "fractional class")):
+                    break
+                rows.append(row)
+            found.append([lines[i - 1], line, *rows])
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.text(_WIDTH_CHARS, min_size=1, max_size=4), min_size=2, max_size=8,
+                 unique=True),
+    keys=st.lists(st.text(_WIDTH_CHARS, min_size=1, max_size=4), min_size=1, max_size=3,
+                  unique=True),
+)
+def test_every_table_column_starts_at_one_terminal_column(ids, keys):
+    """Ids and group keys of wide, combining and ASCII characters: in every
+    attribute, indicators and report table, each cell of every line starts
+    at a terminal column where a header cell starts."""
+    ranked = rank(DocumentSet(tuple(map(CitationRecord, ids, range(len(ids))))))
+    scheme = builtin_scheme("top50")
+    texts = [
+        render_attributions(one_batch(ranked, scheme, rule, policy=BoundaryPolicy.LOWER),
+                            scheme, rule, policy=BoundaryPolicy.LOWER)
+        for rule in (CountingRule.FRACTIONAL, CountingRule.COUNT_WORSE)
+    ]
+    result = compute_indicators(ranked, scheme, CountingRule.FRACTIONAL)
+    texts.append(render_indicators([(key, result) for key in sorted(keys)], scheme))
+    texts.append(render_report([(keys[0], ranked, compare_rules(ranked, scheme))], scheme))
+    checked = 0
+    for text in texts:
+        for header, *lines in tables(text):
+            starts = table_column_starts(header)
+            for line in lines:
+                assert table_column_starts(line) <= starts, (header, line)
+                checked += 1
+    assert checked >= 2 * len(ids) + len(keys)
 
 
 class TestRenderSchemes:

@@ -137,20 +137,28 @@ class TestLazyIntervals:
         assert (report.flags[0].interval_low, report.flags[0].interval_high) == (
             F(10, 20), F(11, 20)
         )
+        # The report sorted the records, and built neither the rank ends
+        # nor the tie groups.
+        assert [name for name, value in vars(ranked).items() if value is not None] == [
+            "source", "_sorted"
+        ]
         for rule in CountingRule:
             result = compute_indicators(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
             dict(result.per_doc_scores)
             attributions = attribute_all(ranked, scheme, rule, policy=BoundaryPolicy.LOWER)
             for fmt in ("csv", "json", "table"):
                 render_attributions([("g", ranked, attributions)], scheme, rule, fmt=fmt)
-        # No consumer keeps a per-document map on the ranked set.
-        assert set(vars(ranked)) == {"source", "_groups"}
+        # No consumer keeps a per-document map on the ranked set: it holds
+        # the sorted records, the rank ends and the tie groups.
+        assert set(vars(ranked)) == {"source", "_sorted", "_rank_ends", "_groups"}
+        assert not any(isinstance(value, dict) for value in vars(ranked).values())
 
 
 MIXED = DocumentSet((
     CitationRecord("w", 0), CitationRecord("x", 3), CitationRecord("y", 3),
     CitationRecord("z", 9), CitationRecord("v", 3),
 ))
+MIXED_GROUPS = [("w",), ("v", "x", "y"), ("z",)]
 
 
 class TestGroupsOnFirstRead:
@@ -162,7 +170,7 @@ class TestGroupsOnFirstRead:
         assert builds == [MIXED]
         assert ranked.groups is groups
         assert builds == [MIXED]
-        assert [g.member_ids for g in groups] == [("w",), ("v", "x", "y"), ("z",)]
+        assert [g.member_ids for g in groups] == MIXED_GROUPS
 
     @pytest.mark.parametrize("selector", ["top50", "pr6", "pr100", "topx(1/10)"])
     def test_fractional_indicators_need_only_n(self, builds, selector):
@@ -181,20 +189,28 @@ class TestGroupsOnFirstRead:
         if scheme.k == 2:
             assert result.pp == counts.counts[-1] / 5
 
-    @pytest.mark.parametrize("consumer", [
-        lambda ranked, scheme: compute_indicators(
-            ranked, scheme, CountingRule.FRACTIONAL).per_doc_scores["x"],
-        lambda ranked, scheme: compute_indicators(
-            ranked, scheme, CountingRule.MIDPOINT, policy=BoundaryPolicy.LOWER),
-        lambda ranked, scheme: attribute_all(ranked, scheme, CountingRule.FRACTIONAL),
-        lambda ranked, scheme: compare_rules(ranked, scheme),
+    @pytest.mark.parametrize("consumer,built", [
+        (lambda ranked, scheme: compute_indicators(
+            ranked, scheme, CountingRule.FRACTIONAL).per_doc_scores["x"], MIXED_GROUPS),
+        (lambda ranked, scheme: compute_indicators(
+            ranked, scheme, CountingRule.MIDPOINT, policy=BoundaryPolicy.LOWER), []),
+        (lambda ranked, scheme: attribute_all(ranked, scheme, CountingRule.FRACTIONAL),
+         MIXED_GROUPS),
+        # Per call, the one tie group near top50's cut.
+        (lambda ranked, scheme: compare_rules(ranked, scheme), [("v", "x", "y")] * 2),
     ], ids=["per_doc_scores", "point_indicators", "attribute_all", "compare_rules"])
-    def test_what_needs_the_groups_builds_them_once(self, builds, consumer):
+    def test_what_needs_the_groups_builds_them_once(
+        self, builds, tie_groups_built, consumer, built
+    ):
+        """Each consumer sorts the records once, however often it runs. Only
+        a consumer that needs every member id builds `groups`, once."""
         ranked, scheme = rank(MIXED), builtin_scheme("top50")
         consumer(ranked, scheme)
         assert builds == [MIXED]
         consumer(ranked, scheme)
         assert builds == [MIXED]
+        assert [group.member_ids for group in tie_groups_built] == built
+        assert (ranked._groups is not None) is (built is MIXED_GROUPS)
 
 
 @st.composite
