@@ -46,7 +46,6 @@ from .scoring import (
     CountingRule,
     MidpointRoute,
     RoundingMode,
-    _group_heads,
     attribute_all,
 )
 
@@ -62,6 +61,9 @@ PRECISION_ENV = "PCT_PRECISION"
 # Decimal renderings are for display; a larger precision only prints more
 # digits of every non-terminating value.
 MAX_PRECISION = 100
+# Characters per write to stdout. A pipe whose reader has gone can take part
+# of a write without an error, and the rest is dropped; the next piece fails.
+_WRITE_PIECE = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,10 +265,7 @@ def _run(args) -> str:
     ]
     if warn_on_ambiguity and rule is not CountingRule.FRACTIONAL:
         _warn_defaulted_ambiguities(sum(
-            group.size
-            for _key, ranked, attributions in batches
-            for group, head in _group_heads(ranked, attributions)
-            if head.ambiguous
+            a.ambiguous for _key, _ranked, attributions in batches for a in attributions
         ))
     # Under the fractional rule the policy is not shown.
     return render_attributions(batches, scheme, rule, **options, fmt=args.format,
@@ -302,7 +301,8 @@ def _write(output: str) -> int:
     try:
         if sys.stdout is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        sys.stdout.write(output)
+        for start in range(0, len(output), _WRITE_PIECE):
+            sys.stdout.write(output[start:start + _WRITE_PIECE])
         sys.stdout.flush()
     except OSError as exc:  # BrokenPipeError included
         _say(f"pct: cannot write output: {exc.strerror or exc}")

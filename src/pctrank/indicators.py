@@ -9,7 +9,7 @@ from itertools import pairwise
 from operator import mul
 from typing import NamedTuple
 
-from .model import PRScheme, RankedSet, _tie_groups, interval_for
+from .model import PRScheme, RankedSet, _tie_groups, interval_for, theoretical_total
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -154,7 +154,7 @@ def compute_indicators(
     n = ranked.n
     hits = 0
     if rule is CountingRule.FRACTIONAL:
-        total, r = n * scheme._mean_weight, scheme._mean_weight
+        total, r = theoretical_total(scheme, n), scheme._mean_weight
         pp = scheme.classes[-1].width if scheme.k == 2 else None
     else:
         tallies, ends = [0] * scheme.k, ranked._ends

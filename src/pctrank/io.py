@@ -29,6 +29,7 @@ from .model import (
     PRScheme,
     RankedSet,
     _checked_columns,
+    _read_utf8,
     _shortened,
     _unique_keys,
     scheme_to_document,
@@ -144,20 +145,18 @@ def partition_by_group(records: Sequence[CitationRecord]) -> dict[str, DocumentS
 def _read_text(source: str | Path | TextIO) -> str:
     if hasattr(source, "read"):
         return source.read()
-    try:
-        if source == "-":
-            if sys.stdin is None:  # file descriptor 0 was closed at start-up
-                raise DataError("cannot read input -: standard input is closed")
-            # Decoded here, not by the locale; a stream without bytes is read as text.
-            stdin = getattr(sys.stdin, "buffer", None)
-            return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
-        # newline="" keeps line endings inside quoted csv fields as written.
-        with open(source, encoding="utf-8", newline="") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read input {source}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input {source} is not valid UTF-8 at byte offset {exc.start}") from None
+    if source != "-":
+        def read() -> bytes:
+            # open(), not pathlib, which would normalize the path a message shows.
+            with open(source, "rb") as handle:
+                return handle.read()
+
+        return _read_utf8(read, DataError, f"input {source}")
+    if sys.stdin is None:  # file descriptor 0 was closed at start-up
+        raise DataError("cannot read input -: standard input is closed")
+    # Decoded here, not by the locale; a stream without bytes is read as text.
+    stdin = getattr(sys.stdin, "buffer", None)
+    return sys.stdin.read() if stdin is None else _read_utf8(stdin.read, DataError, "input -")
 
 
 def _records_from_delimited(text: str) -> list[CitationRecord]:
@@ -446,18 +445,12 @@ def _sections(sections: Iterable[list[str]]) -> str:
     return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
 
 
-def _json_text(payload: dict) -> str:
+def _envelope(command: str, scheme: PRScheme | None = None, **fields) -> str:
+    """The JSON text of every command: its schema version and name, then the
+    scheme's document under "scheme" when one is given, then the fields."""
+    named = {} if scheme is None else {"scheme": scheme_to_document(scheme)}
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **named, **fields}
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _envelope(command: str, scheme: PRScheme, **fields) -> dict:
-    """The top level of the attribute, indicators and report JSON."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "scheme": scheme_to_document(scheme),
-        **fields,
-    }
 
 
 def _ratio_str(p: int, q: int) -> str:
@@ -467,7 +460,7 @@ def _ratio_str(p: int, q: int) -> str:
 
 
 _json_str = json.encoder.encode_basestring_ascii
-# In json.dumps(indent=2) output of an attribute or report payload, an object
+# In the _envelope text of attribute or report output, an object
 # of a group's list opens at _DOC, its fields sit at _FIELD and their list or
 # object items at _ITEM. The lists are empty in the envelope until their
 # members are spliced in.
@@ -483,23 +476,14 @@ def _json_items(items: Iterable[str], open_: str = "[", close: str = "]") -> str
     return open_ + _ITEM + f",{_ITEM}".join(items) + _FIELD + close
 
 
-def _json_members(groups: Iterable[tuple]) -> str:
-    """The comma-joined objects of the report's (member_ids, (head, tail))
-    flags or disagreements: each member's object is its group's head text,
-    its id and the tail text. Attribute writes its documents itself."""
-    return ",".join([
-        f"{head}{_json_str(doc_id)}{tail}" for ids, (head, tail) in groups for doc_id in ids
-    ])
-
-
-def _json_spliced(payload: dict, members: list[str]) -> str:
-    """_json_text(payload) with its i-th empty group list holding members[i]
+def _json_spliced(envelope: str, members: list[str]) -> str:
+    """An _envelope text with its i-th empty group list holding members[i]
     (joined document objects, each opening at _DOC), in the order json.dumps
     writes them.
 
     Strings are escaped and every structural newline is followed by its
     indent, so an empty list is found exactly at the group level."""
-    pieces = re.split(_EMPTY_LIST, _json_text(payload))
+    pieces = re.split(_EMPTY_LIST, envelope)
     out = [pieces[0]]
     for key, piece, text in zip(pieces[1::2], pieces[2::2], members, strict=True):
         out += ["\n      ", key, ": [", text, "\n      ]" if text else "]", piece]
@@ -622,11 +606,11 @@ def render_attributions(
             meta += f" boundary={policy.value}"
 
     if fmt == "json":
-        payload = _envelope("attribute", scheme, **settings, groups=[
+        envelope = _envelope("attribute", scheme, **settings, groups=[
             {"group": group_key, "n": ranked.n, "documents": []}
             for group_key, ranked, _ in batches
         ], **shown_policy)
-        return _json_spliced(payload, [",".join(rows(*batch)) for batch in batches])
+        return _json_spliced(envelope, [",".join(rows(*batch)) for batch in batches])
 
     if fmt == "csv":
         header = ["id", "citations", "group", "interval_low", "interval_high"]
@@ -672,11 +656,11 @@ def render_indicators(
         values = (result.i3, result.r, result.pp, expected, result.i3 - expected)
         groups.append((group_key, result, values))
     if fmt == "json":
-        return _json_text(_envelope("indicators", scheme, rule=rule, groups=[
+        return _envelope("indicators", scheme, rule=rule, groups=[
             {"group": group_key, "n": result.n,
              **{c: None if v is None else str(v) for c, v in zip(_INDICATOR_COLUMNS, values)}}
             for group_key, result, values in groups
-        ]))
+        ])
     if fmt == "csv":
         # csv.writer writes None as "" and a Fraction or int as its str.
         return _csv_text(["group", "n", "scheme", "rule", *_INDICATOR_COLUMNS], [
@@ -722,7 +706,8 @@ def render_report(
     # csv rows, JSON groups or table sections; JSON members go in `members`.
     out, members = [], []
     for group_key, ranked, report in batches:
-        flags = []
+        # (member_ids, cells) per tie group, or each member's JSON object.
+        flags, disagreements = [], []
         for flag in report.flags:
             rule, low, high = flag.rule.value, flag.interval_low, flag.interval_high
             if fmt == "csv":
@@ -730,23 +715,24 @@ def render_report(
                          str(flag.boundary), *[""] * 5]
             elif fmt == "json":
                 interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
-                cells = (
-                    f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": ',
-                    f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": "{flag.boundary}"'
-                    f',{_FIELD}"interval": {interval}{_DOC}}}',
-                )
+                tail = (f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": '
+                        f'"{flag.boundary}",{_FIELD}"interval": {interval}{_DOC}}}')
+                flags += [f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": {_json_str(doc_id)}'
+                          f"{tail}" for doc_id in flag.member_ids]
+                continue
             else:
                 cells = [rule, f"[{low}, {high}]", interval_percent_str(low, high),
                          str(flag.quantile), str(flag.boundary)]
             flags.append((flag.member_ids, cells))
-        disagreements = []
         for d in report.disagreements:
             classes = [d.classes[rule] for rule in POINT_RULES]
             if fmt == "csv":
                 cells = [group_key, "disagreement", *[""] * 5, *map(str, classes), "", ""]
             elif fmt == "json":
                 items = (f'"{rule.value}": {c}' for rule, c in zip(POINT_RULES, classes))
-                cells = (_ID_FIELD, f',{_FIELD}"classes": {_json_items(items, "{", "}")}{_DOC}}}')
+                tail = f',{_FIELD}"classes": {_json_items(items, "{", "}")}{_DOC}}}'
+                disagreements += [f"{_ID_FIELD}{_json_str(i)}{tail}" for i in d.member_ids]
+                continue
             else:
                 cells = [*map(str, classes)]
             disagreements.append((d.member_ids, cells))
@@ -761,7 +747,7 @@ def render_report(
         flag_counts = {rule.value: count for rule, count in report.flag_counts.items()}
         disagreeing = sum(len(d.member_ids) for d in report.disagreements)
         if fmt == "json":
-            members += [_json_members(flags), _json_members(disagreements)]
+            members += [",".join(flags), ",".join(disagreements)]
             out.append({
                 "group": group_key, "n": ranked.n, "flags": [], "disagreements": [],
                 "fractional_class_counts": counts,
@@ -806,12 +792,9 @@ def render_scheme_detail(scheme: PRScheme, *, fmt: str = "table") -> str:
             list(_SCHEME_CLASS_FIELDS), [((str(index),), rest) for index, *rest in rows]
         )
     if fmt == "json":
-        return _json_text({
-            "schema_version": SCHEMA_VERSION,
-            "command": "schemes",
-            **scheme_to_document(scheme),
-            "classes": [dict(zip(_SCHEME_CLASS_FIELDS, row)) for row in rows],
-        })
+        return _envelope("schemes", **scheme_to_document(scheme), classes=[
+            dict(zip(_SCHEME_CLASS_FIELDS, row)) for row in rows
+        ])
     table = _render_table(["class", "range", "percent", "weight"], [
         ((str(index),), [f"[{lower}, {upper}" + ("]" if index == scheme.k else ")"),
                          interval_percent_str(cls.lower, cls.upper), weight])
@@ -827,10 +810,7 @@ def render_scheme_list(schemes: Sequence[PRScheme], *, fmt: str = "table") -> st
     if fmt == "csv":
         return _csv_text(["name", "classes"], [((name,), [k]) for name, k in rows])
     if fmt == "json":
-        entries = [{"name": name, "classes": k} for name, k in rows]
-        return _json_text(
-            {"schema_version": SCHEMA_VERSION, "command": "schemes", "schemes": entries}
-        )
+        return _envelope("schemes", schemes=[{"name": name, "classes": k} for name, k in rows])
     table = []
     for (name, k), scheme in zip(rows, schemes):
         weights = [str(w) for w in scheme.weights]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class PctrankError(Exception):
@@ -110,6 +110,18 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
                 raise DataError(f"repeated key {_shortened(key)} in a JSON object")
             seen.add(key)
     return doc
+
+
+def _read_utf8(read: Callable[[], bytes], error: type[PctrankError], name: str) -> str:
+    """The bytes read() gives, decoded as UTF-8 whatever the locale: the one
+    file rule of input (`name` "input PATH") and scheme files ("scheme file
+    PATH"). A failed read, or bytes that are not UTF-8, raise `error`."""
+    try:
+        return read().decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {name}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not valid UTF-8 at byte offset {exc.start}") from None
 
 
 class _CitationRecord(NamedTuple):
@@ -511,14 +523,9 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
     if isinstance(source, (str, Path)):
         path = Path(source)
         default_name = path.stem
-        try:
-            text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
-        except OSError as exc:
-            raise SchemeError(f"cannot read scheme file {path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise SchemeError(
-                f"scheme file {path} is not valid UTF-8 at byte offset {exc.start}"
-            ) from None
+        text = _read_utf8(path.read_bytes, SchemeError, f"scheme file {path}")
+        # Line ends as a text-mode read gives them, which JSON's error positions count.
+        text = text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:

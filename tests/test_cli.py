@@ -133,6 +133,20 @@ class TestAttribute:
         assert [g["n"] for g in payload["groups"]] == [3, 2]
 
 
+# The faults of reading a file, worded by one rule for input and scheme
+# files: (file content, or None for no file and "dir" for a directory;
+# the message after "pct: input error: " or "pct: config error: ").
+FILE_FAULTS = {
+    "missing": (None, "cannot read {name}: [Errno {errno}] {strerror}: {path!r}"),
+    "directory": ("dir", "cannot read {name}: [Errno {errno}] {strerror}: {path!r}"),
+    "not UTF-8": (b"id,citations\ncaf\xe9,1\n", "{name} is not valid UTF-8 at byte offset 16"),
+    # The offset counts the byte order mark's three bytes.
+    "BOM, then not UTF-8": (
+        "\ufeff".encode() + b"caf\xe9", "{name} is not valid UTF-8 at byte offset 6"
+    ),
+}
+
+
 class TestInputEdgeCases:
     def test_quoted_newline_in_an_id_survives(self, run, tmp_path):
         path = tmp_path / "newline.csv"
@@ -245,6 +259,34 @@ class TestInputEdgeCases:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "config error" in err and "nested too deeply" in err
+
+    @pytest.mark.parametrize("source,fault", [
+        *((source, fault) for source in ("--input PATH", "--scheme custom=PATH")
+          for fault in FILE_FAULTS),
+        ("--input -", "not UTF-8"), ("--input -", "BOM, then not UTF-8"),
+    ])
+    def test_file_faults_are_worded_alike(self, run, monkeypatch, tmp_path, five_file,
+                                          source, fault):
+        content, message = FILE_FAULTS[fault]
+        path = str(tmp_path / ("faulty.json" if "scheme" in source else "faulty.csv"))
+        if content == "dir":
+            os.mkdir(path)
+        elif content is not None:
+            with open(path, "wb") as handle:
+                handle.write(content)
+        if source == "--input -":
+            stdin = io.TextIOWrapper(io.BytesIO(content), "utf-8", "surrogateescape")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            argv, name, code = ["--scheme", "pr6", "--input", "-"], "input -", EXIT_DATA
+        elif source == "--input PATH":
+            argv, name, code = ["--scheme", "pr6", "--input", path], f"input {path}", EXIT_DATA
+        else:
+            argv, name = ["--scheme", f"custom={path}", "--input", five_file], f"scheme file {path}"
+            code = EXIT_CONFIG
+        number = {"missing": errno.ENOENT, "directory": errno.EISDIR}.get(fault, 0)
+        shown = message.format(name=name, errno=number, strerror=os.strerror(number), path=path)
+        kind = "input" if code == EXIT_DATA else "config"
+        assert run(["attribute", *argv]) == (code, "", f"pct: {kind} error: {shown}\n")
 
 
 class TestBoundaryHandling:
@@ -607,6 +649,16 @@ class TestSchemes:
             path.write_bytes(prefix + body)
             outputs.append(run(["schemes", "--scheme", f"custom={path}", "--format", fmt]))
         assert outputs[1] == outputs[0] and outputs[0][0] == EXIT_OK
+
+    def test_a_scheme_file_error_counts_line_ends_as_newlines(self, run, tmp_path):
+        """A CRLF or a lone CR is one character of the JSON text that an
+        error position counts, as a text-mode read of the file gives it."""
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"boundaries": ["0",\r\n "1/2", "1"],\r\n "weights": ["0", \r x]}')
+        assert run(["schemes", "--scheme", f"custom={path}"]) == (EXIT_CONFIG, "", (
+            f"pct: config error: scheme file {path} is not valid JSON: "
+            "Expecting value: line 4 column 2 (char 55)\n"
+        ))
 
     def test_scheme_file_that_is_not_utf8_is_refused(self, run, tmp_path, five_file):
         path = tmp_path / "latin1.json"
@@ -1004,6 +1056,24 @@ class TestExitCodes:
              .encode()) for name in ("s\udc80", "\udc80")
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_a_reader_that_leaves_a_real_pipe_gives_one_line(self, run, tmp_path, fmt):
+        """`pct ... | head -c 10` on over 1 MiB of output: once the reader
+        has gone, a write fails, and the run exits 1 with one line."""
+        path = tmp_path / "large.csv"
+        path.write_text("id,citations\n" + "".join(f"d{i},{i % 500}\n" for i in range(6000)))
+        argv = ["attribute", "--scheme", "pr100", "--input", str(path), "--format", fmt]
+        code, out, _ = run(argv)
+        assert code == EXIT_OK and len(out.encode()) > 1 << 20
+        with subprocess.Popen([sys.executable, "-m", "pctrank", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read()
+            assert (child.wait(timeout=60), err) == (
+                EXIT_OUTPUT, f"pct: cannot write output: {os.strerror(errno.EPIPE)}\n".encode()
+            )
+
     def test_a_closed_stdout_gives_one_line(self):
         result = self.run_with_closed(1, ["schemes"])
         assert (result.returncode, result.stderr) == (
@@ -1050,11 +1120,12 @@ class TestExitCodes:
         assert (result.returncode, result.stdout) == (code, out)
 
     def test_missing_input_file(self, run, tmp_path):
-        code, _, err = run(
-            ["attribute", "--scheme", "top50",
-             "--input", str(tmp_path / "absent.csv")]
-        )
+        # The path is named as given, "./" included.
+        path = f"{tmp_path}/./absent.csv"
+        code, _, err = run(["attribute", "--scheme", "top50", "--input", path])
         assert code == EXIT_DATA
+        assert err == (f"pct: input error: cannot read input {path}: "
+                       f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n")
 
     def test_unknown_scheme(self, run, five_file):
         code, _, err = run(

@@ -18,7 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from pctrank import (
@@ -366,6 +366,37 @@ def test_indicators_csv_reads_back_as_compute_indicators(
             assert (Fraction(row["theoretical"]), Fraction(row["difference"])) == (
                 theoretical, result.i3 - theoretical
             )
+
+
+@seed(20120417)
+@PROPERTY
+@given(
+    groups=TIED_GROUPS,
+    selector=st.sampled_from(REPARSE_SCHEMES),
+    rule=st.sampled_from(POINT_RULES),
+    rounding=st.sampled_from(list(RoundingMode)),
+    route=st.sampled_from(list(MidpointRoute)),
+)
+@example(groups=[[1, 2, 2, 3], [5, 5, 5]], selector="pr6", rule=CountingRule.MIDPOINT,
+         rounding=RoundingMode.NONE, route=MidpointRoute.EXACT)
+def test_attribute_and_indicators_warn_alike(workdir, groups, selector, rule, rounding, route):
+    """With the defaulted policy, both commands count the same boundary
+    hits: attribute over its attributions, indicators over its results."""
+    path, ranked_sets = ranked_groups(workdir, groups)
+    options = ["--scheme", selector, "--rule", rule.value, "--rounding", rounding.value,
+               "--midpoint-route", route.value, "--input", path, "--format", "csv"]
+    (code, _, warned), (same_code, _, same) = (
+        pct([command, *options]) for command in ("attribute", "indicators")
+    )
+    assert (code, same_code, same) == (EXIT_OK, EXIT_OK, warned)
+    hits = sum(
+        compute_indicators(ranked, builtin_scheme(selector), rule, rounding=rounding,
+                           policy=BoundaryPolicy.LOWER, midpoint_route=route).boundary_hits
+        for ranked in ranked_sets.values()
+    )
+    assert warned == (f"pct: warning: {hits} attribution{'s' * (hits != 1)} landed exactly "
+                      "on a class boundary and went to the class below; pass --boundary "
+                      "to choose\n" if hits else "")
 
 
 @seed(20120416)
