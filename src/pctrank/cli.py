@@ -10,6 +10,7 @@ policy refusals.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import errno
 import gc
@@ -61,8 +62,7 @@ PRECISION_ENV = "PCT_PRECISION"
 # Decimal renderings are for display; a larger precision only prints more
 # digits of every non-terminating value.
 MAX_PRECISION = 100
-# Characters per write to stdout. A pipe whose reader has gone can take part
-# of a write without an error, and the rest is dropped; the next piece fails.
+# Characters encoded per write to stdout.
 _WRITE_PIECE = 1 << 16
 
 
@@ -297,13 +297,31 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(output: str) -> int:
-    """Write to stdout; a failed write is one line on stderr and EXIT_OUTPUT."""
+    """Write to stdout; a failed write is one line on stderr and EXIT_OUTPUT.
+
+    A pipe whose reader has gone can take part of a large write without an
+    error, and the text layer drops the rest. So each piece is encoded as
+    the stream encodes it, with its newlines as the standard streams write
+    them, and its bytes are written until the binary layer has taken all of
+    them: the write after a short one fails. A stream with no binary layer,
+    such as io.StringIO, takes the text."""
     try:
-        if sys.stdout is None:  # file descriptor 1 was closed at start-up
+        stream = sys.stdout
+        if stream is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        for start in range(0, len(output), _WRITE_PIECE):
-            sys.stdout.write(output[start:start + _WRITE_PIECE])
-        sys.stdout.flush()
+        binary = getattr(stream, "buffer", None)
+        if binary is None:
+            stream.write(output)
+        else:
+            stream.flush()
+            encode = codecs.getincrementalencoder(stream.encoding)(stream.errors).encode
+            if os.linesep != "\n":
+                output = output.replace("\n", os.linesep)
+            for start in range(0, len(output), _WRITE_PIECE):
+                data = memoryview(encode(output[start:start + _WRITE_PIECE]))
+                while data:
+                    data = data[binary.write(data):]
+        stream.flush()
     except OSError as exc:  # BrokenPipeError included
         _say(f"pct: cannot write output: {exc.strerror or exc}")
         if sys.stdout is not None:

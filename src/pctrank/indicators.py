@@ -18,6 +18,7 @@ from .scoring import (
     FractionalAttribution,
     MidpointRoute,
     RoundingMode,
+    _fractional_score,
     _group_heads,
     _near_boundaries,
     _points,
@@ -57,23 +58,6 @@ def class_counts(attributions: Sequence[Attribution], scheme: PRScheme) -> Class
     return ClassCounts(scheme, tuple(counts))
 
 
-def per_doc_score(attribution: Attribution, scheme: PRScheme) -> Fraction:
-    """One document's contribution to I3: its class weight, or the
-    fraction-weighted sum of weights under the fractional rule."""
-    if isinstance(attribution, FractionalAttribution):
-        if len(attribution.fractions) != scheme.k:
-            raise ValueError(
-                f"attribution for {attribution.doc_id!r} does not match the scheme"
-            )
-        return sum(
-            (fraction * cls.weight
-             for fraction, cls in zip(attribution.fractions, scheme.classes)
-             if fraction),
-            start=Fraction(0),
-        )
-    return scheme.classes[attribution.class_index - 1].weight
-
-
 class IndicatorResult(NamedTuple):
     """All indicator values for one document set under one configuration.
 
@@ -94,9 +78,10 @@ class IndicatorResult(NamedTuple):
 class _MemberScores(Mapping):
     """Each document's contribution to I3, by id, in rank order: read-only.
 
-    The members of a tie group share one score. On first lookup the ranked
-    set is attributed and one score is taken per tie group; len() is n
-    without that work.
+    The members of a tie group share one score. On first lookup one score
+    is taken per tie group: under the fractional rule from the integer grid,
+    with no fractions tuple, and under a point rule as the weight of the
+    class attribute_all gives the group. len() is n without that work.
     """
 
     __slots__ = ("_ranked", "_scheme", "_rule", "_options", "_scores")
@@ -111,11 +96,17 @@ class _MemberScores(Mapping):
     def _built(self) -> dict[str, Fraction]:
         if self._scores is None:
             ranked, scheme = self._ranked, self._scheme
-            attributions = attribute_all(ranked, scheme, self._rule, **self._options)
-            scores: dict[str, Fraction] = {}
-            for group, head in _group_heads(ranked, attributions):
-                scores.update(dict.fromkeys(group.member_ids, per_doc_score(head, scheme)))
-            self._scores = scores
+            if self._rule is CountingRule.FRACTIONAL:
+                scores = [_fractional_score(scheme, ranked.n, *span)[0]
+                          for span in pairwise(ranked._ends)]
+            else:
+                heads = _group_heads(
+                    ranked, attribute_all(ranked, scheme, self._rule, **self._options)
+                )
+                scores = [scheme.weights[head.class_index - 1] for _, head in heads]
+            self._scores = {}
+            for group, score in zip(ranked.groups, scores):
+                self._scores.update(dict.fromkeys(group.member_ids, score))
         return self._scores
 
     def __getitem__(self, doc_id: str) -> Fraction:

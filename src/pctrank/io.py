@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -21,7 +20,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .indicators import AmbiguityReport, IndicatorResult, per_doc_score
+from .indicators import AmbiguityReport, IndicatorResult
 from .model import (
     CitationRecord,
     DataError,
@@ -42,6 +41,7 @@ from .scoring import (
     CountingRule,
     MidpointRoute,
     RoundingMode,
+    _fractional_score,
     _group_heads,
 )
 
@@ -278,6 +278,10 @@ def _csv_rows(reader) -> Iterator[list[str]]:
 
 
 def _records_from_json(text: str, parse_int=int) -> list[CitationRecord]:
+    # Imported on first use, as unicodedata is in _width: a run that neither
+    # reads nor writes JSON never loads it.
+    import json
+
     try:
         doc = json.loads(text, parse_int=parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -448,6 +452,8 @@ def _sections(sections: Iterable[list[str]]) -> str:
 def _envelope(command: str, scheme: PRScheme | None = None, **fields) -> str:
     """The JSON text of every command: its schema version and name, then the
     scheme's document under "scheme" when one is given, then the fields."""
+    import json  # on first use, as in _records_from_json
+
     named = {} if scheme is None else {"scheme": scheme_to_document(scheme)}
     payload = {"schema_version": SCHEMA_VERSION, "command": command, **named, **fields}
     return json.dumps(payload, indent=2) + "\n"
@@ -459,7 +465,6 @@ def _ratio_str(p: int, q: int) -> str:
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
-_json_str = json.encoder.encode_basestring_ascii
 # In the _envelope text of attribute or report output, an object
 # of a group's list opens at _DOC, its fields sit at _FIELD and their list or
 # object items at _ITEM. The lists are empty in the envelope until their
@@ -518,16 +523,23 @@ def render_attributions(
     _check_format(fmt)
     fractional = rule is CountingRule.FRACTIONAL
     show_endpoints = rule is CountingRule.MIDPOINT and midpoint_route is MidpointRoute.ENDPOINTS
+    if fmt == "json":
+        from json.encoder import encode_basestring_ascii as json_str
     # By id() of the fractions tuple; the attributions keep each one alive.
     tails: dict[int, list[str] | str] = {}
+    zeros = ["0"] * scheme.k
 
-    def fractional_tail(head):
+    def fractional_tail(head, group, n):
         """The score and fraction cells (csv, table), or the JSON text after
-        "interval" to the document's end, of an attribution's fractions."""
+        "interval" to the document's end, of an attribution's fractions. The
+        score and the classes the group's interval overlaps come from the
+        integer grid; every other cell is zero."""
         tail = tails.get(id(head.fractions))
         if tail is None:
-            score = per_doc_score(head, scheme)
-            cells = [str(f) if f else "0" for f in head.fractions]  # most are zero
+            if len(head.fractions) != scheme.k:
+                raise ValueError(f"attribution for {head.doc_id!r} does not match the scheme")
+            score, first, stop = _fractional_score(scheme, n, group.rank_low - 1, group.rank_high)
+            cells = [*zeros[:first], *map(str, head.fractions[first:stop]), *zeros[stop:]]
             if fmt == "json":
                 items = _json_items(f'"{f}"' for f in cells)
                 tail = f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}{_DOC}}}'
@@ -537,7 +549,7 @@ def render_attributions(
             tails[id(head.fractions)] = tail
         return tail
 
-    def point_tail(head):
+    def point_tail(head, _group, _n):
         """The cells after the interval (csv, table), or the JSON text after
         "interval" to the document's end, of a point attribution."""
         _, quantile, percentile, index, ambiguous, boundary, pair = head
@@ -582,18 +594,19 @@ def render_attributions(
             high, ids = _ratio_str(group.rank_high, n), group.member_ids
             if fmt == "json":
                 tail = (f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {{{_ITEM}'
-                        f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}{rule_tail(head)}')
+                        f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}'
+                        f'{rule_tail(head, group, n)}')
                 # One member: no list comprehension, whose set-up outweighs one f-string.
                 if len(ids) == 1:
-                    yield f"{_ID_FIELD}{_json_str(ids[0])}{tail}"
+                    yield f"{_ID_FIELD}{json_str(ids[0])}{tail}"
                 else:
-                    yield from [f"{_ID_FIELD}{_json_str(doc_id)}{tail}" for doc_id in ids]
+                    yield from [f"{_ID_FIELD}{json_str(doc_id)}{tail}" for doc_id in ids]
             elif fmt == "csv":
-                yield ids, [str(group.citations), group_key, low, high, *rule_tail(head)]
+                yield ids, [str(group.citations), group_key, low, high, *rule_tail(head, group, n)]
             else:
                 high_percent = _percent(group.rank_high, n)
                 yield ids, [str(group.citations), f"[{low}, {high}]",
-                            f"{low_percent}–{high_percent}", *rule_tail(head)]
+                            f"{low_percent}–{high_percent}", *rule_tail(head, group, n)]
                 low_percent = high_percent
             low = high
 
@@ -703,6 +716,8 @@ def render_report(
     groups. A flag or disagreement covers a tie group: its shared cells (or
     JSON texts) are formatted once and each member adds only its id."""
     _check_format(fmt)
+    if fmt == "json":
+        from json.encoder import encode_basestring_ascii as json_str
     # csv rows, JSON groups or table sections; JSON members go in `members`.
     out, members = [], []
     for group_key, ranked, report in batches:
@@ -717,7 +732,7 @@ def render_report(
                 interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
                 tail = (f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": '
                         f'"{flag.boundary}",{_FIELD}"interval": {interval}{_DOC}}}')
-                flags += [f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": {_json_str(doc_id)}'
+                flags += [f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": {json_str(doc_id)}'
                           f"{tail}" for doc_id in flag.member_ids]
                 continue
             else:
@@ -731,7 +746,7 @@ def render_report(
             elif fmt == "json":
                 items = (f'"{rule.value}": {c}' for rule, c in zip(POINT_RULES, classes))
                 tail = f',{_FIELD}"classes": {_json_items(items, "{", "}")}{_DOC}}}'
-                disagreements += [f"{_ID_FIELD}{_json_str(i)}{tail}" for i in d.member_ids]
+                disagreements += [f"{_ID_FIELD}{json_str(i)}{tail}" for i in d.member_ids]
                 continue
             else:
                 cells = [*map(str, classes)]

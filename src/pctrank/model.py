@@ -7,13 +7,12 @@ scores stay exact end to end; nothing here passes through binary floating point.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -404,9 +403,9 @@ class PRScheme:
         self._one_hot: list[tuple[Fraction, ...] | None] = [None] * self.k
         # T = sum(weight * width): class j holds n times its width of any n
         # ranked documents under the fractional rule, so I3 is n*T and R is T.
-        self._mean_weight = sum(
-            (cls.weight * cls.width for cls in self.classes), start=Fraction(0)
-        )
+        # On the grid each width is (c_(j+1) - c_j)/D and each weight units_j/W.
+        widths = map(sub, self._cuts[1:], self._cuts)
+        self._mean_weight = Fraction(sum(map(mul, self._weight_units, widths)), common)
 
     def check_digits(self, n: int) -> None:
         """Refuse the scheme for sets of up to n documents when a value
@@ -526,6 +525,10 @@ def load_custom_scheme(source: dict | str | Path) -> PRScheme:
         text = _read_utf8(path.read_bytes, SchemeError, f"scheme file {path}")
         # Line ends as a text-mode read gives them, which JSON's error positions count.
         text = text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+        # Imported on first use, as in io: a run that neither reads nor
+        # writes JSON never loads it.
+        import json
+
         try:
             doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:

@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import _CITATIONS, BoundaryAmbiguityError, PRScheme, RankedSet, TieGroup
@@ -97,7 +98,11 @@ _ONE = Fraction(1)
 # 1/(n*D); the walks take it as its integer rank ends (r_low - 1, r_high), a
 # span. Rounded percentiles p are points at scale 100. A group inside one
 # class shares that class's fractions tuple, kept on the scheme object
-# (PRScheme._one_hot), so every walk over that object shares it.
+# (PRScheme._one_hot), so every walk over that object shares it. A group that
+# spans several classes is measured by `_overlaps`, its integer overlap with
+# each class it reaches: `_fractions` divides each by the group's width, and
+# `_fractional_score` weighs them in units of 1/W (PRScheme._weight_units) and
+# divides once, so a group's score and cells never touch the other classes.
 #
 # In rank order the spans tile [0, n*D], and each rule's point, rounded or not,
 # on either midpoint route, never goes down. So `_fractions` and `_points`
@@ -186,21 +191,49 @@ def _fractions(
     edges = [c * n for c in scheme._cuts]
     i = 0  # the class holding the group's low end
     for below, high in spans:
-        low, high = below * d, high * d
+        low, top = below * d, high * d
         while edges[i + 1] <= low:
             i += 1
-        if high <= edges[i + 1]:
+        if top <= edges[i + 1]:
             if one_hot[i] is None:
                 one_hot[i] = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (k - 1 - i)
             yield one_hot[i]
             continue
         # Spread over several classes: every overlap is shorter than the width.
-        fractions = [_ZERO] * k
-        j = i
-        while j < k and edges[j] < high:
-            fractions[j] = Fraction(min(high, edges[j + 1]) - max(low, edges[j]), high - low)
-            j += 1
-        yield tuple(fractions)
+        first, overlaps = _overlaps(scheme, n, below, high)
+        yield ((_ZERO,) * first + tuple(Fraction(overlap, top - low) for overlap in overlaps)
+               + (_ZERO,) * (k - first - len(overlaps)))
+
+
+def _overlaps(scheme: PRScheme, n: int, below: int, high: int) -> tuple[int, list[int]]:
+    """The first class (0-based) that the interval of a tie group's span
+    (r_low - 1, r_high) in a ranked set of n documents overlaps, and the
+    overlap with it and with each later class the interval reaches, in units
+    of 1/(n*D): each one positive."""
+    d, cuts = scheme._boundary_lcm, scheme._cuts
+    low, high = below * d, high * d
+    # Class j starts at or below low when c_j*n <= low, and below high when
+    # c_j*n < high; c_j is an integer, so c_j <= floor(low/n), c_j < ceil(high/n).
+    first = bisect_right(cuts, low // n) - 1
+    stop = bisect_left(cuts, -(-high // n), first + 1)
+    return first, [min(high, cuts[j + 1] * n) - max(low, cuts[j] * n) for j in range(first, stop)]
+
+
+def _fractional_score(
+    scheme: PRScheme, n: int, below: int, high: int
+) -> tuple[Fraction, int, int]:
+    """The fractional score of a tie group with span (r_low - 1, r_high) in
+    a ranked set of n documents, and the classes [first, stop) (0-based) its
+    interval overlaps: per_doc_score of its fractional_attribution in
+    tests/support.py. The score is the sum of each overlap times its class
+    weight in units of 1/W, over the group's width times W: one Fraction. A
+    group inside one class scores that class's weight."""
+    first, overlaps = _overlaps(scheme, n, below, high)
+    stop = first + len(overlaps)
+    if stop == first + 1:
+        return scheme.weights[first], first, stop
+    units = sum(map(mul, overlaps, scheme._weight_units[first:stop]))
+    return Fraction(units, (high - below) * scheme._boundary_lcm * scheme._weight_lcm), first, stop
 
 
 def _rounded_percent(a: int, scale: int, mode: RoundingMode) -> int:

@@ -35,7 +35,6 @@ from pctrank import (
     TieGroup,
     interval_for,
 )
-from pctrank.indicators import per_doc_score
 from pctrank.io import decimal_str, interval_percent_str, percent_str
 from pctrank.model import scheme_from_boundaries, scheme_to_document
 from pctrank.scoring import POINT_RULES
@@ -280,6 +279,25 @@ def i3(counts: ClassCounts) -> Fraction:
         (cls.weight * count for cls, count in zip(counts.scheme.classes, counts.counts)),
         start=Fraction(0),
     )
+
+
+def per_doc_score(attribution, scheme: PRScheme) -> Fraction:
+    """One document's contribution to I3: its class weight, or the
+    fraction-weighted sum of weights under the fractional rule. The package
+    takes a tie group's fractional score from the integer grid
+    (scoring._fractional_score)."""
+    if isinstance(attribution, FractionalAttribution):
+        if len(attribution.fractions) != scheme.k:
+            raise ValueError(
+                f"attribution for {attribution.doc_id!r} does not match the scheme"
+            )
+        return sum(
+            (fraction * cls.weight
+             for fraction, cls in zip(attribution.fractions, scheme.classes)
+             if fraction),
+            start=Fraction(0),
+        )
+    return scheme.classes[attribution.class_index - 1].weight
 
 
 def r_indicator(i3_value: Fraction, n: int) -> Fraction:

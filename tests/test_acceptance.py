@@ -30,7 +30,7 @@ from pctrank import (
     render_attributions,
     theoretical_total,
 )
-from pctrank.indicators import class_counts, per_doc_score
+from pctrank.indicators import class_counts
 from pctrank.model import topx_scheme
 from support import (
     i3,
@@ -38,6 +38,7 @@ from support import (
     make_distinct,
     make_tied,
     overlap_fractions_oracle,
+    per_doc_score,
     pp_top,
     random_document_set,
     random_scheme,

@@ -20,6 +20,7 @@ from pctrank.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_OUTPUT,
+    _WRITE_PIECE,
     build_parser,
 )
 from pctrank.model import scheme_from_boundaries
@@ -36,6 +37,12 @@ GROUPED_CSV = (
 # A name that would split an error line and reach the terminal as an escape.
 CONTROL_NAME = "x\ny\x1b[31m"
 LONG = "z" * 100_000
+LARGE_ROWS = "".join(f"d{i},{i % 500}\n" for i in range(6000))
+# 600 ids of 60 distinct CJK characters: 3 bytes each in UTF-8.
+WIDE_ROWS = "".join(
+    "".join(chr(0x4E00 + (61 * i + j) % 20_000) for j in range(60)) + f",{i % 50}\n"
+    for i in range(600)
+)
 
 
 @pytest.fixture(autouse=True)
@@ -1056,15 +1063,24 @@ class TestExitCodes:
              .encode()) for name in ("s\udc80", "\udc80")
         ]
 
-    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
-    def test_a_reader_that_leaves_a_real_pipe_gives_one_line(self, run, tmp_path, fmt):
-        """`pct ... | head -c 10` on over 1 MiB of output: once the reader
-        has gone, a write fails, and the run exits 1 with one line."""
+    @pytest.mark.parametrize("rows,scheme,fmt,size", [
+        *(pytest.param(LARGE_ROWS, "pr100", fmt, 1 << 20, id=fmt)
+          for fmt in ("csv", "table", "json")),
+        pytest.param(WIDE_ROWS, "top50", "csv", 1 << 16, id="csv-one-piece"),
+    ])
+    def test_a_reader_that_leaves_a_real_pipe_gives_one_line(
+        self, run, tmp_path, rows, scheme, fmt, size
+    ):
+        """`pct ... | head -c 10` on over 1 MiB of output, or on output that
+        _write takes in one piece of text but that is more bytes than a pipe
+        holds: once the reader has gone, a write fails, and the run exits 1
+        with one line."""
         path = tmp_path / "large.csv"
-        path.write_text("id,citations\n" + "".join(f"d{i},{i % 500}\n" for i in range(6000)))
-        argv = ["attribute", "--scheme", "pr100", "--input", str(path), "--format", fmt]
+        path.write_text("id,citations\n" + rows, encoding="utf-8")
+        argv = ["attribute", "--scheme", scheme, "--input", str(path), "--format", fmt]
         code, out, _ = run(argv)
-        assert code == EXIT_OK and len(out.encode()) > 1 << 20
+        assert code == EXIT_OK and len(out.encode()) > size
+        assert size > 1 << 16 or len(out) < _WRITE_PIECE
         with subprocess.Popen([sys.executable, "-m", "pctrank", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
             assert len(child.stdout.read(10)) == 10
@@ -1073,6 +1089,20 @@ class TestExitCodes:
             assert (child.wait(timeout=60), err) == (
                 EXIT_OUTPUT, f"pct: cannot write output: {os.strerror(errno.EPIPE)}\n".encode()
             )
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "ascii:backslashreplace"])
+    def test_stdout_keeps_its_encoding_and_error_handler(self, run, tmp_path, encoding):
+        """Output of many pieces is encoded as stdout's text layer encodes
+        it: one byte order mark in utf-16, and the stream's error handler
+        for the characters its encoding lacks."""
+        path = tmp_path / "mixed.csv"
+        path.write_text("id,citations\n" + WIDE_ROWS + LARGE_ROWS, encoding="utf-8")
+        argv = ["attribute", "--scheme", "pr100", "--input", str(path), "--format", "csv"]
+        code, out, _ = run(argv)
+        assert code == EXIT_OK and len(out) > 2 * _WRITE_PIECE
+        result = subprocess.run([sys.executable, "-m", "pctrank", *argv], capture_output=True,
+                                env={**os.environ, "PYTHONIOENCODING": encoding})
+        assert (result.returncode, result.stdout) == (EXIT_OK, out.encode(*encoding.split(":")))
 
     def test_a_closed_stdout_gives_one_line(self):
         result = self.run_with_closed(1, ["schemes"])

@@ -31,10 +31,10 @@ from pctrank import (
     rank,
     render_attributions,
 )
-from pctrank.indicators import class_counts, per_doc_score
+from pctrank.indicators import class_counts
 from pctrank.io import render_report
 from pctrank.model import scheme_from_boundaries
-from pctrank.scoring import POINT_RULES, _fractions, _points
+from pctrank.scoring import POINT_RULES, _fractional_score, _fractions, _points
 from support import (
     attribute_each,
     first_difference,
@@ -44,6 +44,7 @@ from support import (
     intervals_by_id,
     make_distinct,
     make_tied,
+    per_doc_score,
     pp_top,
     r_indicator,
     random_document_set,
@@ -87,7 +88,7 @@ def cases():
     coprime boundary denominators whose lcm no n here divides), distinct sets
     whose boundaries fall between or inside groups, sets of 40 under a
     top-10% scheme, and a tie-heavy set and a set of 40 whose records arrive
-    shuffled."""
+    shuffled, and a tie-heavy set under a scheme with negative weights."""
     rng = random.Random(20120516)
     out = [(rank(random_document_set(rng)), random_scheme(rng)) for _ in range(60)]
     for _ in range(8):
@@ -137,6 +138,13 @@ def cases():
     # still come out sorted.
     out.append((rank(tie_heavy_set(rng, shuffled=True)), builtin_scheme("pr6")))
     out.append((rank(field_set(rng, shuffled=True)), top10))
+    # Negative weights beside positive ones, on cuts whose lcm is 60.
+    negative = scheme_from_boundaries(
+        "negative-weights",
+        [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(1)],
+        [Fraction(-2), Fraction(5, 3), Fraction(-1, 4), Fraction(3)],
+    )
+    out.append((rank(tie_heavy_set(rng)), negative))
     return out
 
 
@@ -378,12 +386,26 @@ def test_fractional_rendering_matches_per_document_rows(ranked, scheme):
 
 @pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
 def test_grid_score_matches_the_per_document_score(ranked, scheme):
-    """The fractional per_doc_scores, one per tie group from attribute_all,
-    match the score of each document's own reference attribution."""
+    """The fractional per_doc_scores, one per tie group from the integer
+    grid, match the score of each document's own reference attribution."""
     scores = compute_indicators(ranked, scheme, CountingRule.FRACTIONAL).per_doc_scores
     for doc_id in ids_in_rank_order(ranked):
         reference = fractional_attribution(doc_id, ranked, scheme)
         assert scores[doc_id] == per_doc_score(reference, scheme)
+
+
+@pytest.mark.parametrize("ranked,scheme", CASES, ids=IDS)
+def test_grid_score_and_classes_of_each_tie_group(ranked, scheme):
+    """_fractional_score of each tie group's span: the score is per_doc_score
+    of the group's reference attribution, and [first, stop) is exactly the
+    run of nonzero cells of its _fractions tuple."""
+    n, spans = ranked.n, [*pairwise(ranked._ends)]
+    for group, span, fractions in zip(ranked.groups, spans, _fractions(scheme, n, spans),
+                                      strict=True):
+        score, first, stop = _fractional_score(scheme, n, *span)
+        reference = fractional_attribution(group.member_ids[0], ranked, scheme)
+        assert score == per_doc_score(reference, scheme)
+        assert [i for i, f in enumerate(fractions) if f] == [*range(first, stop)]
 
 
 def test_grids_of_one_scheme_share_its_scheme_part():

@@ -24,7 +24,7 @@ from pctrank import (
     rank,
     theoretical_total,
 )
-from pctrank.indicators import class_counts, per_doc_score
+from pctrank.indicators import class_counts
 from pctrank.model import scheme_from_boundaries, topx_scheme
 from support import (
     attribute_each,
@@ -32,6 +32,7 @@ from support import (
     ids_in_rank_order,
     make_distinct,
     make_tied,
+    per_doc_score,
     pp_top,
     r_indicator,
 )
@@ -199,10 +200,19 @@ class TestComputeIndicators:
                     yield decision
             return wrapper
 
-        # Each walk is patched where it is looked up.
-        for module, name in ((pctrank.scoring, "_fractions"), (pctrank.scoring, "_points"),
-                             (pctrank.indicators, "_points")):
+        def scored(original):
+            """The grid score of one tie group, counted."""
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return original(*args)
+            return wrapper
+
+        # Each walk, and the grid score, is patched where it is looked up.
+        for module, name in ((pctrank.scoring, "_points"), (pctrank.indicators, "_points")):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        monkeypatch.setattr(pctrank.indicators, "_fractional_score",
+                            scored(pctrank.indicators._fractional_score))
         ranked = rank(make_distinct(20))
         result = compute_indicators(
             ranked, builtin_scheme("pr6"), rule, policy=BoundaryPolicy.LOWER

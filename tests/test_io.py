@@ -674,13 +674,29 @@ class TestRenderAttributions:
                 fmt=fmt,
             )
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("made_under,shown_under", [("pr6", "pr100"), ("pr100", "top50")])
+    def test_fractional_attributions_of_another_scheme_are_refused(
+        self, five_ranked, fmt, made_under, shown_under
+    ):
+        """A tie group's score and overlapped classes come from the scheme
+        shown, so its head's fractions tuple must have one cell per class."""
+        attributions = attribute_all(
+            five_ranked, builtin_scheme(made_under), CountingRule.FRACTIONAL
+        )
+        with pytest.raises(ValueError, match=r"^attribution for 'd1' does not match the scheme$"):
+            render_attributions(
+                [("g", five_ranked, attributions)], builtin_scheme(shown_under),
+                CountingRule.FRACTIONAL, fmt=fmt,
+            )
+
     @pytest.mark.parametrize("rule", [CountingRule.FRACTIONAL, CountingRule.MIDPOINT])
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_each_tie_group_is_formatted_once(self, monkeypatch, fmt, rule):
         """A tie group's cells or JSON text are made from its head, once: one
         _ratio_str per tie group, as each interval end is one group's high
         end and the next one's low end, and under the fractional rule one
-        per_doc_score per distinct fractions tuple. Formatting per member
+        _fractional_score per distinct fractions tuple. Formatting per member
         would call both once per document."""
         scheme = builtin_scheme("pr100")
         rng = random.Random(5)
@@ -701,7 +717,7 @@ class TestRenderAttributions:
                 return function(*args)
             monkeypatch.setattr(pctrank.io, name, spy)
 
-        counted("per_doc_score")
+        counted("_fractional_score")
         counted("_ratio_str")
         render_attributions(batches, scheme, rule, policy=BoundaryPolicy.LOWER, fmt=fmt)
         documents = sum(ranked.n for _, ranked, _ in batches)
@@ -710,7 +726,7 @@ class TestRenderAttributions:
         fractions = {
             id(a.fractions) for _, _, attributions in batches for a in attributions
         } if rule is CountingRule.FRACTIONAL else set()
-        assert calls["per_doc_score"] == len(fractions)
+        assert calls["_fractional_score"] == len(fractions)
 
 
 class TestRenderIndicators:

@@ -70,6 +70,36 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv,loads_json", [
+    (["attribute", "--scheme", "pr100", "--input", "in.csv", "--format", "csv"], False),
+    (["attribute", "--scheme", "pr6", "--input", "in.csv"], False),
+    (["indicators", "--scheme", "topx=1/10", "--input", "in.csv", "--format", "csv"], False),
+    (["report", "--scheme", "top50", "--input", "in.csv"], False),
+    (["schemes", "--format", "csv"], False),
+    (["attribute", "--scheme", "pr6", "--input", "in.csv", "--format", "json"], True),
+    (["report", "--scheme", "top50", "--input", "in.csv", "--format", "json"], True),
+    (["indicators", "--scheme", "pr6", "--input", "in.json", "--format", "csv"], True),
+    (["attribute", "--scheme", "custom=scheme.json", "--input", "in.csv", "--format", "csv"], True),
+])
+def test_a_run_loads_json_only_to_read_or_write_json(tmp_path, argv, loads_json):
+    """A run that reads csv, writes csv or a table and takes a built-in
+    scheme never imports `json`; one that reads or writes JSON does."""
+    (tmp_path / "in.csv").write_text("id,citations\na,1\nb,2\nc,2\n")
+    (tmp_path / "in.json").write_text('[{"id": "a", "citations": 1}]')
+    (tmp_path / "scheme.json").write_text(
+        '{"boundaries": ["0", "1/2", "1"], "weights": ["0", "1"]}'
+    )
+    source_root = Path(pctrank.__file__).resolve().parents[1]
+    probe = (f"import sys; from pctrank.cli import main; code = main({argv!r}); "
+             "print(code, 'json' in sys.modules, file=sys.stderr)")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+    )
+    assert result.stderr == f"0 {loads_json}\n"
+
+
 def test_the_package_binds_all_and_three_more_names():
     """`import pctrank` binds the documented names, `__all__`, and `main`
     and the error bases beside them; every other name is imported from its
