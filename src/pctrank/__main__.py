@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import main
+from .cli import console
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -296,6 +296,19 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def console() -> int:
+    """The process entry point of `pct` and `python -m pctrank`: main, then
+    the collector frozen. At exit the interpreter runs full collections over
+    every object the imports left, 4 to 6 ms of a 35 to 41 ms `pct schemes`
+    on Python 3.11; frozen objects are skipped. Streams are still flushed,
+    atexit hooks run and modules torn down. main itself never freezes: in a
+    longer process every object alive then would be kept for good."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _write(output: str) -> int:
     """Write to stdout; a failed write is one line on stderr and EXIT_OUTPUT.
 

@@ -533,20 +533,24 @@ def render_attributions(
         """The score and fraction cells (csv, table), or the JSON text after
         "interval" to the document's end, of an attribution's fractions. The
         score and the classes the group's interval overlaps come from the
-        integer grid; every other cell is zero."""
-        tail = tails.get(id(head.fractions))
+        integer grid; every other cell is zero. Fractions made under another
+        scheme are refused when their count, or the nonzero run's ends
+        [first, stop), differ from the scheme's."""
+        fractions = head.fractions
+        tail = tails.get(id(fractions))
         if tail is None:
-            if len(head.fractions) != scheme.k:
-                raise ValueError(f"attribution for {head.doc_id!r} does not match the scheme")
             score, first, stop = _fractional_score(scheme, n, group.rank_low - 1, group.rank_high)
-            cells = [*zeros[:first], *map(str, head.fractions[first:stop]), *zeros[stop:]]
+            if (len(fractions) != scheme.k or not fractions[first] or not fractions[stop - 1]
+                    or (first and fractions[first - 1]) or (stop < scheme.k and fractions[stop])):
+                raise ValueError(f"attribution for {head.doc_id!r} does not match the scheme")
+            cells = [*zeros[:first], *map(str, fractions[first:stop]), *zeros[stop:]]
             if fmt == "json":
                 items = _json_items(f'"{f}"' for f in cells)
                 tail = f',{_FIELD}"score": "{score}",{_FIELD}"fractions": {items}{_DOC}}}'
             else:
                 tail = [str(score) if fmt == "csv" else _exact_and_decimal(score, precision),
                         *cells]
-            tails[id(head.fractions)] = tail
+            tails[id(fractions)] = tail
         return tail
 
     def point_tail(head, _group, _n):

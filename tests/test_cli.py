@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1240,6 +1241,65 @@ class TestExitCodes:
         small, large = garbage(10), garbage(2_000)
         assert small == large and small < 1_000, (small, large)
         capsys.readouterr()
+
+
+# Prints the collector's freeze count to stderr from an atexit hook, which
+# runs after the entry point has returned and before the streams are closed.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(f'frozen {gc.get_freeze_count()}', file=sys.stderr))\n"
+)
+
+
+class TestConsole:
+    """`pct` and `python -m pctrank` run `console`: main, then the cyclic
+    collector frozen, so that the interpreter's exit collections skip what
+    the imports left. main itself never freezes."""
+
+    @staticmethod
+    def child(code: str, argv: list[str] | None = None) -> subprocess.CompletedProcess:
+        """A fresh interpreter running code with sys.argv set to pct's argv."""
+        setup = f"import sys\nsys.argv = ['pct', *{argv or []!r}]\n"
+        return subprocess.run([sys.executable, "-c", setup + code],
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("entry", [
+        "import runpy\nrunpy.run_module('pctrank', run_name='__main__')\n",
+        "from pctrank.cli import console\nsys.exit(console())\n",
+    ], ids=["python-m", "console"])
+    def test_a_process_entry_point_exits_with_the_collector_frozen(self, entry):
+        result = self.child(FREEZE_PROBE + entry, ["schemes"])
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout.startswith("name")
+        assert result.stderr.startswith("frozen ")
+        assert int(result.stderr.split()[1]) > 0
+
+    def test_main_leaves_the_collector_unfrozen(self):
+        result = self.child(FREEZE_PROBE + "from pctrank import main\nsys.exit(main(['schemes']))\n")
+        assert (result.returncode, result.stderr) == (EXIT_OK, "frozen 0\n")
+
+    def test_the_console_script_runs_console(self):
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts == 'pct = "pctrank.cli:console"'
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--help"], EXIT_OK),
+        (["--version"], EXIT_OK),
+        (["attribute", "--rule", "bogus"], EXIT_CONFIG),
+        (["indicators", "--scheme", "pr6", "--input", "{bad}"], EXIT_DATA),
+    ], ids=["help", "version", "usage-error", "data-error"])
+    def test_console_exits_as_main_does(self, tmp_path, argv, code):
+        """The same exit code, stdout and stderr through console as through main."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,citations\nx,many\n")
+        argv = [arg.format(bad=bad) for arg in argv]
+        console = self.child("from pctrank.cli import console\nsys.exit(console())\n", argv)
+        main_ = self.child("from pctrank import main\nsys.exit(main(sys.argv[1:]))\n", argv)
+        assert console.returncode == code, console.stderr
+        assert (console.returncode, console.stdout, console.stderr) == (
+            main_.returncode, main_.stdout, main_.stderr
+        )
 
 
 # Each run command's options in order: flags, dest, default, choices,

@@ -78,6 +78,19 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-properties")
 
 
+def rewrite(path, data: str | bytes) -> None:
+    """Write data to path as a new file. Each example writes the same few
+    names again, and on ext4 truncating a file that holds data and writing
+    it again waits about 50 ms for the old blocks to be flushed (the
+    file system's replace-by-truncate heuristic); unlinking the old file
+    first makes the write as cheap as a new file's."""
+    path.unlink(missing_ok=True)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data, encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 
@@ -110,7 +123,7 @@ INPUT_TEXT = st.one_of(st.text(max_size=60), DELIMITED, JSON_VALUES.map(json.dum
 @given(text=INPUT_TEXT, command=st.sampled_from(COMMANDS))
 def test_any_input_text_exits_0_or_2(workdir, text, command):
     path = workdir / "input.txt"
-    path.write_text(text, encoding="utf-8")
+    rewrite(path, text)
     code, out, err = pct([*command, "--input", str(path)])
     assert code in (EXIT_OK, EXIT_DATA), err
     assert (code == EXIT_OK) == bool(out)
@@ -120,7 +133,7 @@ def test_any_input_text_exits_0_or_2(workdir, text, command):
 @given(data=st.binary(max_size=60), command=st.sampled_from(COMMANDS))
 def test_any_input_bytes_exit_0_or_2(workdir, data, command):
     path = workdir / "input.bin"
-    path.write_bytes(data)
+    rewrite(path, data)
     code, out, err = pct([*command, "--input", str(path)])
     assert code in (EXIT_OK, EXIT_DATA), err
 
@@ -159,9 +172,9 @@ SCHEME_TEXT = st.one_of(
 @given(text=SCHEME_TEXT, command=st.sampled_from(SCHEME_COMMANDS))
 def test_any_scheme_file_exits_0_or_3(workdir, text, command):
     data = workdir / "tied.csv"
-    data.write_text("id,citations,group\na,0,x\nb,0,x\nc,3,x\nd,1,y\ne,9,y\n")
+    rewrite(data, "id,citations,group\na,0,x\nb,0,x\nc,3,x\nd,1,y\ne,9,y\n")
     scheme = workdir / "scheme.json"
-    scheme.write_text(text, encoding="utf-8")
+    rewrite(scheme, text)
     argv = [*command, "--scheme", f"custom={scheme}"]
     if command[0] != "schemes":
         argv += ["--input", str(data)]
@@ -178,7 +191,7 @@ CITATIONS = st.lists(st.integers(0, 40), min_size=1, max_size=60)
 
 def csv_input(workdir, rows: list[tuple[str, int]]) -> str:
     path = workdir / "rows.csv"
-    path.write_text("id,citations\n" + "".join(f"{i},{c}\n" for i, c in rows))
+    rewrite(path, "id,citations\n" + "".join(f"{i},{c}\n" for i, c in rows))
     return str(path)
 
 
@@ -293,9 +306,9 @@ def test_adding_or_removing_a_group_leaves_the_others_alone(workdir, groups, dro
     rows = [(f"d{g}-{i}", c, f"g{g}") for g, citations in enumerate(groups)
             for i, c in enumerate(citations)]
     path = workdir / "groups.csv"
-    path.write_text("id,citations,group\n" + "".join(f"{i},{c},{g}\n" for i, c, g in rows))
+    rewrite(path, "id,citations,group\n" + "".join(f"{i},{c},{g}\n" for i, c, g in rows))
     every = rows_by_group([*argv, "--input", str(path)])
-    path.write_text("id,citations,group\n" + "".join(
+    rewrite(path, "id,citations,group\n" + "".join(
         f"{i},{c},{g}\n" for i, c, g in rows if g != f"g{dropped}"
     ))
     fewer = rows_by_group([*argv, "--input", str(path)])
@@ -319,8 +332,8 @@ def ranked_groups(workdir, groups: list[list[int]]) -> tuple[str, dict]:
     records = [CitationRecord(f"d{g}-{i}", c, f"g{g}") for g, citations in enumerate(groups)
                for i, c in enumerate(citations)]
     path = workdir / "tied-groups.csv"
-    path.write_text("id,citations,group\n" + "".join(f"{r.doc_id},{r.citations},{r.group}\n"
-                                                     for r in records))
+    rewrite(path, "id,citations,group\n" + "".join(f"{r.doc_id},{r.citations},{r.group}\n"
+                                                    for r in records))
     return str(path), {
         f"g{g}": rank(DocumentSet([r for r in records if r.group == f"g{g}"]))
         for g in range(len(groups))

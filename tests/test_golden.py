@@ -12,10 +12,12 @@ deliberate change to the output format, rewrite them with
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import re
 import shlex
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +98,25 @@ def test_cli_output_matches_golden_bytes(stem, fmt, monkeypatch):
     expected = golden_path(stem, fmt).read_bytes()
     same = out == expected
     assert same, first_difference(out, expected)
+
+
+def test_golden_commands_leave_nothing_for_a_finalizer_to_warn_of(monkeypatch):
+    """`pct` and `python -m pctrank` freeze the collector as they exit, so a
+    file left open inside a reference cycle is never finalized there, and
+    its ResourceWarning never shows. Here every golden command runs through
+    main, which pauses the collector, and a full collection then finalizes
+    what the runs left: a ResourceWarning is an error, and no finalizer may
+    raise one."""
+    monkeypatch.delenv("PCT_PRECISION", raising=False)
+    gc.collect()
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        codes = [run_cli(stem, fmt)[0] for stem, fmt in CASES]
+        gc.collect()
+    assert codes == [0] * len(CASES)
+    assert [str(hook.exc_value) for hook in unraisable] == []
 
 
 def readme_examples() -> list[tuple[str, list[str]]]:

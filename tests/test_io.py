@@ -42,7 +42,7 @@ from pctrank.io import (
     render_scheme_list,
 )
 from pctrank.model import scheme_from_boundaries
-from support import columns, make_tied
+from support import columns, make_distinct, make_tied
 
 F = Fraction
 
@@ -689,6 +689,32 @@ class TestRenderAttributions:
                 [("g", five_ranked, attributions)], builtin_scheme(shown_under),
                 CountingRule.FRACTIONAL, fmt=fmt,
             )
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("made_under,shown_under", [("pr6", "tenths"), ("tenths", "pr6")])
+    def test_fractional_attributions_of_a_scheme_with_as_many_classes_are_refused(
+        self, fmt, made_under, shown_under
+    ):
+        """Three distinct documents under pr6 and under six classes cut at
+        tenths: the same k, but other overlapped classes. Unchecked, d2's pr6
+        fractions under the tenths scheme render as a row whose cells sum to
+        0 (score 53/10, every fraction 0)."""
+        ranked = rank(make_distinct(3))
+        schemes = {"pr6": builtin_scheme("pr6"), "tenths": scheme_from_boundaries(
+            "tenths", [F(0), *(F(i, 10) for i in range(1, 6)), F(1)], [F(w) for w in range(1, 7)]
+        )}
+        made, shown = schemes[made_under], schemes[shown_under]
+        attributions = attribute_all(ranked, made, CountingRule.FRACTIONAL)
+        with pytest.raises(ValueError, match=r"^attribution for 'd1' does not match the scheme$"):
+            render_attributions([("g", ranked, attributions)], shown, CountingRule.FRACTIONAL,
+                                fmt=fmt)
+        # One document's attribution from the other scheme among the right ones.
+        right = attribute_all(ranked, shown, CountingRule.FRACTIONAL)
+        for index, doc_id in enumerate(["d1", "d2", "d3"]):
+            mixed = [*right[:index], attributions[index], *right[index + 1:]]
+            with pytest.raises(ValueError, match=rf"^attribution for '{doc_id}' does not match"):
+                render_attributions([("g", ranked, mixed)], shown, CountingRule.FRACTIONAL,
+                                    fmt=fmt)
 
     @pytest.mark.parametrize("rule", [CountingRule.FRACTIONAL, CountingRule.MIDPOINT])
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
