@@ -310,7 +310,9 @@ def console() -> int:
 
 
 def _write(output: str) -> int:
-    """Write to stdout; a failed write is one line on stderr and EXIT_OUTPUT.
+    """Write to stdout; a failed write, or a character that stdout's
+    encoding and error handler cannot write, is one line on stderr and
+    EXIT_OUTPUT.
 
     A pipe whose reader has gone can take part of a large write without an
     error, and the text layer drops the rest. So each piece is encoded as
@@ -339,5 +341,9 @@ def _write(output: str) -> int:
         _say(f"pct: cannot write output: {exc.strerror or exc}")
         if sys.stdout is not None:
             _to_null_device(sys.stdout)
+        return EXIT_OUTPUT
+    except UnicodeEncodeError as exc:  # the pieces before this one are written
+        _say(f"pct: cannot write output: stdout's encoding {exc.encoding} cannot encode "
+             f"U+{ord(exc.object[exc.start]):04X}; set PYTHONIOENCODING=utf-8")
         return EXIT_OUTPUT
     return EXIT_OK

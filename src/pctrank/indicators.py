@@ -3,8 +3,9 @@ and the cross-rule ambiguity report."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
+from functools import partial
 from itertools import pairwise
 from operator import mul
 from typing import NamedTuple
@@ -19,7 +20,6 @@ from .scoring import (
     MidpointRoute,
     RoundingMode,
     _fractional_score,
-    _group_heads,
     _near_boundaries,
     _points,
     attribute_all,
@@ -75,38 +75,36 @@ class IndicatorResult(NamedTuple):
     boundary_hits: int = 0
 
 
+def _member_scores(
+    ranked: RankedSet, scheme: PRScheme, rule: CountingRule, options: dict
+) -> dict[str, Fraction]:
+    """Each document's contribution to I3, by id, in rank order. The members
+    of a tie group share one score: under the fractional rule the group's
+    score from the integer grid, with no fractions tuple, and under a point
+    rule the weight of the class attribute_all gives it."""
+    if rule is not CountingRule.FRACTIONAL:
+        return {attribution.doc_id: scheme.weights[attribution.class_index - 1]
+                for attribution in attribute_all(ranked, scheme, rule, **options)}
+    n, scores = ranked.n, {}
+    for group, span in zip(ranked.groups, pairwise(ranked._ends)):
+        scores.update(dict.fromkeys(group.member_ids, _fractional_score(scheme, n, *span)[0]))
+    return scores
+
+
 class _MemberScores(Mapping):
-    """Each document's contribution to I3, by id, in rank order: read-only.
+    """A read-only mapping of n entries that calls `build` for them on first
+    lookup, and keeps what it returns; len() needs no lookup."""
 
-    The members of a tie group share one score. On first lookup one score
-    is taken per tie group: under the fractional rule from the integer grid,
-    with no fractions tuple, and under a point rule as the weight of the
-    class attribute_all gives the group. len() is n without that work.
-    """
+    __slots__ = ("_n", "_build", "_scores")
 
-    __slots__ = ("_ranked", "_scheme", "_rule", "_options", "_scores")
-
-    def __init__(self, ranked: RankedSet, scheme: PRScheme, rule: CountingRule, options: dict):
-        self._ranked = ranked
-        self._scheme = scheme
-        self._rule = rule
-        self._options = options
+    def __init__(self, n: int, build: Callable[[], dict[str, Fraction]]):
+        self._n = n
+        self._build = build
         self._scores: dict[str, Fraction] | None = None
 
     def _built(self) -> dict[str, Fraction]:
         if self._scores is None:
-            ranked, scheme = self._ranked, self._scheme
-            if self._rule is CountingRule.FRACTIONAL:
-                scores = [_fractional_score(scheme, ranked.n, *span)[0]
-                          for span in pairwise(ranked._ends)]
-            else:
-                heads = _group_heads(
-                    ranked, attribute_all(ranked, scheme, self._rule, **self._options)
-                )
-                scores = [scheme.weights[head.class_index - 1] for _, head in heads]
-            self._scores = {}
-            for group, score in zip(ranked.groups, scores):
-                self._scores.update(dict.fromkeys(group.member_ids, score))
+            self._scores = self._build()
         return self._scores
 
     def __getitem__(self, doc_id: str) -> Fraction:
@@ -116,7 +114,7 @@ class _MemberScores(Mapping):
         return iter(self._built())
 
     def __len__(self) -> int:
-        return self._ranked.n
+        return self._n
 
     def __repr__(self) -> str:
         return repr(self._built())
@@ -159,9 +157,9 @@ def compute_indicators(
         total, r = Fraction(units, scheme._weight_lcm), Fraction(units, scheme._weight_lcm * n)
         pp = Fraction(tallies[-1], n) if scheme.k == 2 else None
     options = dict(rounding=rounding, policy=policy, midpoint_route=midpoint_route)
-    return IndicatorResult(
-        scheme.name, rule, n, total, r, pp, _MemberScores(ranked, scheme, rule, options), hits,
-    )
+    # A partial, not a lambda, so that the result still pickles.
+    scores = _MemberScores(n, partial(_member_scores, ranked, scheme, rule, options))
+    return IndicatorResult(scheme.name, rule, n, total, r, pp, scores, hits)
 
 
 class BoundaryFlag(NamedTuple):

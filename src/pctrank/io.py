@@ -42,7 +42,6 @@ from .scoring import (
     MidpointRoute,
     RoundingMode,
     _fractional_score,
-    _group_heads,
 )
 
 SCHEMA_VERSION = "1"
@@ -592,10 +591,14 @@ def render_attributions(
         csv and table, or each member's JSON object, whose "p/q" strings need
         no escaping. Made one at a time, as csv consumes each pair at once: a
         live pair per document sets off extra passes of the cyclic garbage
-        collector. The intervals tile [0, 1], so each end is formatted once."""
+        collector. The intervals tile [0, 1], so each end is formatted once,
+        and a tie group's members share the attribution at rank_low - 1."""
         n, low, low_percent = ranked.n, "0", "0%"
-        for group, head in _group_heads(ranked, attributions):
-            high, ids = _ratio_str(group.rank_high, n), group.member_ids
+        if len(attributions) != n:
+            raise ValueError(f"{len(attributions)} attributions for a ranked set of {n} documents")
+        for group in ranked.groups:
+            head, ids = attributions[group.rank_low - 1], group.member_ids
+            high = _ratio_str(group.rank_high, n)
             if fmt == "json":
                 tail = (f',{_FIELD}"citations": {group.citations},{_FIELD}"interval": {{{_ITEM}'
                         f'"low": "{low}",{_ITEM}"high": "{high}"{_FIELD}}}'

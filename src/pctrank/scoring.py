@@ -13,9 +13,9 @@ from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .model import _CITATIONS, BoundaryAmbiguityError, PRScheme, RankedSet, TieGroup
+from .model import _CITATIONS, BoundaryAmbiguityError, PRScheme, RankedSet
 
 
 class CountingRule(Enum):
@@ -283,15 +283,3 @@ def attribute_all(
             out += [new(kind, (doc_id, *fields)) for doc_id in ids]
     return out
 
-
-def _group_heads(
-    ranked: RankedSet, attributions: Sequence[Attribution]
-) -> Iterator[tuple[TieGroup, Attribution]]:
-    """(tie group, the attribution its members share) per tie group of
-    attribute_all's output for `ranked`, in rank order."""
-    if len(attributions) != ranked.n:
-        raise ValueError(
-            f"{len(attributions)} attributions for a ranked set of {ranked.n} documents"
-        )
-    # Members share the attribution at position rank_low - 1. zip runs no frame per group.
-    return zip(ranked.groups, [attributions[group.rank_low - 1] for group in ranked.groups])

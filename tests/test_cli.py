@@ -1105,6 +1105,40 @@ class TestExitCodes:
                                 env={**os.environ, "PYTHONIOENCODING": encoding})
         assert (result.returncode, result.stdout) == (EXIT_OK, out.encode(*encoding.split(":")))
 
+    @pytest.mark.parametrize("encoding,argv,char", [
+        ("ascii", ["schemes", "--scheme", "pr6"], "–"),
+        ("latin-1", ["schemes", "--scheme", "pr6"], "–"),
+        ("ascii", ["attribute", "--scheme", "pr6", "--format", "csv", "--input", "ids.csv"],
+         "é"),
+    ])
+    def test_an_output_stdout_cannot_encode_gives_one_line(
+        self, run, tmp_path, encoding, argv, char
+    ):
+        """The percent column's en dash, or a non-ASCII id, under a stdout
+        whose encoding lacks it: exit 1 with one line naming the encoding and
+        the code point, and no traceback. The csv output is over 64 Ki
+        characters with the `é` id last, so the pieces before the one that
+        holds it are written. `--help` is ASCII and still prints."""
+        path = tmp_path / "ids.csv"
+        path.write_text("id,citations\n" + LARGE_ROWS + "é,1000\n", encoding="utf-8")
+        argv = [str(path) if arg == "ids.csv" else arg for arg in argv]
+        code, out, _ = run(argv)
+        assert code == EXIT_OK and char in out
+        written = out[:out.index(char) // _WRITE_PIECE * _WRITE_PIECE]
+        assert written or argv[0] == "schemes"
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        result = subprocess.run([sys.executable, "-m", "pctrank", *argv],
+                                capture_output=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr.decode()) == (
+            EXIT_OUTPUT, written.encode(encoding),
+            f"pct: cannot write output: stdout's encoding {encoding} cannot encode "
+            f"U+{ord(char):04X}; set PYTHONIOENCODING=utf-8\n",
+        )
+        result = subprocess.run([sys.executable, "-m", "pctrank", "--help"],
+                                capture_output=True, env=env)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert result.stdout.startswith(b"usage: pct ")
+
     def test_a_closed_stdout_gives_one_line(self):
         result = self.run_with_closed(1, ["schemes"])
         assert (result.returncode, result.stderr) == (

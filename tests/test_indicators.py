@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -228,6 +230,22 @@ class TestComputeIndicators:
         assert calls == decided + 20
         with pytest.raises(TypeError):
             result.per_doc_scores["d20"] = F(0)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("rule", list(CountingRule), ids=lambda rule: rule.value)
+def test_results_pickle_copy_and_compare_alike(rule, read):
+    """A result is a value whether per_doc_scores was read or not: a pickle
+    round trip gives an equal result, a deep copy gives equal scores, and
+    both print as the original does."""
+    ranked = rank(DocumentSet(tuple(CitationRecord(f"d{i}", i // 3) for i in range(12))))
+    result = compute_indicators(ranked, builtin_scheme("pr6"), rule, policy=BoundaryPolicy.LOWER)
+    if read:
+        assert result.per_doc_scores["d11"] == result.per_doc_scores["d9"]  # one tie group
+    loaded, copied = pickle.loads(pickle.dumps(result)), copy.deepcopy(result)
+    assert loaded == result
+    assert copied.per_doc_scores == result.per_doc_scores
+    assert repr(loaded) == repr(copied) == repr(result)
 
 
 class TestGroupedIndicators:

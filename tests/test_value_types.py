@@ -172,6 +172,32 @@ def test_modules_import_each_other_in_layer_order():
     assert out_of_order == []
 
 
+def test_private_names_cross_modules_only_where_listed():
+    """Each (module, private name) that a package module imports from
+    another, dunders aside. The list is exact, so it shrinks as each import
+    goes and a new one has to be added here on purpose."""
+    crossings = sorted(
+        (module.removesuffix(".py"), alias.name)
+        for module, tree in source_modules().items()
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+    assert crossings == [
+        ("cli", "_shortened"),
+        ("indicators", "_fractional_score"),
+        ("indicators", "_near_boundaries"),
+        ("indicators", "_points"),
+        ("indicators", "_tie_groups"),
+        ("io", "_checked_columns"),
+        ("io", "_fractional_score"),
+        ("io", "_read_utf8"),
+        ("io", "_shortened"),
+        ("io", "_unique_keys"),
+        ("scoring", "_CITATIONS"),
+    ]
+
+
 def test_every_private_top_level_name_is_used_besides_its_definition():
     modules = source_modules()
     reads = {
