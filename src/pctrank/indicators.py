@@ -10,7 +10,7 @@ from itertools import pairwise
 from operator import mul
 from typing import NamedTuple
 
-from .model import PRScheme, RankedSet, _tie_groups, interval_for, theoretical_total
+from .model import PRScheme, RankedSet, _tie_groups, theoretical_total
 from .scoring import (
     POINT_RULES,
     Attribution,
@@ -219,36 +219,30 @@ def compare_rules(
     lies strictly inside the one class that holds its interval, so it can
     neither hit a boundary nor make the rules disagree. They are found by
     bisecting the ranked set's citation order, and a TieGroup is built for
-    them alone; `ranked.groups` is not built. Fractional counts are attached
-    for reference: n times each class width.
+    them alone; `ranked.groups` is not built. A flagged group's flags share
+    one interval from its rank ends, and only a group whose three integer
+    classes differ gets a dict by rule. Fractional counts are attached for
+    reference: n times each class width, from the integer cuts.
     """
     n = ranked.n
     # A rounded percentile p of a group [low, high] has p/100 within one
     # percentile point of it, on both midpoint routes.
     margin = 0 if rounding is RoundingMode.NONE else 1
-    flags: dict[CountingRule, list[BoundaryFlag]] = {rule: [] for rule in POINT_RULES}
-    disagreements: list[RuleDisagreement] = []
     spans = [*_near_boundaries(scheme, ranked, margin)]
-    near = _tie_groups(ranked, spans)
-    walks = [
-        _points(scheme, n, spans, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
-        for rule in POINT_RULES
-    ]
-    for group, *decisions in zip(near, *walks):
-        classes = {}
-        for rule, (a, scale, _, classes[rule], boundary, _) in zip(POINT_RULES, decisions):
+    walks = [_points(scheme, n, spans, rule, rounding, BoundaryPolicy.LOWER, midpoint_route)
+             for rule in POINT_RULES]
+    by_rule, disagreements, new = ([], [], []), [], tuple.__new__
+    for (below, high), group, *decisions in zip(spans, _tie_groups(ranked, spans), *walks):
+        ids, ends = group.member_ids, None
+        for hits, rule, (a, scale, _, _, boundary, _) in zip(by_rule, POINT_RULES, decisions):
             if boundary is not None:
-                flags[rule].append(BoundaryFlag(
-                    rule, group.member_ids, Fraction(a, scale), boundary,
-                    *interval_for(group, n),
-                ))
-        if len(set(classes.values())) > 1:
-            disagreements.append(RuleDisagreement(group.member_ids, classes))
-    return AmbiguityReport(
-        scheme,
-        tuple(flag for rule in POINT_RULES for flag in flags[rule]),
-        tuple(disagreements),
-        # Tie group intervals tile [0, 1], so the fractional mass of class j
-        # is exactly n times its width.
-        ClassCounts(scheme, tuple(n * cls.width for cls in scheme.classes)),
-    )
+                ends = ends or (Fraction(below, n), Fraction(high, n))
+                hits.append(new(BoundaryFlag, (rule, ids, Fraction(a, scale), boundary, *ends)))
+        worse, worse_or_equal, midpoint = classes = [decision[3] for decision in decisions]
+        if not worse == worse_or_equal == midpoint:
+            disagreements.append(new(RuleDisagreement, (ids, dict(zip(POINT_RULES, classes)))))
+    # Tie group intervals tile [0, 1], so the fractional mass of class j is
+    # exactly n times its width, (c_(j+1) - c_j)/D on the integer grid.
+    counts = tuple(Fraction(n * (c - b), scheme._boundary_lcm) for b, c in pairwise(scheme._cuts))
+    flags = (*by_rule[0], *by_rule[1], *by_rule[2])
+    return AmbiguityReport(scheme, flags, tuple(disagreements), ClassCounts(scheme, counts))

@@ -17,6 +17,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -52,6 +53,7 @@ FORMATS = ("table", "csv", "json")
 
 _KNOWN_COLUMNS = ("id", "citations", "group")
 _KNOWN_FIELDS = frozenset(_KNOWN_COLUMNS)
+_GROUP = itemgetter(2)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,8 @@ def _percent(p: int, q: int) -> str:
 
 
 def interval_percent_str(low: Fraction, high: Fraction) -> str:
-    return f"{percent_str(low)}–{percent_str(high)}"
+    return (f"{_percent(low.numerator, low.denominator)}–"
+            f"{_percent(high.numerator, high.denominator)}")
 
 
 def _exact_and_decimal(value: Fraction, precision: int) -> str:
@@ -129,11 +132,13 @@ def partition_by_group(records: Sequence[CitationRecord]) -> dict[str, DocumentS
     Records without a group and records naming the group "default" would
     merge silently, so that mix is rejected.
     """
+    if records and not any(map(_GROUP, records)):
+        return {DEFAULT_GROUP: DocumentSet(records)}
     buckets: dict[str, list[CitationRecord]] = {}
     for record in records:
         buckets.setdefault(record.group or DEFAULT_GROUP, []).append(record)
-    members = buckets.get(DEFAULT_GROUP, ())
-    if any(not r.group for r in members) and any(r.group for r in members):
+    groups = {*map(_GROUP, buckets.get(DEFAULT_GROUP, ()))}
+    if DEFAULT_GROUP in groups and len(groups) > 1:
         raise DataError(
             f"group {DEFAULT_GROUP!r} is named explicitly, but it is also the group "
             "of rows without one; rename the group or give every row a group"
@@ -383,9 +388,7 @@ def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) ->
     width, pad = (len, str.ljust) if joined.isascii() else (_width, _padded)
     if not joined.isprintable():
         member_ids = [[*map(_printable, ids)] for ids in member_ids]
-    widths = [*map(len, [*header[:id_at], *header[id_at + 1:]])]
-    for i, column in enumerate(zip(*rows)):
-        widths[i] = max(widths[i], *map(len, column))
+    widths = [max(map(len, column)) for column in zip(header[:id_at] + header[id_at + 1:], *rows)]
     id_width = max([len(header[id_at]), *map(width, chain.from_iterable(member_ids))])
     all_widths = [*widths[:id_at], id_width, *widths[id_at:]]
     lines = [
@@ -394,12 +397,11 @@ def _render_table(header: list[str], groups: Sequence[tuple], id_at: int = 0) ->
     ]
     # Every cell is padded to its width, so the id goes in at a fixed offset.
     cut = sum(widths[:id_at]) + 2 * id_at
-    texts = ["  ".join(map(str.ljust, cells, widths)) for cells in rows]
-    heads = [text[:cut] for text in texts]
-    tails = [f"  {text[cut:]}".rstrip() for text in texts]
     return lines + [
         f"{head}{pad(doc_id, id_width)}{tail}"
-        for ids, head, tail in zip(member_ids, heads, tails)
+        for ids, cells in zip(member_ids, rows)
+        for text in ["  ".join(map(str.ljust, cells, widths))]
+        for head, tail in [(text[:cut], f"  {text[cut:]}".rstrip())]
         for doc_id in ids
     ]
 
@@ -708,6 +710,8 @@ _REPORT_COLUMNS = [
     "group", "record", "rule", "id", "interval_low", "interval_high", "quantile", "boundary",
     "class_count_worse", "class_count_worse_or_equal", "class_midpoint", "class_index", "count",
 ]
+# Each point rule's name, in POINT_RULES order: a dict lookup, not Enum.value.
+_RULE_NAMES = {rule: rule.value for rule in POINT_RULES}
 
 
 def render_report(
@@ -721,37 +725,42 @@ def render_report(
     """Boundary hits, cross-rule class disagreements and fractional class
     counts per group, one row or object per document, in one pass over the
     groups. A flag or disagreement covers a tie group: its shared cells (or
-    JSON texts) are formatted once and each member adds only its id."""
+    JSON texts) are formatted once and each member adds only its id; flags
+    are counted by rule as they are written."""
     _check_format(fmt)
     if fmt == "json":
         from json.encoder import encode_basestring_ascii as json_str
+    settings = (f"scheme={_printable(scheme.name)} rounding={rounding.value}"
+                f" route={midpoint_route.value}")
     # csv rows, JSON groups or table sections; JSON members go in `members`.
     out, members = [], []
     for group_key, ranked, report in batches:
         # (member_ids, cells) per tie group, or each member's JSON object.
-        flags, disagreements = [], []
+        flags, disagreements, flag_counts = [], [], dict.fromkeys(_RULE_NAMES.values(), 0)
         for flag in report.flags:
-            rule, low, high = flag.rule.value, flag.interval_low, flag.interval_high
+            name = _RULE_NAMES[flag.rule]
+            flag_counts[name] += len(flag.member_ids)
+            low, high = flag.interval_low, flag.interval_high
             if fmt == "csv":
-                cells = [group_key, "flag", rule, str(low), str(high), str(flag.quantile),
+                cells = [group_key, "flag", name, str(low), str(high), str(flag.quantile),
                          str(flag.boundary), *[""] * 5]
             elif fmt == "json":
                 interval = _json_items([f'"low": "{low}"', f'"high": "{high}"'], "{", "}")
                 tail = (f',{_FIELD}"quantile": "{flag.quantile}",{_FIELD}"boundary": '
                         f'"{flag.boundary}",{_FIELD}"interval": {interval}{_DOC}}}')
-                flags += [f'{_DOC}{{{_FIELD}"rule": "{rule}",{_FIELD}"id": {json_str(doc_id)}'
+                flags += [f'{_DOC}{{{_FIELD}"rule": "{name}",{_FIELD}"id": {json_str(doc_id)}'
                           f"{tail}" for doc_id in flag.member_ids]
                 continue
             else:
-                cells = [rule, f"[{low}, {high}]", interval_percent_str(low, high),
+                cells = [name, f"[{low}, {high}]", interval_percent_str(low, high),
                          str(flag.quantile), str(flag.boundary)]
             flags.append((flag.member_ids, cells))
         for d in report.disagreements:
-            classes = [d.classes[rule] for rule in POINT_RULES]
+            classes = [*map(d.classes.__getitem__, POINT_RULES)]
             if fmt == "csv":
                 cells = [group_key, "disagreement", *[""] * 5, *map(str, classes), "", ""]
             elif fmt == "json":
-                items = (f'"{rule.value}": {c}' for rule, c in zip(POINT_RULES, classes))
+                items = map('"{}": {}'.format, _RULE_NAMES.values(), classes)
                 tail = f',{_FIELD}"classes": {_json_items(items, "{", "}")}{_DOC}}}'
                 disagreements += [f"{_ID_FIELD}{json_str(i)}{tail}" for i in d.member_ids]
                 continue
@@ -759,16 +768,14 @@ def render_report(
                 cells = [*map(str, classes)]
             disagreements.append((d.member_ids, cells))
         counts = [*map(str, report.fractional_counts.counts)]
+        disagreeing = sum(len(d.member_ids) for d in report.disagreements)
         if fmt == "csv":
             # A count row has no id: a group of one blank id.
             out += flags + disagreements + [
                 (("",), [group_key, "fractional_count", *[""] * 8, str(i), count])
                 for i, count in enumerate(counts, start=1)
             ]
-            continue
-        flag_counts = {rule.value: count for rule, count in report.flag_counts.items()}
-        disagreeing = sum(len(d.member_ids) for d in report.disagreements)
-        if fmt == "json":
+        elif fmt == "json":
             members += [",".join(flags), ",".join(disagreements)]
             out.append({
                 "group": group_key, "n": ranked.n, "flags": [], "disagreements": [],
@@ -776,14 +783,13 @@ def render_report(
                 "summary": {"flag_counts": flag_counts, "disagreements": disagreeing},
             })
         else:
-            flag_header = ["rule", "id", "interval", "percent", "quantile", "boundary"]
             out.append([
-                f"# group={_printable(group_key)} n={ranked.n} scheme={_printable(scheme.name)}"
-                f" rounding={rounding.value} route={midpoint_route.value}",
+                f"# group={_printable(group_key)} n={ranked.n} {settings}",
                 "boundary hits:",
-                *(_render_table(flag_header, flags, id_at=1) if flags else ["  none"]),
+                *(_render_table(["rule", "id", "interval", "percent", "quantile", "boundary"],
+                                flags, id_at=1) if flags else ["  none"]),
                 "class disagreements:",
-                *(_render_table(["id", *(rule.value for rule in POINT_RULES)], disagreements)
+                *(_render_table(["id", *_RULE_NAMES.values()], disagreements)
                   if disagreements else ["  none"]),
                 f"fractional class counts: {', '.join(counts)}",
                 "summary: flags [" + ", ".join(f"{r}={c}" for r, c in flag_counts.items())

@@ -176,6 +176,9 @@ def _checked_columns(ids: list, citations: list, groups: list) -> list[CitationR
     return [*map(tuple.__new__, repeat(CitationRecord), zip(ids, citations, groups))]
 
 
+_DOC_ID, _CITATIONS = itemgetter(0), itemgetter(1)
+
+
 class DocumentSet:
     """An ordered, non-empty collection of citation records with unique ids."""
 
@@ -183,7 +186,7 @@ class DocumentSet:
         self.records = tuple(records)
         if not self.records:
             raise DataError("a document set needs at least one record")
-        if len({record.doc_id for record in self.records}) < len(self.records):
+        if len(set(map(_DOC_ID, self.records))) < len(self.records):
             seen: set[str] = set()
             for record in self.records:
                 if record.doc_id in seen:
@@ -230,9 +233,6 @@ class TieGroup(NamedTuple):
     @property
     def size(self) -> int:
         return self.rank_high - self.rank_low + 1
-
-
-_DOC_ID, _CITATIONS = itemgetter(0), itemgetter(1)
 
 
 class RankedSet:

@@ -12,9 +12,10 @@ Each argument is a directory that holds the `pctrank` package (a checkout's
 - `report`, with no options and with floor rounding on the endpoints route;
 - `schemes`;
 
-each in table, csv and json. The inputs are the seed-1 and seed-2 files of
-every benchmark workload, made by `perfbench/workloads.py`, under the
-workload's scheme, and `tests/golden/tied.json` under pr6. Exit code, stdout
+each in table, csv and json: 489 commands. The inputs are the seed-1 and
+seed-2 files of every benchmark workload, made by `perfbench/workloads.py`,
+under the workload's scheme; `tests/golden/tied.json` under pr6; and
+`unequal_groups(UNEQUAL_SEED)` under topx=1/10 and pr6. Exit code, stdout
 and stderr must match.
 
 It also runs `attribute --format csv` on one invalid input per fault the
@@ -30,6 +31,7 @@ pytest does not collect it.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -47,6 +49,7 @@ ATTRIBUTE_OPTIONS = (
     ("--rounding", "half-up", "--boundary", "upper"),
 )
 REPORT_OPTIONS = ((), ("--rounding", "floor", "--midpoint-route", "endpoints"))
+UNEQUAL_SEED = 31
 FORMATS = ("table", "csv", "json")
 SEEDS = (1, 2)
 SHOWN_DIFFERENCES = 5
@@ -91,6 +94,18 @@ INVALID_INPUTS = {
     "surrogate-in-group.json": b'[{"id": "a", "citations": 1, "group": "\\udc80"}]',
     "duplicate-id.json": b'[{"id": "a", "citations": 1}, {"id": "a", "citations": 2}]',
 }
+
+
+def unequal_groups(seed: int) -> bytes:
+    """A csv of 60 groups of 1 to 60 documents each, both sizes included,
+    with Pareto(1.2) citation counts, rows shuffled: per-group paths on
+    groups of unequal sizes, where every benchmark workload's are equal."""
+    rng = random.Random(seed)
+    sizes = [1, 60, *(rng.randint(1, 60) for _ in range(58))]
+    rows = [f"f{g}-{i},{int(rng.paretovariate(1.2)) - 1},field{g:02d}\n"
+            for g, size in enumerate(sizes) for i in range(size)]
+    rng.shuffle(rows)
+    return ("id,citations,group\n" + "".join(rows)).encode()
 
 
 def commands(inputs: list[tuple[str, str]]) -> list[list[str]]:
@@ -140,6 +155,9 @@ def main(argv: list[str]) -> int:
     parent, change = (str(Path(src).resolve()) for src in argv)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = [(str(REPO / "tests" / "golden" / "tied.json"), "pr6")]
+        unequal = Path(tmp, "unequal-groups.csv")
+        unequal.write_bytes(unequal_groups(UNEQUAL_SEED))
+        inputs += [(str(unequal), "topx=1/10"), (str(unequal), "pr6")]
         for workload in WORKLOADS.values():
             for seed in SEEDS:
                 path = Path(tmp, f"{workload.name}-seed{seed}.{workload.input_format}")

@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 import pctrank
 from pctrank import (
+    AmbiguityReport,
     BoundaryAmbiguityError,
+    BoundaryFlag,
     BoundaryPolicy,
     CitationRecord,
     ClassCounts,
@@ -31,6 +33,7 @@ from pctrank import (
     QuantileInterval,
     RankedSet,
     RoundingMode,
+    RuleDisagreement,
     SchemeError,
     TieGroup,
     interval_for,
@@ -267,6 +270,46 @@ def attribute_each(ranked: RankedSet, scheme: PRScheme, rule: CountingRule, **op
                       for doc_id, interval in intervals]
         _References.results[key] = result
     return [*_References.results[key]]
+
+
+def compare_rules_each(
+    ranked: RankedSet, scheme: PRScheme, *,
+    rounding: RoundingMode = RoundingMode.NONE,
+    midpoint_route: MidpointRoute = MidpointRoute.EXACT,
+) -> AmbiguityReport:
+    """Reference for compare_rules: every document classified on its own
+    with point_attribution under each point rule, policy lower, in rank
+    order. A run of neighbours with the same interval and the same result
+    makes one record: a flag per rule whose point hit a boundary, and a
+    disagreement where the rules' classes differ. The fractional counts
+    are the per-document fractions summed by class."""
+    options = dict(rounding=rounding, policy=BoundaryPolicy.LOWER, midpoint_route=midpoint_route)
+    intervals = intervals_by_id(ranked)
+    decided = {
+        rule: [point_attribution(doc_id, ranked, scheme, rule, **options) for doc_id in intervals]
+        for rule in POINT_RULES
+    }
+    flags = []
+    for rule in POINT_RULES:
+        hits = [(intervals[a.doc_id], a.quantile, a.boundary_hit, a.doc_id)
+                for a in decided[rule] if a.ambiguous]
+        for (interval, quantile, boundary), run in groupby(hits, key=itemgetter(0, 1, 2)):
+            ids = tuple(doc_id for *_, doc_id in run)
+            flags.append(BoundaryFlag(rule, ids, quantile, boundary, *interval))
+    members = [
+        (intervals[doc_id], tuple(decided[rule][position].class_index for rule in POINT_RULES),
+         doc_id)
+        for position, doc_id in enumerate(intervals)
+    ]
+    disagreements = [
+        RuleDisagreement(tuple(doc_id for *_, doc_id in run), dict(zip(POINT_RULES, classes)))
+        for (_, classes), run in groupby(members, key=itemgetter(0, 1))
+        if len(set(classes)) > 1
+    ]
+    fractions = [_fractional(doc_id, interval, scheme).fractions
+                 for doc_id, interval in intervals.items()]
+    counts = tuple(sum(column, Fraction(0)) for column in zip(*fractions))
+    return AmbiguityReport(scheme, tuple(flags), tuple(disagreements), ClassCounts(scheme, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from pctrank.model import scheme_from_boundaries
 from pctrank.scoring import POINT_RULES, _fractional_score, _fractions, _points
 from support import (
     attribute_each,
+    compare_rules_each,
     first_difference,
     fractional_attribution,
     i3,
@@ -506,7 +507,7 @@ RENDER_SCHEMES = [
 ]
 REPORT_OPTIONS = [
     dict(rounding=rounding, midpoint_route=route)
-    for rounding in (RoundingMode.NONE, RoundingMode.FLOOR)
+    for rounding in (RoundingMode.NONE, RoundingMode.FLOOR, RoundingMode.HALF_UP)
     for route in MidpointRoute
 ]
 
@@ -517,7 +518,9 @@ REPORT_OPTIONS = [
 def test_rendering_matches_the_per_document_renderers(sets, scheme):
     """attribute and report output, laid out per tie group, is byte for byte
     the output of renderers that format every document on its own, in csv,
-    table and json."""
+    table and json. The report's reference is also made per document, by
+    compare_rules_each, so compare_rules and render_report are checked
+    together."""
     for rule, options in RENDER_OPTIONS:
         batches = [(key, r, attribute_all(r, scheme, rule, **options)) for key, r in sets]
         reference = [(key, r, attribute_each(r, scheme, rule, **options)) for key, r in sets]
@@ -529,7 +532,8 @@ def test_rendering_matches_the_per_document_renderers(sets, scheme):
             assert text == expected, first_difference(text, expected)
     for options in REPORT_OPTIONS:
         batches = [(key, r, compare_rules(r, scheme, **options)) for key, r in sets]
+        reference = [(key, r, compare_rules_each(r, scheme, **options)) for key, r in sets]
         for fmt in ("csv", "table", "json"):
             text = render_report(batches, scheme, fmt=fmt, **options)
-            expected = render_report_per_document(batches, scheme, fmt=fmt, **options)
+            expected = render_report_per_document(reference, scheme, fmt=fmt, **options)
             assert text == expected, first_difference(text, expected)

@@ -198,6 +198,41 @@ def test_private_names_cross_modules_only_where_listed():
     ]
 
 
+def test_the_package_computes_with_no_float():
+    """The exact-rational contract, in the source: no `/` operator and no
+    float literal, no `float` name but the refusal in model.parse_fraction,
+    and nothing from `math` but gcd and lcm. So every computed value stays
+    an int or a Fraction."""
+    modules = source_modules()
+    parse_fraction = next(
+        node for node in modules["model.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_fraction"
+    )
+    refusal = [
+        node.args[1] for node in ast.walk(parse_fraction)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and getattr(node.args[1], "id", None) == "float"
+    ]
+    assert len(refusal) == 1
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            line = f"{module}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{line}: /")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{line}: {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float" and node is not refusal[0]:
+                found.append(f"{line}: float")
+            elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math"
+                  and node.attr not in ("gcd", "lcm")):
+                found.append(f"{line}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{line}: math.{a.name}" for a in node.names
+                          if a.name not in ("gcd", "lcm")]
+    assert found == []
+
+
 def test_every_private_top_level_name_is_used_besides_its_definition():
     modules = source_modules()
     reads = {
